@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from .catalog import SAMPLING_SEED, stabilizer_components
 from .certs import CheckFailure, run_check, zero_combo_payload
 from .engine import (
+    Budget,
     NonMembership,
+    back_substitute,
     distinct_root_count,
+    echelon,
     graded_membership_batch,
     minimal_polynomial,
+    reduce_row,
 )
 from .poly import Poly, PolyRing
 from .rankcond import ARRANGEMENT, MinorTable
@@ -372,39 +376,8 @@ def check_generator_match(sd, table_a, table_d, cache, budget=None):
 # fibers
 
 
-def _echelon(vectors, coeff_zero):
-    """Reduced row echelon of scalar vectors; dict pivot index -> row.
-    Rows are normalized and mutually reduced, so reducing a vector against
-    all pivots leaves it supported on the free coordinates."""
-    pivots = {}
-    for vec in vectors:
-        work = list(vec)
-        for p in sorted(pivots):
-            c = work[p]
-            if c:
-                prow = pivots[p]
-                work = [a - c * b for a, b in zip(work, prow)]
-        lead = next((idx for idx, v in enumerate(work) if v), None)
-        if lead is None:
-            continue
-        inv = 1 / work[lead]
-        work = [v * inv for v in work]
-        for p, prow in list(pivots.items()):
-            c = prow[lead]
-            if c:
-                pivots[p] = [a - c * b for a, b in zip(prow, work)]
-        pivots[lead] = work
-    return pivots
-
-
-def _reduce_vec(vec, pivots):
-    work = list(vec)
-    for p in sorted(pivots):
-        c = work[p]
-        if c:
-            prow = pivots[p]
-            work = [a - c * b for a, b in zip(work, prow)]
-    return work, None
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
@@ -419,7 +392,7 @@ def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
     J = table.saito.J
     # the relations among the generator classes are the columns of J
     cols = [[J[i, j].eval(point) for i in range(l)] for j in range(l)]
-    pivots = _echelon(cols, zero)
+    pivots, _ = echelon((_sparse(c), ()) for c in cols)
     free = [i for i in range(l) if i not in pivots]
     q = len(free)
     if q == 0:
@@ -442,8 +415,9 @@ def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
                     continue
                 for k in range(l):
                     img[k] = img[k] + a[i] * cvals[i][jq][k]
-            red, _ = _reduce_vec(img, pivots)
-            mat.append([red[i] for i in free])
+            red = _sparse(img)
+            reduce_row(red, [], pivots, Budget())
+            mat.append([red.get(i, zero) for i in free])
         mat = [[mat[c][r] for c in range(q)] for r in range(q)]
         mp = minimal_polynomial(mat, uni)
         best = max(best, distinct_root_count(mp))
@@ -453,17 +427,12 @@ def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
 def _nullspace(rows, n, ring):
     """Basis of the common kernel of linear forms given by coefficient rows."""
     zero = ring.coeff(0)
-    pivots = _echelon(rows, zero)
+    pivots, _ = echelon((_sparse(r), ()) for r in rows)
     basis = []
     for f in range(n):
-        if f in pivots:
-            continue
-        vec = [zero] * n
-        vec[f] = ring.coeff(1)
-        # back-substitute pivot coordinates
-        for p, prow in pivots.items():
-            vec[p] = -prow[f]
-        basis.append(vec)
+        if f not in pivots:
+            sol = back_substitute(pivots, sol={f: ring.coeff(1)})
+            basis.append([sol.get(i, zero) for i in range(n)])
     return basis
 
 

@@ -4,9 +4,9 @@
     coxsaito fixture --type B3 --out fixtures/
     coxsaito verify report.json
 
-Exit codes: 0 all requested checks pass; 1 a check failed; 2 usage error or
-unsupported request; 3 a check was indeterminate (budget exhausted) and
-none failed.
+Exit codes: 0 all requested checks pass; 1 a check failed; 2 usage error,
+unsupported request or malformed report; 3 a check was indeterminate
+(budget exhausted) and none failed.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def cmd_fixture(args):
 def cmd_verify(args):
     try:
         ok, failures = verify_report_file(args.report)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return 2
     if ok:

@@ -3,10 +3,12 @@
 The default decision path for homogeneous membership is a single-degree
 linear solve over the coefficient field: the cofactors of a homogeneous
 membership live in one graded piece, so membership is one sparse exact
-linear system.  Large rational systems go through elimination modulo
-word-size primes with rational reconstruction; every reconstructed answer
-is re-verified exactly, and non-membership is only ever reported together
-with an exactly verified separating functional.
+linear system.  Systems above a size threshold, over Q or Q(sqrt d), go
+through elimination modulo word-size primes with rational reconstruction;
+every reconstructed answer is re-verified exactly, and non-membership is
+only ever reported together with an exactly verified separating
+functional.  All exact scalar elimination (solves, ranks, nullspaces) runs
+through one kernel: `echelon`, `reduce_row` and `back_substitute`.
 """
 
 from __future__ import annotations
@@ -154,6 +156,77 @@ class NonMembership:
 # exact sparse linear algebra over the scalar field
 
 
+def reduce_row(work, rhs, pivots, budget):
+    """Reduce a sparse row (dict unknown->scalar) and its right-hand sides
+    in place against the pivot rows until no pivot unknown is left in it."""
+    while True:
+        hits = [u for u in work if u in pivots]
+        if not hits:
+            return
+        budget.tick(len(hits))
+        for u in sorted(hits):
+            c = work.pop(u, None)
+            if c is None or not c:
+                continue
+            prow, prhs = pivots[u]
+            for v, cv in prow.items():
+                if v == u:
+                    continue
+                s = work.get(v)
+                s = -c * cv if s is None else s - c * cv
+                if s:
+                    work[v] = s
+                else:
+                    work.pop(v, None)
+            for t in range(len(rhs)):
+                if prhs[t]:
+                    rhs[t] = rhs[t] - c * prhs[t]
+
+
+def echelon(eqs, budget=None):
+    """Forward elimination of (row dict, rhs list) equations.
+
+    Returns (pivots, bad): pivots maps the smallest unknown of each reduced
+    row to that row normalized to 1 there, with its right-hand sides; a
+    pivot row holds only unknowns larger than its pivot.  bad is the set of
+    right-hand side indices some equation proved inconsistent."""
+    budget = _budget(budget)
+    pivots = {}
+    bad = set()
+    for row, rhs in eqs:
+        work = dict(row)
+        r = list(rhs)
+        reduce_row(work, r, pivots, budget)
+        if not work:
+            bad.update(t for t, x in enumerate(r) if x)
+            continue
+        u = min(work)
+        inv = 1 / work[u]
+        work = {v: cv * inv for v, cv in work.items()}
+        r = [x * inv for x in r]
+        pivots[u] = (work, r)
+    return pivots, bad
+
+
+def back_substitute(pivots, t=None, sol=None):
+    """Values of the pivot unknowns, from the largest pivot down, for
+    right-hand side t (None: the homogeneous system).  Free unknowns take
+    their values from sol and are zero where it has none."""
+    sol = dict(sol or {})
+    for u in sorted(pivots, reverse=True):
+        prow, prhs = pivots[u]
+        val = prhs[t] if t is not None else 0
+        for v, cv in prow.items():
+            if v == u:
+                continue
+            sv = sol.get(v)
+            if sv is not None:
+                val = val - cv * sv
+        if val:
+            sol[u] = val
+    return sol
+
+
 def solve_linear(eqs, nun, nrhs, budget=None):
     """Solve a sparse linear system with several right-hand sides.
 
@@ -164,100 +237,17 @@ def solve_linear(eqs, nun, nrhs, budget=None):
     the smallest unknown of each reduced row, so the result is
     deterministic.
     """
-    budget = _budget(budget)
-    pivots = {}  # unknown -> (rowdict normalized, rhs list)
-    bad = [False] * nrhs
-    for row, rhs in eqs:
-        work = dict(row)
-        r = list(rhs)
-        while True:
-            hits = [u for u in work if u in pivots]
-            if not hits:
-                break
-            budget.tick(len(hits))
-            for u in sorted(hits):
-                c = work.pop(u, None)
-                if c is None or not c:
-                    continue
-                prow, prhs = pivots[u]
-                for v, cv in prow.items():
-                    if v == u:
-                        continue
-                    s = work.get(v)
-                    s = -c * cv if s is None else s - c * cv
-                    if s:
-                        work[v] = s
-                    else:
-                        work.pop(v, None)
-                for t in range(nrhs):
-                    if prhs[t]:
-                        r[t] = r[t] - c * prhs[t]
-        if not work:
-            for t in range(nrhs):
-                if r[t]:
-                    bad[t] = True
-            continue
-        u = min(work)
-        inv = 1 / work[u]
-        work = {v: cv * inv for v, cv in work.items()}
-        r = [x * inv for x in r]
-        pivots[u] = (work, r)
-    out = []
-    order = sorted(pivots, reverse=True)
-    for t in range(nrhs):
-        if bad[t]:
-            out.append(None)
-            continue
-        # back substitution, free unknowns set to zero
-        sol = {}
-        for u in order:
-            prow, prhs = pivots[u]
-            val = prhs[t]
-            for v, cv in prow.items():
-                if v == u:
-                    continue
-                sv = sol.get(v)
-                if sv is not None:
-                    val = val - cv * sv
-            if val:
-                sol[u] = val
-        out.append(sol)
-    return out
+    pivots, bad = echelon(eqs, budget)
+    return [None if t in bad else back_substitute(pivots, t) for t in range(nrhs)]
 
 
 def rank_of_vectors(vecs, budget=None):
     """Rank of a list of sparse vectors (dicts key->scalar)."""
-    budget = _budget(budget)
-    pivots = {}
-    rank = 0
-    for vec in vecs:
-        work = dict(vec)
-        while True:
-            hits = [u for u in work if u in pivots]
-            if not hits:
-                break
-            budget.tick(len(hits))
-            u = min(hits)
-            c = work.pop(u)
-            for v, cv in pivots[u].items():
-                if v == u:
-                    continue
-                s = work.get(v)
-                s = -c * cv if s is None else s - c * cv
-                if s:
-                    work[v] = s
-                else:
-                    work.pop(v, None)
-        if work:
-            u = min(work)
-            inv = 1 / work[u]
-            pivots[u] = {v: cv * inv for v, cv in work.items()}
-            rank += 1
-    return rank
+    return len(echelon(((vec, ()) for vec in vecs), budget)[0])
 
 
 # ---------------------------------------------------------------------------
-# modular fast path (rational coefficients only)
+# modular fast path
 
 _PRIME_COUNT = 48
 
@@ -513,17 +503,17 @@ def _shift_poly(ring, g, mu):
     return {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()}
 
 
-def graded_membership(target, gens, budget=None, allow_modular=True):
+def graded_membership(target, gens, budget=None):
     """Decide membership of a homogeneous target in a homogeneous ideal.
 
     Returns a Witness (with cofactors homogeneous of the complementary
     degrees) or a NonMembership functional.  The decision is exact.
     """
-    out = graded_membership_batch([target], gens, budget, allow_modular)
+    out = graded_membership_batch([target], gens, budget)
     return out[0]
 
 
-def graded_membership_batch(targets, gens, budget=None, allow_modular=True):
+def graded_membership_batch(targets, gens, budget=None):
     """Membership of several targets of equal degree in one graded solve."""
     budget = _budget(budget)
     ring = targets[0].ring
@@ -580,7 +570,7 @@ def graded_membership_batch(targets, gens, budget=None, allow_modular=True):
 
     pending = list(range(len(targets)))
     threshold = MODULAR_THRESHOLD if ring.d is None else MODULAR_THRESHOLD_QUAD
-    if allow_modular and len(row_index) * max(len(cols), 1) > threshold:
+    if len(row_index) * max(len(cols), 1) > threshold:
         # modular answers are advisory: only an exactly verified witness is
         # accepted, everything else falls through to the exact path
         modsol = _modular_solve(col_vecs, target_vecs, row_index, budget, d=ring.d)
@@ -869,50 +859,10 @@ def _bivariate_coeff_lists(f, var):
     return out
 
 
-def _dense_det(mat, zero):
-    """Determinant of a small dense scalar matrix by Gaussian elimination."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = zero + 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return zero
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
-def _uni_resultant(f_coeffs, g_coeffs, zero):
-    """Resultant of two univariate coefficient lists (Sylvester matrix)."""
-    df, dg = _uni_deg(f_coeffs), _uni_deg(g_coeffs)
-    if df < 0 or dg < 0:
-        return zero
-    if df == 0:
-        return f_coeffs[0] ** dg
-    if dg == 0:
-        return g_coeffs[0] ** df
-    n = df + dg
-    mat = [[zero] * n for _ in range(n)]
-    for i in range(dg):
-        for j in range(df + 1):
-            mat[i][i + j] = f_coeffs[df - j]
-    for i in range(df):
-        for j in range(dg + 1):
-            mat[dg + i][i + j] = g_coeffs[dg - j]
-    return _dense_det(mat, zero)
-
-
 def _pair_cuts_out_points(f, g, budget=None):
     """Sound finiteness test for V(f, g) in two variables: the pair has
-    trivial common content and a nonzero resultant specialization."""
+    trivial common content and a nonzero resultant specialization, shown
+    by a constant gcd at a point where a leading coefficient survives."""
     budget = _budget(budget)
     ring = f.ring
     zero = ring.coeff(0)
@@ -933,14 +883,18 @@ def _pair_cuts_out_points(f, g, budget=None):
     if acc is None or _uni_deg(acc) > 0:
         return False
     # one nonzero value of the resultant in the first variable proves the
-    # resultant is a nonzero polynomial, hence no common component
+    # resultant is a nonzero polynomial, hence no common component.  The
+    # specialization at u0 is the resultant of the specialized pair only
+    # where a leading coefficient in the second variable survives; there,
+    # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
         budget.tick()
         u0 = ring.coeff(u0)
         fs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in fc]
         gs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in gc]
-        res = _uni_resultant(fs, gs, zero)
-        if res:
+        if not (fs[-1] or gs[-1]) or _uni_deg(fs) < 0 or _uni_deg(gs) < 0:
+            continue
+        if _uni_deg(_uni_gcd(fs, gs)) == 0:
             return True
     return False
 
@@ -951,8 +905,8 @@ def codim_at_least_two(gens, seed=1, budget=None, tries=6):
     The variety is a (weighted) cone, so cutting with a linear 2-plane
     through the origin can only drop the dimension by the cut codimension;
     finiteness of the section is then certified by a coprime pair among
-    the restricted generators (trivial common content plus a nonzero
-    resultant specialization)."""
+    the restricted generators (trivial common content plus a constant gcd
+    at a point where a leading coefficient survives)."""
     import random
 
     gens = [g for g in gens if g]

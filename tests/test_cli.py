@@ -112,6 +112,42 @@ def test_verify_malformed_report(tmp_path):
     assert main(["verify", str(bad)]) == 2
 
 
+def _witnessed(doc):
+    return next(c for c in doc["checks"] if c["witnesses"])
+
+
+def _cofactor(doc):
+    return _witnessed(doc)["witnesses"][0]["cofactors"][0]
+
+
+# each mutation edits the report in place, or returns a replacement
+_MUTATIONS = {
+    "checks-int": lambda doc: doc.update(checks=5),
+    "witnesses-str": lambda doc: _witnessed(doc).update(witnesses="x"),
+    "cofactor-terms-int": lambda doc: _cofactor(doc).update(terms=3),
+    "null-coefficient": lambda doc: _cofactor(doc)["terms"][0].update(coeff=None),
+    "null-check": lambda doc: doc["checks"].__setitem__(0, None),
+    "top-level-list": lambda doc: [doc],
+}
+
+
+@pytest.fixture(scope="module")
+def a2_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("a2") / "a2.json"
+    assert main(["run", "--type", "A2", "--suite", "grc-A", "--tier", "fast", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_verify_wrong_field_types_exit_2(mutation, a2_report, tmp_path, capsys):
+    doc = json.loads(json.dumps(a2_report))
+    doc = _MUTATIONS[mutation](doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
 def test_fixture_emission_idempotent(tmp_path):
     rc = main(["fixture", "--type", "I2(5)", "--out", str(tmp_path)])
     assert rc == 0

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxsaito.algebra import _nullspace
 from coxsaito.engine import (
     Budget,
     BudgetExceeded,
@@ -25,6 +28,7 @@ from coxsaito.engine import (
     squarefree_test,
 )
 from coxsaito.poly import PolyRing
+from coxsaito.scalars import Quad
 
 
 @pytest.fixture
@@ -211,6 +215,17 @@ def test_codim_at_least_two():
     assert not codim_at_least_two([x * y, x * z])  # codim 1 component {x=0}
 
 
+def test_codim_common_factor_with_vanishing_leading_coefficient():
+    # h = (u - 2) v + 1 is a common curve of both generators; its leading
+    # coefficient in v vanishes at u = 2, the first specialization tried,
+    # where h would drop out of the specialized pair
+    r2 = PolyRing(("u", "v"))
+    u, v = r2.gens()
+    h = (u - 2) * v + 1
+    assert not codim_at_least_two([h * (v + u), h * (v - u)])
+    assert codim_at_least_two([v + u, v - u])
+
+
 def test_squarefree(ring):
     x, y = ring.gens()
     assert not squarefree_test(x * x)
@@ -258,6 +273,72 @@ def test_solve_linear_and_rank():
     assert rank_of_vectors([{0: one}, {0: one * 2}, {1: one}]) == 2
 
 
+def _dense_rank(rows):
+    """Reference rank by dense Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-3, 2)])
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(d, A, B): a small sparse m x n matrix over Q (d None) or Q(sqrt 5)
+    and right-hand sides, half of them in the column space of A."""
+    d = draw(st.sampled_from([None, 5]))
+    m, n, nrhs = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+    def scalar():
+        a = Fraction(draw(_SMALL))
+        return a if d is None else Quad(a, draw(_SMALL), 5)
+
+    A = [[scalar() for _ in range(n)] for _ in range(m)]
+    cols = []
+    for _ in range(nrhs):
+        if draw(st.booleans()):
+            x = [scalar() for _ in range(n)]
+            cols.append([sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A])
+        else:
+            cols.append([scalar() for _ in range(m)])
+    B = [[col[i] for col in cols] for i in range(m)]
+    return d, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_systems())
+def test_elimination_kernel_properties(system):
+    d, A, B = system
+    n, nrhs = len(A[0]), len(B[0])
+    eqs = [({j: c for j, c in enumerate(row) if c}, rhs) for row, rhs in zip(A, B)]
+    rank_a = _dense_rank(A)
+    assert rank_of_vectors([row for row, _ in eqs]) == rank_a
+    for t, sol in enumerate(solve_linear(eqs, n, nrhs)):
+        aug = [row + [rhs[t]] for row, rhs in zip(A, B)]
+        assert (sol is None) == (_dense_rank(aug) > rank_a)
+        if sol is not None:
+            assert set(sol) <= set(range(n))
+            for row, rhs in zip(A, B):
+                assert sum((row[j] * v for j, v in sol.items()), Fraction(0)) == rhs[t]
+    basis = _nullspace(A, n, PolyRing(("x",), d=d))
+    assert len(basis) == n - rank_a
+    for vec in basis:
+        for row in A:
+            assert not sum((a * b for a, b in zip(row, vec)), Fraction(0))
+    assert _dense_rank(basis) == len(basis)
+
+
 def test_modular_path_matches_exact(ring, monkeypatch):
     import coxsaito.engine as eng
 
@@ -269,11 +350,12 @@ def test_modular_path_matches_exact(ring, monkeypatch):
         ring.from_dict({(2, 1): Fraction(1), (1, 2): Fraction(4)}),
     ]
     target = gens[0] * (x + 2 * y) + gens[1] * (3 * x) + gens[2] * (y - x)
-    exact = graded_membership(target, gens, allow_modular=False)
+    # a system this small stays below the default threshold: exact path
+    exact = graded_membership(target, gens)
     monkeypatch.setattr(eng, "MODULAR_THRESHOLD", 1)
-    modular = graded_membership(target, gens, allow_modular=True)
+    modular = graded_membership(target, gens)
     assert isinstance(exact, Witness) and isinstance(modular, Witness)
     assert modular.verify()
     # non-membership still lands on the exact path and produces a functional
-    nm = graded_membership(x**4, [y * y * y * x], allow_modular=True)
+    nm = graded_membership(x**4, [y * y * y * x])
     assert isinstance(nm, NonMembership)
