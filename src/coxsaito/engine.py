@@ -1,21 +1,25 @@
 """Exact ideal membership with witnesses, Groebner bases, dimension.
 
-The default decision path for homogeneous membership is a single-degree
-linear solve over the coefficient field: the cofactors of a homogeneous
-membership live in one graded piece, so membership is one sparse exact
-linear system.  Systems above a size threshold, over Q or Q(sqrt d), go
-through elimination modulo word-size primes with rational reconstruction;
-every reconstructed answer is re-verified exactly, and non-membership is
-only ever reported together with an exactly verified separating
-functional.  All exact scalar elimination (solves, ranks, nullspaces) runs
-through one kernel: `echelon`, `reduce_row` and `back_substitute`.
+The cofactors of a homogeneous membership live in one graded piece, so
+membership is one sparse linear system over the coefficient field.  Every
+such system, over Q or Q(sqrt d), is solved first by elimination modulo
+word-size primes with rational reconstruction; a target it finds
+inconsistent gets its separating functional the same way, from the
+transposed system.  Modular answers are only candidates: a witness or a
+functional is accepted only once it verifies exactly, and non-membership
+is only ever reported together with such a functional.  Targets the
+modular run leaves unsettled go to the exact kernel, through which all
+exact scalar elimination (solves, ranks, nullspaces) runs: `echelon`,
+`reduce_row` and `back_substitute`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -277,26 +281,20 @@ def _gen_primes():
 _PRIMES = _gen_primes()
 
 
+@cache
 def _primes_for(d):
     """Primes where d is a quadratic residue, with a canonical square root
     (all generated primes are 3 mod 4, so the root is a power)."""
     if d is None:
-        return [(p, None) for p in _PRIMES]
-    out = []
-    for p in _PRIMES:
-        if pow(d, (p - 1) // 2, p) == 1:
-            s = pow(d, (p + 1) // 4, p)
-            out.append((p, s))
-    return out
-
-
-MODULAR_THRESHOLD = 120_000
-MODULAR_THRESHOLD_QUAD = 30_000
+        return tuple((p, None) for p in _PRIMES)
+    return tuple(
+        (p, pow(d, (p + 1) // 4, p)) for p in _PRIMES if pow(d, (p - 1) // 2, p) == 1
+    )
 
 
 def _rat_reconstruct(r, m):
     """Wang rational reconstruction of r mod m; None if no small fraction."""
-    bound = int(m**0.5) // 2 + 1
+    bound = isqrt(m) // 2 + 1
     v0, v1 = (m, 0), (r % m, 1)
     while v1[0] >= bound:
         q = v0[0] // v1[0]
@@ -306,22 +304,21 @@ def _rat_reconstruct(r, m):
         return None
     if d < 0:
         n, d = -n, -d
-    from math import gcd
-
     if gcd(n, d) != 1 or gcd(d, m) != 1:
         return None
     return Fraction(n, d)
 
 
 def _rref_mod(M, p, nun):
-    """In-place RREF mod p on the first nun columns; returns pivot list."""
-    np.mod(M, p, out=M)
+    """In-place RREF mod p on the first nun columns of a matrix of residues;
+    returns the pivot columns, whose rows are the first ones in order."""
     m = M.shape[0]
-    r = 0
     pivots = []
     for c in range(nun):
-        sub = M[r:, c]
-        nz = np.nonzero(sub)[0]
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.nonzero(M[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -334,165 +331,105 @@ def _rref_mod(M, p, nun):
         rows = np.nonzero(col)[0]
         if rows.size:
             M[rows] = (M[rows] - col[rows, None] * M[r][None, :]) % p
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    return pivots
+        pivots.append(c)
+    return tuple(pivots)
 
 
-def _columns_to_int(cols, row_index):
-    """Clear denominators columnwise.  Entries become integer pairs
-    (rational part, surd part); the surd part is zero in rational contexts.
-    Returns (list of dicts row -> (na, nb), scales)."""
-    int_cols = []
+def _columns_to_int(cols):
+    """Clear denominators column by column.  Returns the integer scale of
+    each column and its entries as (row, column, rational part, surd part)
+    integers; the surd part is zero in rational contexts."""
+    entries = []
     scales = []
-    for col in cols:
-        denlcm = 1
-        for c in col.values():
-            if isinstance(c, Quad):
-                for q in (c.a, c.b):
-                    denlcm = denlcm * q.denominator // _gcd(denlcm, q.denominator)
-            else:
-                denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
-        vec = {}
-        for e, c in col.items():
-            if isinstance(c, Quad):
-                vec[row_index[e]] = (int(c.a * denlcm), int(c.b * denlcm))
-            else:
-                vec[row_index[e]] = (int(c * denlcm), 0)
-        int_cols.append(vec)
-        scales.append(denlcm)
-    return int_cols, scales
+    for j, col in enumerate(cols):
+        parts = [(r, (c.a, c.b) if isinstance(c, Quad) else (c, 0)) for r, c in col.items()]
+        den = lcm(*(q.denominator for _, pair in parts for q in pair))
+        for r, (a, b) in parts:
+            entries.append((r, j, a.numerator * (den // a.denominator),
+                            b.numerator * (den // b.denominator)))
+        scales.append(den)
+    return entries, scales
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _modular_solve(cols, targets, nrows, budget, d, accept):
+    """Solve for several right-hand sides modulo word-size primes.
 
+    cols (one per unknown) and targets are sparse vectors, dicts row ->
+    scalar.  After every prime, each unsettled target whose residues
+    reconstruct to a candidate (dict unknown -> scalar, free unknowns zero)
+    is passed to accept(t, candidate), which returns the answer built from
+    it once that checks exactly and raises EngineError otherwise; a
+    rejected candidate makes the run go on to further primes.  Returns
+    (answers, inconsistent): the accepted answers, None where there was
+    none, and the targets some prime found inconsistent, which are left
+    unsettled.
 
-def _embed_matrix(int_cols, int_rhs, nrows, nun, nrhs, p, s):
-    """Dense matrix of residues for one prime and one embedding of sqrt d."""
-    M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
-    for j, vec in enumerate(int_cols):
-        for r, (na, nb) in vec.items():
-            M[r, j] = (na + nb * s) % p if s else na % p
-    for t, vec in enumerate(int_rhs):
-        for r, (na, nb) in vec.items():
-            M[r, nun + t] = (na + nb * s) % p if s else na % p
-    return M
-
-
-def _crt_chain(residues, primes):
-    x = 0
-    m = 1
-    for q, rv in zip(primes, residues):
-        inv = pow(m % q, q - 2, q)
-        x = x + m * ((rv - x) * inv % q)
-        m *= q
-    return x, m
-
-
-def _modular_solve(cols, targets, row_index, budget, d=None):
-    """Multi-rhs modular solve; returns a list of candidate solutions per
-    target (dict unknown -> scalar), with None for targets the modular run
-    could not settle.  Candidates are NOT trusted: callers verify exactly.
-
+    A prime whose pivot columns are fewer or later than the best seen is
+    unlucky and skipped; a better one restarts the reconstruction.
     Quadratic contexts embed sqrt(d) as each of the two square roots mod p;
     the half sum and half difference of the two solves recover the rational
     and surd parts."""
-    nun = len(cols)
-    nrhs = len(targets)
-    nrows = len(row_index)
-    int_cols, col_scales = _columns_to_int(cols, row_index)
-    int_rhs, rhs_scales = _columns_to_int(targets, row_index)
-
-    res_a = {}
-    res_b = {}
-    used_primes = []
+    nun, nrhs = len(cols), len(targets)
+    entries, col_scales = _columns_to_int(cols)
+    rhs_entries, rhs_scales = _columns_to_int(targets)
+    entries += [(r, nun + t, a, b) for r, t, a, b in rhs_entries]
+    index = (np.array([e[0] for e in entries], dtype=np.intp),
+             np.array([e[1] for e in entries], dtype=np.intp))
+    answers = [None] * nrhs
+    inconsistent = set()
     pattern = None
-    doubtful = [False] * nrhs
     for p, s in _primes_for(d):
         budget.tick(nrows * nun // 64 + 1)
         runs = []
-        ok = True
-        for emb in ((s,) if d is None else (s, p - s)):
-            M = _embed_matrix(int_cols, int_rhs, nrows, nun, nrhs, p, emb if d else 0)
-            pivots = _rref_mod(M, p, nun)
-            pat = tuple(c for _, c in pivots)
-            if pattern is None:
-                pattern = pat
-            elif pat != pattern:
-                ok = False
-                break
-            unk_zero = ~M[:, :nun].any(axis=1)
-            for t in range(nrhs):
-                if np.any(unk_zero & (M[:, nun + t] != 0)):
-                    doubtful[t] = True
-            runs.append(({c: r for r, c in pivots}, M))
-        if not ok:
+        for root in (0,) if d is None else (s, p - s):
+            M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
+            M[index] = [(a + b * root) % p for _, _, a, b in entries]
+            runs.append((_rref_mod(M, p, nun), M))
+        pat = runs[0][0]
+        if any(other != pat for other, _ in runs):
             continue
-        used_primes.append(p)
-        inv2 = pow(2, p - 2, p)
-        inv2s = pow(2 * s % p, p - 2, p) if d is not None else 0
-        for t in range(nrhs):
-            for c in pattern:
-                if d is None:
-                    piv_rows, M = runs[0]
-                    res_a.setdefault((t, c), []).append(int(M[piv_rows[c], nun + t]))
-                else:
-                    (rows1, M1), (rows2, M2) = runs
-                    v1 = int(M1[rows1[c], nun + t])
-                    v2 = int(M2[rows2[c], nun + t])
-                    res_a.setdefault((t, c), []).append((v1 + v2) * inv2 % p)
-                    res_b.setdefault((t, c), []).append((v1 - v2) * inv2s % p)
-        if len(used_primes) < 2:
-            continue
-        recon = [None] * nrhs
-        all_settled = True
-        for t in range(nrhs):
-            if doubtful[t]:
+        if pat != pattern:
+            if pattern is not None and (-len(pat), pat) > (-len(pattern), pattern):
                 continue
-            sol = {}
-            good = True
-            for c in pattern:
-                xa, modulus = _crt_chain(res_a.get((t, c), []), used_primes)
-                fa = _rat_reconstruct(xa % modulus, modulus)
-                if fa is None:
-                    good = False
+            pattern, modulus, inconsistent = pat, 1, set()
+            acc = [[[0] * len(pat) for _ in range(nrhs)] for _ in runs]
+        rank = len(pat)
+        for _, M in runs:
+            inconsistent.update(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
+        # residues of the pivot unknowns: rational parts, then surd parts
+        vals = [M[:rank, nun:] for _, M in runs]
+        if d is not None:
+            vals = [(vals[0] + vals[1]) * ((p + 1) // 2) % p,
+                    (vals[0] - vals[1]) % p * pow(2 * s, -1, p) % p]
+        minv = pow(modulus, -1, p)
+        pending = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent]
+        for t in pending:
+            for part, residues in zip(vals, acc):
+                xs = residues[t]
+                for k, r in enumerate(part[:, t].tolist()):
+                    xs[k] += modulus * ((r - xs[k]) * minv % p)
+        modulus *= p
+        for t in pending:
+            cand = {}
+            for k, c in enumerate(pat):
+                v = _rat_reconstruct(acc[0][t][k], modulus)
+                if v is not None and d is not None:
+                    b = _rat_reconstruct(acc[1][t][k], modulus)
+                    v = None if b is None else Quad(v, b, d)
+                if v is None:
+                    cand = None
                     break
-                if d is None:
-                    if fa:
-                        sol[c] = fa
-                    continue
-                xb, _ = _crt_chain(res_b.get((t, c), []), used_primes)
-                fb = _rat_reconstruct(xb % modulus, modulus)
-                if fb is None:
-                    good = False
-                    break
-                val = Quad(fa, fb, d)
-                if val:
-                    sol[c] = val
-            if not good:
-                all_settled = False
-                continue
-            recon[t] = sol
-        if all_settled:
-            out = []
-            for t in range(nrhs):
-                if recon[t] is None:
-                    out.append(None)
-                    continue
-                # undo column scaling: cofactor = x * col_scale / rhs_scale
-                out.append(
-                    {
-                        c: v * col_scales[c] * Fraction(1, rhs_scales[t])
-                        for c, v in recon[t].items()
-                    }
-                )
-            return out
-    return [None] * nrhs
+                if v:
+                    # undo the column scaling: x_c = y_c * scale_c / scale_t
+                    cand[c] = v * col_scales[c] / rhs_scales[t]
+            if cand is not None:
+                try:
+                    answers[t] = accept(t, cand)
+                except EngineError:
+                    pass  # a wrong reconstruction: more primes
+        if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
+            break
+    return answers, inconsistent
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +451,12 @@ def graded_membership(target, gens, budget=None):
 
 
 def graded_membership_batch(targets, gens, budget=None):
-    """Membership of several targets of equal degree in one graded solve."""
+    """Membership of several targets of equal degree in one graded solve.
+
+    Modular first: a target the modular run settles is accepted only as an
+    exactly verified witness, and one it finds inconsistent only with an
+    exactly verified separating functional, also found modularly.  The
+    exact kernel decides whatever is left."""
     budget = _budget(budget)
     ring = targets[0].ring
     gens = [g for g in gens if g]
@@ -531,102 +473,93 @@ def graded_membership_batch(targets, gens, budget=None):
             raise EngineError("non-homogeneous generator")
         gdegs.append(dg)
 
-    cols = []  # (gen index, cofactor monomial)
-    col_vecs = []
+    # one row per monomial of degree dt, the targets' first; one column
+    # (unknown) per generator times cofactor monomial
     row_index = {}
-
-    def row_of(e):
-        got = row_index.get(e)
-        if got is None:
-            got = len(row_index)
-            row_index[e] = got
-        return got
-
-    for i, (g, dg) in enumerate(zip(gens, gdegs)):
-        cd = dt - dg
-        if cd < 0:
-            continue
-        for mu in ring.monomials(cd):
-            vec = _shift_poly(ring, g, mu)
-            cols.append((i, mu))
-            col_vecs.append(vec)
     for t in targets:
         for e in t.t:
-            row_of(e)
-    for vec in col_vecs:
-        for e in vec:
-            row_of(e)
+            row_index.setdefault(e, len(row_index))
+    target_vecs = [{row_index[e]: c for e, c in t.t.items()} for t in targets]
+    cols = []  # (gen index, cofactor monomial)
+    col_vecs = []
+    for i, (g, dg) in enumerate(zip(gens, gdegs)):
+        for mu in ring.monomials(dt - dg):
+            cols.append((i, mu))
+            col_vecs.append({row_index.setdefault(e, len(row_index)): c
+                             for e, c in _shift_poly(ring, g, mu).items()})
+    monos = list(row_index)
 
-    target_vecs = [dict(t.t) for t in targets]
-    results = [None] * len(targets)
-
-    def witness_from(sol, target):
+    def witness(t, sol):
         cof_terms = [dict() for _ in gens]
         for j, v in sol.items():
             i, mu = cols[j]
-            if v:
-                cof_terms[i][mu] = v
-        return Witness(target, gens, [ring.from_dict(tm) for tm in cof_terms])
+            cof_terms[i][mu] = v
+        return Witness(targets[t], gens, [ring.from_dict(tm) for tm in cof_terms])
 
-    pending = list(range(len(targets)))
-    threshold = MODULAR_THRESHOLD if ring.d is None else MODULAR_THRESHOLD_QUAD
-    if len(row_index) * max(len(cols), 1) > threshold:
-        # modular answers are advisory: only an exactly verified witness is
-        # accepted, everything else falls through to the exact path
-        modsol = _modular_solve(col_vecs, target_vecs, row_index, budget, d=ring.d)
-        still = []
-        for t_idx in pending:
-            sol = modsol[t_idx]
-            if sol is None:
-                still.append(t_idx)
-                continue
-            try:
-                results[t_idx] = witness_from(sol, targets[t_idx])
-            except EngineError:
-                still.append(t_idx)
-        pending = still
+    results, inconsistent = _modular_solve(
+        col_vecs, target_vecs, len(monos), budget, ring.d, witness
+    )
+    for t in sorted(inconsistent):
+        results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos, budget)
 
+    pending = [t for t, r in enumerate(results) if r is None]
     if pending:
         # exact path: one equation per monomial of degree dt
-        eqs = {}
-        for j, vec in enumerate(col_vecs):
-            for e, c in vec.items():
-                eqs.setdefault(e, {})[j] = c
         zero = ring.coeff(0)
-        eq_list = []
-        for e in row_index:
-            row = eqs.get(e, {})
-            rhs = [target_vecs[t].get(e, zero) for t in pending]
-            eq_list.append((row, rhs))
+        eq_list = [
+            (row, [target_vecs[t].get(r, zero) for t in pending])
+            for r, row in enumerate(_transpose(col_vecs, len(monos)))
+        ]
         solutions = solve_linear(eq_list, len(cols), len(pending), budget)
-        for pos, t_idx in enumerate(pending):
-            sol = solutions[pos]
-            target = targets[t_idx]
+        for t, sol in zip(pending, solutions):
             if sol is None:
-                results[t_idx] = _nonmember_functional(
-                    target, gens, cols, col_vecs, row_index, budget
+                results[t] = _nonmember_functional(
+                    targets[t], gens, col_vecs, target_vecs[t], monos, budget
                 )
             else:
-                results[t_idx] = witness_from(sol, target)
+                results[t] = witness(t, sol)
     return results
 
 
-def _nonmember_functional(target, gens, cols, col_vecs, row_index, budget):
-    """Build and exactly verify a separating functional for a non-member."""
+def _transpose(vecs, nrows):
+    """The rows of the matrix whose columns are the sparse vectors vecs."""
+    rows = [dict() for _ in range(nrows)]
+    for j, vec in enumerate(vecs):
+        for r, c in vec.items():
+            rows[r][j] = c
+    return rows
+
+
+def _functional(target, gens, monos, sol):
     ring = target.ring
-    # unknowns: one per row (monomial); equations: orthogonality to each
-    # column, plus pairing with the target equal to 1
-    eqs = []
-    for vec in col_vecs:
-        row = {row_index[e]: c for e, c in vec.items()}
-        eqs.append((row, [ring.coeff(0)]))
-    eqs.append(({row_index[e]: c for e, c in target.t.items()}, [ring.coeff(1)]))
-    sols = solve_linear(eqs, len(row_index), 1, budget)
-    if sols[0] is None:
+    return NonMembership(target, gens, ring.from_dict({monos[u]: v for u, v in sol.items()}))
+
+
+def _modular_functional(target, gens, col_vecs, tvec, monos, budget):
+    """A separating functional found modulo primes, or None.  The system is
+    the transpose of the membership one: one unknown per monomial, every
+    column paired to 0 and the target paired to 1."""
+    m = len(col_vecs)
+    return _modular_solve(
+        _transpose(col_vecs + [tvec], len(monos)),
+        [{m: target.ring.coeff(1)}],
+        m + 1,
+        budget,
+        target.ring.d,
+        lambda _, sol: _functional(target, gens, monos, sol),
+    )[0][0]
+
+
+def _nonmember_functional(target, gens, col_vecs, tvec, monos, budget):
+    """Solve exactly for a separating functional of a non-member, from the
+    same transposed system, and verify it."""
+    ring = target.ring
+    eqs = [(vec, [ring.coeff(0)]) for vec in col_vecs]
+    eqs.append((tvec, [ring.coeff(1)]))
+    sol = solve_linear(eqs, len(monos), 1, budget)[0]
+    if sol is None:
         raise EngineError("membership solver inconsistency (no functional)")
-    rev = {v: k for k, v in row_index.items()}
-    func = ring.from_dict({rev[u]: v for u, v in sols[0].items()})
-    return NonMembership(target, gens, func)
+    return _functional(target, gens, monos, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
 from coxsaito.engine import (
     Budget,
@@ -324,7 +326,8 @@ def test_elimination_kernel_properties(system):
     eqs = [({j: c for j, c in enumerate(row) if c}, rhs) for row, rhs in zip(A, B)]
     rank_a = _dense_rank(A)
     assert rank_of_vectors([row for row, _ in eqs]) == rank_a
-    for t, sol in enumerate(solve_linear(eqs, n, nrhs)):
+    solutions = solve_linear(eqs, n, nrhs)
+    for t, sol in enumerate(solutions):
         aug = [row + [rhs[t]] for row, rhs in zip(A, B)]
         assert (sol is None) == (_dense_rank(aug) > rank_a)
         if sol is not None:
@@ -337,25 +340,139 @@ def test_elimination_kernel_properties(system):
         for row in A:
             assert not sum((a * b for a, b in zip(row, vec)), Fraction(0))
     assert _dense_rank(basis) == len(basis)
+    # the modular path settles exactly the consistent right-hand sides, each
+    # with the kernel's solution: same pivots, free unknowns zero
+    cols = [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(n)]
+    tvecs = [{i: rhs[t] for i, rhs in enumerate(B) if rhs[t]} for t in range(nrhs)]
+
+    def accept(t, cand):
+        for row, rhs in zip(A, B):
+            if sum((row[j] * v for j, v in cand.items()), Fraction(0)) != rhs[t]:
+                raise EngineError("not a solution")
+        return cand
+
+    answers, _ = eng._modular_solve(cols, tvecs, len(A), Budget(), d, accept)
+    assert answers == solutions
+
+
+def _settle_nothing(cols, targets, *args):
+    return [None] * len(targets), set()
 
 
 def test_modular_path_matches_exact(ring, monkeypatch):
-    import coxsaito.engine as eng
-
     x, y = ring.gens()
-    rng = random.Random(13)
     gens = [
         ring.from_dict({(3, 0): Fraction(2), (1, 2): Fraction(-1)}),
         ring.from_dict({(0, 3): Fraction(5), (2, 1): Fraction(7)}),
         ring.from_dict({(2, 1): Fraction(1), (1, 2): Fraction(4)}),
     ]
     target = gens[0] * (x + 2 * y) + gens[1] * (3 * x) + gens[2] * (y - x)
-    # a system this small stays below the default threshold: exact path
-    exact = graded_membership(target, gens)
-    monkeypatch.setattr(eng, "MODULAR_THRESHOLD", 1)
     modular = graded_membership(target, gens)
-    assert isinstance(exact, Witness) and isinstance(modular, Witness)
-    assert modular.verify()
-    # non-membership still lands on the exact path and produces a functional
     nm = graded_membership(x**4, [y * y * y * x])
-    assert isinstance(nm, NonMembership)
+    # the exact reference: the modular run settles nothing
+    monkeypatch.setattr(eng, "_modular_solve", _settle_nothing)
+    exact = graded_membership(target, gens)
+    exact_nm = graded_membership(x**4, [y * y * y * x])
+    assert isinstance(exact, Witness) and isinstance(modular, Witness)
+    assert modular.verify() and modular.cofactors == exact.cofactors
+    assert isinstance(nm, NonMembership) and nm.verify()
+    assert nm.functional == exact_nm.functional
+
+
+def _quad_nonmember():
+    qring = PolyRing(("x", "y", "z"), d=5)
+    x, y, z = qring.gens()
+    phi = qring.coeff(Quad(Fraction(1, 2), Fraction(1, 2), 5))
+    gens = [x * x - (y * z).scale(phi), y * y + (x * z).scale(phi), z * z]
+    return x * y * z, gens
+
+
+def test_modular_functional_over_quadratic_field(monkeypatch):
+    def no_exact(*args, **kwargs):
+        raise AssertionError("exact solve reached")
+
+    target, gens = _quad_nonmember()
+    monkeypatch.setattr(eng, "solve_linear", no_exact)
+    res = graded_membership(target, gens)
+    assert isinstance(res, NonMembership)
+    assert NonMembership(target, gens, res.functional).verify()
+
+
+def test_wrong_modular_candidates_fall_back_to_exact(ring, monkeypatch):
+    x, y = ring.gens()
+    gens = [x * x - y * y, y * y + 2 * x * y]
+    targets = [x * x + 2 * (y * y) + 6 * (x * y), x * y, 2 * (x * x) - 2 * (y * y)]
+    qtarget, qgens = _quad_nonmember()
+    monkeypatch.setattr(eng, "_modular_solve", _settle_nothing)
+    exact = graded_membership_batch(targets, gens)
+    exact_q = graded_membership(qtarget, qgens)
+
+    offered = []
+
+    def wrong(cols, tvecs, nrows, budget, d, accept):
+        # offer a wrong candidate for every target and call every target
+        # inconsistent, so the functional path is offered wrong ones too
+        for t in range(len(tvecs)):
+            offered.append(t)
+            with pytest.raises(EngineError):
+                accept(t, {0: ring.coeff(7) if d is None else Quad(7, 1, d)})
+        return [None] * len(tvecs), set(range(len(tvecs)))
+
+    monkeypatch.setattr(eng, "_modular_solve", wrong)
+    got = graded_membership_batch(targets, gens)
+    got_q = graded_membership(qtarget, qgens)
+    assert offered
+    assert [type(r) for r in got] == [Witness, NonMembership, Witness]
+    for r, e in zip(got, exact):
+        assert r.verify()
+        if isinstance(r, Witness):
+            assert r.cofactors == e.cofactors
+        else:
+            assert r.functional == e.functional
+    assert isinstance(got_q, NonMembership) and got_q.functional == exact_q.functional
+
+
+def test_modular_solve_skips_unlucky_prime():
+    p0 = eng._PRIMES[0]
+    one = Fraction(1)
+    # the column vanishes mod the first prime: that pivot pattern is worse
+    # than the next prime's, which restarts the reconstruction
+    cols = [{0: Fraction(p0)}, {0: one, 1: one}]
+    targets = [{0: Fraction(p0) + 1, 1: one}]
+
+    def accept(t, sol):
+        for r, b in targets[0].items():
+            if sum((cols[j].get(r, 0) * v for j, v in sol.items()), Fraction(0)) != b:
+                raise EngineError("not a solution")
+        return sol
+
+    answers, inconsistent = eng._modular_solve(cols, targets, 2, Budget(), None, accept)
+    assert answers == [{0: one, 1: one}]
+    assert not inconsistent
+
+
+def test_rat_reconstruct_past_float_range():
+    m = math.prod(eng._PRIMES)
+    assert m > 2**1100
+    rng = random.Random(5)
+    n = rng.getrandbits(500) | 1
+    d = rng.getrandbits(480) | 1
+    frac = Fraction(n, d)
+    r = frac.numerator * pow(frac.denominator, -1, m) % m
+    assert eng._rat_reconstruct(r, m) == frac
+
+
+def test_membership_with_coefficients_past_every_prime():
+    # the cofactors need far more than the 48 primes' modulus, so the
+    # modular run goes through every prime and the exact kernel decides
+    xr = PolyRing(("x", "y", "z"))
+    x, y, z = xr.gens()
+    rng = random.Random(3)
+    terms = {
+        mon: Fraction(rng.getrandbits(700) + 1, rng.getrandbits(600) + 1)
+        for mon in xr.monomials(3)
+    }
+    target = xr.from_dict(terms)
+    assert len(target.t) == 10
+    res = graded_membership(target, [x, y, z])
+    assert isinstance(res, Witness) and res.verify()
