@@ -23,6 +23,7 @@ from .engine import (
     echelon,
     graded_membership_batch,
     minimal_polynomial,
+    rank_of_vectors,
     reduce_row,
 )
 from .poly import Poly, PolyRing
@@ -142,15 +143,9 @@ def build_mul_table(table, budget=None, from_discriminant=None, cache=None):
     the fraction ring, so the pulled-back constants satisfy the same
     congruences, certified here by exact division rather than by a solve.
     """
-    if from_discriminant is not None and table.side == ARRANGEMENT and cache is not None:
-        return _pulled_back_table(table, from_discriminant, cache)
     l = table.rank
-    defining = table.defining
-    ring = defining.ring
+    ring = table.defining.ring
     nums = fraction_representatives(table)
-    den = nums[l - 1]
-    gens = [nums[k] * den for k in range(l)] + [defining]
-
     constants = [[None] * l for _ in range(l)]
     cof_def = [[None] * l for _ in range(l)]
     # the unit row is exact, no solve needed
@@ -159,7 +154,29 @@ def build_mul_table(table, budget=None, from_discriminant=None, cache=None):
         row[j] = ring.one()
         constants[l - 1][j] = constants[j][l - 1] = row
         cof_def[l - 1][j] = cof_def[j][l - 1] = ring.zero()
+    if from_discriminant is not None and table.side == ARRANGEMENT and cache is not None:
+        found = _pulled_back_constants(table, nums, from_discriminant, cache)
+    else:
+        found = _solved_constants(table, nums, budget)
+    for (i, j), cs, q in found:
+        constants[i][j] = constants[j][i] = cs
+        cof_def[i][j] = cof_def[j][i] = q
+    return MulTable(
+        side=table.side,
+        table=table,
+        numerators=nums,
+        constants=constants,
+        defining_cofactors=cof_def,
+    )
 
+
+def _solved_constants(table, nums, budget):
+    """Yields ((i, j), constants, defining cofactor) for i <= j < l from
+    graded membership of n_i n_j in the span of the n_k n and the defining
+    equation."""
+    l = table.rank
+    den = nums[l - 1]
+    gens = [nums[k] * den for k in range(l)] + [table.defining]
     jobs = {}
     for i in range(l - 1):
         for j in range(i, l - 1):
@@ -173,34 +190,18 @@ def build_mul_table(table, budget=None, from_discriminant=None, cache=None):
                 raise CheckFailure(
                     f"product h_{i+1} h_{j+1} escapes the generator span"
                 )
-            constants[i][j] = constants[j][i] = res.cofactors[:l]
-            cof_def[i][j] = cof_def[j][i] = res.cofactors[l]
-    return MulTable(
-        side=table.side,
-        table=table,
-        numerators=nums,
-        constants=constants,
-        defining_cofactors=cof_def,
-    )
+            yield (i, j), res.cofactors[:l], res.cofactors[l]
 
 
-def _pulled_back_table(table, mtD, cache):
-    """Arrangement-side table from the discriminant-side one.  For each
-    pair the congruence n_i n_j = sum_k (C^k o p) n_k n + q delta is
-    certified by exact division; a failure would contradict the generator
-    identification and is reported as such."""
+def _pulled_back_constants(table, nums, mtD, cache):
+    """Yields the discriminant-side constants pulled back to the
+    arrangement side.  For each pair the congruence
+    n_i n_j = sum_k (C^k o p) n_k n + q delta is certified by exact
+    division; a failure would contradict the generator identification and
+    is reported as such."""
     l = table.rank
     delta = table.defining
-    ring = delta.ring
-    nums = fraction_representatives(table)
     den = nums[l - 1]
-    constants = [[None] * l for _ in range(l)]
-    cof_def = [[None] * l for _ in range(l)]
-    for j in range(l):
-        row = [ring.zero()] * l
-        row[j] = ring.one()
-        constants[l - 1][j] = constants[j][l - 1] = row
-        cof_def[l - 1][j] = cof_def[j][l - 1] = ring.zero()
     for i in range(l - 1):
         for j in range(i, l - 1):
             cs = [cache.pullback(mtD.constants[i][j][k]) for k in range(l)]
@@ -209,20 +210,12 @@ def _pulled_back_table(table, mtD, cache):
                 if cs[k]:
                     rem = rem - cs[k] * (nums[k] * den)
             try:
-                q = rem.exact_div(delta) if rem else ring.zero()
+                q = rem.exact_div(delta) if rem else delta.ring.zero()
             except ValueError:
                 raise CheckFailure(
                     f"pulled-back constants fail the congruence at ({i+1},{j+1})"
                 )
-            constants[i][j] = constants[j][i] = cs
-            cof_def[i][j] = cof_def[j][i] = q
-    return MulTable(
-        side=table.side,
-        table=table,
-        numerators=nums,
-        constants=constants,
-        defining_cofactors=cof_def,
-    )
+            yield (i, j), cs, q
 
 
 def check_mul_table(mt, budget=None):
@@ -561,8 +554,6 @@ def check_normalization_gap(sd, table_d, budget=None):
                             key = (i, tuple(a + b for a, b in zip(e, mu)))
                             vec[key] = vec.get(key, p_ring.coeff(0)) + c
                     cols.append({k: v for k, v in vec.items() if v})
-            from .engine import rank_of_vectors
-
             dims[t] = total - rank_of_vectors(cols)
         gaps = [t for t in range(1, h) if dims[t] == 0]
         for t in range(h + 3):

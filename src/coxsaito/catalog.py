@@ -107,13 +107,6 @@ class CoxeterDatum:
                     acc = acc + u[i] * self.gram[i][j] * v[j]
         return acc
 
-    def mirror_form_of_root(self, alpha):
-        coeffs = [
-            sum((self.gram[i][j] * alpha[j] for j in range(self.rank)), self.ring.coeff(0))
-            for i in range(self.rank)
-        ]
-        return self.ring.linear_form(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # scalar matrix helpers

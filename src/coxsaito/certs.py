@@ -179,13 +179,6 @@ def verify_payload_item(item):
     return False  # unknown payload kinds never verify
 
 
-def verify_certificate(cert):
-    """True iff every payload item re-verifies (pass verdicts only)."""
-    if cert.verdict != "pass":
-        return True  # nothing to re-check for fail/indeterminate
-    return all(verify_payload_item(item) for item in cert.payload)
-
-
 def write_report(path, ctype, certs, seeds, version="0.1.0"):
     doc = {
         "version": version,

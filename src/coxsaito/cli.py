@@ -119,7 +119,7 @@ def cmd_fixture(args):
 def cmd_verify(args):
     try:
         ok, failures = verify_report_file(args.report)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, LookupError, ArithmeticError, TypeError, AttributeError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return 2
     if ok:

@@ -728,11 +728,6 @@ def groebner_basis(basis: IdealBasis, key=None, budget=None) -> IdealBasis:
     return out
 
 
-def ideal_member(f, basis: IdealBasis, key=None, budget=None):
-    gb = basis.gens if basis.groebner else groebner(basis.gens, key, budget)
-    return not normal_form(f, gb, key, budget)
-
-
 def ideal_equal(a: IdealBasis, b: IdealBasis, budget=None):
     """Mutual inclusion; graded solves where both sides are homogeneous."""
     budget = _budget(budget)

@@ -122,11 +122,24 @@ def solve_basis_change(table_d, budget=None):
     return B, detB.constant_value(), witnesses
 
 
+def basis_change(table_d, budget=None):
+    """solve_basis_change, solved once per table: its result, or the
+    CheckFailure it raised, is kept on the table for every later check."""
+    if table_d.basis_change is None:
+        try:
+            table_d.basis_change = solve_basis_change(table_d, budget)
+        except CheckFailure as exc:
+            table_d.basis_change = exc
+    if isinstance(table_d.basis_change, CheckFailure):
+        raise CheckFailure(str(table_d.basis_change))
+    return table_d.basis_change
+
+
 def check_basis_change(table_d, budget=None):
     sd = table_d.saito
 
     def body():
-        B, detB, witnesses = solve_basis_change(table_d, budget)
+        B, detB, witnesses = basis_change(table_d, budget)
         payload = list(witnesses)
         payload.append(det_payload("det-B", B, detB, []))
         return {"det_B": str(detB), "euler_scale": str(B[0, table_d.rank - 1])}, payload
@@ -134,54 +147,59 @@ def check_basis_change(table_d, budget=None):
     return run_check("basis-change", sd.datum.name, body, budget)
 
 
+def _saito_criterion(Z, f, g, criterion_label, column_label):
+    """Saito's criterion for the divisor f * g with the columns of Z as
+    candidate logarithmic fields: det Z is a nonzero constant c times f * g,
+    and every column applied to f * g is a multiple of it.  Returns c and
+    the payload recording both."""
+    target = f * g
+    try:
+        q = Z.det().exact_div(target)
+    except ValueError:
+        q = None
+    if q is None or not q.is_constant():
+        raise CheckFailure(f"{criterion_label}: determinant is not a constant multiple")
+    c = q.constant_value()
+    if not c:
+        raise CheckFailure(f"{criterion_label}: determinant vanishes")
+    payload = [det_payload(criterion_label, Z, c, [f, g])]
+    for j in range(Z.n):
+        val = field_apply(Z, j, target)
+        try:
+            quotient = val.exact_div(target) if val else target.ring.zero()
+        except ValueError:
+            raise CheckFailure(f"{criterion_label}: column {j+1} is not logarithmic")
+        payload.append(division_payload(f"{column_label}-{j+1}", val, target, quotient))
+    return c, payload
+
+
+def _kpp(sd):
+    """K'' = K with its last column replaced by the last unit vector."""
+    K = sd.K_R
+    l = K.m
+    p_ring = sd.p_ring
+    return PolyMatrix(
+        p_ring,
+        [
+            [K[i, j] for j in range(l - 1)]
+            + [p_ring.one() if i == l - 1 else p_ring.zero()]
+            for i in range(l)
+        ],
+    )
+
+
 def check_free_divisor_sum(table_d, budget=None):
     """Saito's criterion for discriminant plus adjoint: the matrix K B K''
     has determinant a constant times disc * adjoint, its columns are
     logarithmic for the product, and the product is reduced."""
     sd = table_d.saito
-    l = table_d.rank
-    p_ring = sd.p_ring
     mll = corner_minor(table_d)
     disc = sd.disc
 
     def body():
-        B, detB, _ = solve_basis_change(table_d, budget)
-        kpp_cols = list(range(l - 1))
-        K = sd.K_R
-        # K'' = K with its last column replaced by the last unit vector
-        kpp = PolyMatrix(
-            p_ring,
-            [
-                [K[i, j] for j in kpp_cols]
-                + [p_ring.one() if i == l - 1 else p_ring.zero()]
-                for i in range(l)
-            ],
-        )
-        Z = K * B * kpp
-        target = disc * mll
-        detZ = Z.det()
-        q = detZ.exact_div(target)
-        if not q.is_constant():
-            raise CheckFailure("determinant is not a constant multiple of disc*adjoint")
-        c = q.constant_value()
-        if not c:
-            raise CheckFailure("determinant of the Saito matrix vanishes")
-        payload = [det_payload("saito-criterion", Z, c, [disc, mll])]
-        for j in range(l):
-            val = p_ring.zero()
-            for i in range(l):
-                zi = Z[i, j]
-                if zi:
-                    gi = target.diff(i)
-                    if gi:
-                        val = val + zi * gi
-            try:
-                quotient = val.exact_div(target) if val else p_ring.zero()
-            except ValueError:
-                raise CheckFailure(f"column {j+1} is not logarithmic")
-            payload.append(
-                division_payload(f"log-column-{j+1}", val, target, quotient)
-            )
+        B, detB, _ = basis_change(table_d, budget)
+        Z = sd.K_R * B * _kpp(sd)
+        c, payload = _saito_criterion(Z, disc, mll, "saito-criterion", "log-column")
         if not squarefree_test(mll, budget):
             raise CheckFailure("adjoint equation is not reduced")
         if not squarefree_test(disc, budget):
@@ -198,50 +216,17 @@ def check_lift(table_d, cache, budget=None):
     for the arrangement plus the preimage of the adjoint divisor."""
     sd = table_d.saito
     datum = sd.datum
-    l = datum.rank
-    ring = datum.ring
     mll = corner_minor(table_d)
 
     def body():
-        B, detB, _ = solve_basis_change(table_d, budget)
-        K = sd.K_R
-        kpp = PolyMatrix(
-            sd.p_ring,
-            [
-                [K[i, j] for j in range(l - 1)]
-                + [sd.p_ring.one() if i == l - 1 else sd.p_ring.zero()]
-                for i in range(l)
-            ],
-        )
-        BK = B * kpp
-        BK_x = BK.map(cache.pullback)
-        gamma = PolyMatrix.from_scalars(ring, datum.gram_dual)
+        B, detB, _ = basis_change(table_d, budget)
+        BK_x = (B * _kpp(sd)).map(cache.pullback)
+        gamma = PolyMatrix.from_scalars(datum.ring, datum.gram_dual)
         W = gamma * sd.J.transpose() * BK_x
         mll_x = cache.pullback(mll)
-        target = datum.delta * mll_x
-        detW = W.det()
-        q = detW.exact_div(target)
-        if not q.is_constant():
-            raise CheckFailure("lifted determinant is not a constant multiple")
-        c = q.constant_value()
-        if not c:
-            raise CheckFailure("lifted determinant vanishes")
-        payload = [det_payload("lift-criterion", W, c, [datum.delta, mll_x])]
-        for j in range(l):
-            val = ring.zero()
-            for i in range(l):
-                wij = W[i, j]
-                if wij:
-                    gi = target.diff(i)
-                    if gi:
-                        val = val + wij * gi
-            try:
-                quotient = val.exact_div(target) if val else ring.zero()
-            except ValueError:
-                raise CheckFailure(f"lifted column {j+1} is not logarithmic")
-            payload.append(
-                division_payload(f"lift-log-column-{j+1}", val, target, quotient)
-            )
+        c, payload = _saito_criterion(
+            W, datum.delta, mll_x, "lift-criterion", "lift-log-column"
+        )
         # reducedness of the pullback: the adjoint is reduced downstairs and
         # its preimage contains no mirror, so the product with delta (a
         # product of pairwise non-proportional linear forms) is reduced
@@ -331,8 +316,11 @@ def check_b3_fixture(table_d, budget=None):
     def body():
         A = published_b3_matrix(p_ring)
         detA = A.det()
-        q = detA.exact_div(sd.disc)
-        if not q.is_constant():
+        try:
+            q = detA.exact_div(sd.disc)
+        except ValueError:
+            q = None
+        if q is None or not q.is_constant():
             raise CheckFailure("published determinant is not a discriminant multiple")
         c = q.constant_value()
         payload = [det_payload("published-det", A, c, [sd.disc])]

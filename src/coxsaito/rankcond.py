@@ -39,6 +39,7 @@ class MinorTable:
     grad_const: object = None  # side A: normalized row = grad_const * grad(delta)
     grad_row: list = field(default_factory=list)
     codim2_ok: bool = False
+    basis_change: object = None  # side D: freediv.basis_change's result or failure
 
     @property
     def datum(self):
@@ -137,11 +138,7 @@ def _gradient_row(table):
     datum = sd.datum
     ring = datum.ring
     l = datum.rank
-    qs = sd.log_quotients.get("eta")
-    if qs is None:
-        from .saito import logarithmic_quotients
-
-        qs = logarithmic_quotients(sd)["eta"]
+    qs = sd.log_quotients["eta"]
     q1 = qs[0].constant_value()
     ad_gamma = PolyMatrix.from_scalars(ring, datum.gram_dual).adjugate()
     adB = table.minors * ad_gamma  # adjugate of (Gamma J^t)

@@ -37,7 +37,7 @@ class SaitoData:
     change: list | None  # recorded constant change of invariants, or None
     dihedral_shape: dict | None = None  # lambda, a, b for rank-2 types
     shape_obstruction: dict | None = None  # set when no real normal form exists
-    log_quotients: dict = field(default_factory=dict)
+    log_quotients: dict = field(default_factory=dict)  # set by build_saito
 
     @property
     def ring(self):
@@ -222,6 +222,7 @@ def build_saito(datum, cache=None):
     )
     if l == 2:
         sd.dihedral_shape = _dihedral_shape(sd)
+    logarithmic_quotients(sd)
     return sd
 
 
@@ -431,7 +432,7 @@ def eta_field_apply(sd, j, g):
 
 def logarithmic_quotients(sd):
     """Quotients certifying eta_j(delta) in (delta) and delta_j(disc) in
-    (disc); stored so re-verification is a pure product check."""
+    (disc); stored on sd so re-verification is a pure product check."""
     datum = sd.datum
     out = {"eta": [], "delta": []}
     for j in range(datum.rank):

@@ -152,11 +152,6 @@ def coerce(x, d=None):
     return Quad(Fraction(x), 0, d)
 
 
-def sqrt_d(d):
-    """The element sqrt(d) of Q(sqrt d)."""
-    return Quad(0, 1, d)
-
-
 def rational_sqrt(q):
     """Exact square root of a non-negative rational, or None."""
     q = Fraction(q)

@@ -18,8 +18,8 @@ from .algebra import (
     verify_generators,
 )
 from .catalog import build_datum, datum_to_json
-from .certs import CheckFailure, det_payload, run_check, zero_combo_payload
-from .engine import Budget
+from .certs import Certificate, CheckFailure, det_payload, run_check, zero_combo_payload
+from .engine import Budget, BudgetExceeded
 from .freediv import (
     adjoint_divisor,
     check_b3_fixture,
@@ -42,7 +42,8 @@ from .rankcond import (
 from .saito import (
     PullbackCache,
     build_saito,
-    logarithmic_quotients,
+    eta_field_apply,
+    field_apply,
     normalize_linear_part,
 )
 
@@ -127,11 +128,9 @@ def check_saito_shape(sd, budget=None):
         if not sd.K_S.is_symmetric() or not sd.K_R.is_symmetric():
             raise CheckFailure("Saito matrix is not symmetric")
         sdn = normalize_linear_part(sd)
-        quotients = logarithmic_quotients(sd)
+        quotients = sd.log_quotients
         payload = []
         for j, q in enumerate(quotients["eta"]):
-            from .saito import eta_field_apply
-
             val = eta_field_apply(sd, j, datum.delta)
             payload.append(
                 zero_combo_payload(
@@ -140,8 +139,6 @@ def check_saito_shape(sd, budget=None):
                 )
             )
         for j, q in enumerate(quotients["delta"]):
-            from .saito import field_apply
-
             val = field_apply(sd.K_R, j, sd.disc)
             payload.append(
                 zero_combo_payload(
@@ -211,15 +208,23 @@ def check_discriminant_monic(sd, budget=None):
 
 
 class Workspace:
-    """Builds and memoizes the apparatus per type; runs named suites."""
+    """Builds the apparatus per type and runs named suites.
+
+    Every per-type object (Saito data, pullback cache, minor and
+    multiplication tables) and every suite's certificates are built once
+    per process, in one memo keyed by kind and type, and shared by every
+    check that needs them.
+    """
 
     def __init__(self, budget_steps=None, cache_dir=None):
         self.budget = Budget(budget_steps) if budget_steps else None
         self.cache_dir = cache_dir or os.environ.get("COXSAITO_CACHE")
-        self._saito = {}
-        self._tables = {}
-        self._mul = {}
-        self._pull = {}
+        self._memo = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def datum(self, name):
         if self.cache_dir:
@@ -242,61 +247,50 @@ class Workspace:
         return build_datum(name)
 
     def saito(self, name):
-        got = self._saito.get(name)
-        if got is None:
-            got = build_saito(self.datum(name))
-            logarithmic_quotients(got)
-            self._saito[name] = got
-        return got
+        return self._once(
+            ("saito", name),
+            lambda: build_saito(self.datum(name), self.pullback_cache(name)),
+        )
 
     def pullback_cache(self, name):
-        got = self._pull.get(name)
-        if got is None:
-            got = PullbackCache(self.datum(name))
-            self._pull[name] = got
-        return got
+        return self._once(("pull", name), lambda: PullbackCache(self.datum(name)))
 
     def minor_table(self, name, side):
-        key = (name, side)
-        got = self._tables.get(key)
-        if got is None:
-            got = build_minor_table(self.saito(name), side, self.budget)
-            self._tables[key] = got
-        return got
+        return self._once(
+            ("minors", name, side),
+            lambda: build_minor_table(self.saito(name), side, self.budget),
+        )
 
     def mul_table(self, name, side):
-        key = (name, side)
-        got = self._mul.get(key)
-        if got is None:
+        def build():
+            table = self.minor_table(name, side)
             if side == ARRANGEMENT:
-                got = build_mul_table(
-                    self.minor_table(name, side),
+                return build_mul_table(
+                    table,
                     self.budget,
                     from_discriminant=self.mul_table(name, DISCRIMINANT),
                     cache=self.pullback_cache(name),
                 )
-            else:
-                got = build_mul_table(self.minor_table(name, side), self.budget)
-            self._mul[key] = got
-        return got
+            return build_mul_table(table, self.budget)
+
+        return self._once(("mul", name, side), build)
 
     # -- suites ------------------------------------------------------------
 
     def run_suite(self, name, suite):
-        """Run one named suite; build-phase failures become certificates."""
-        from .certs import Certificate
-        from .engine import BudgetExceeded
+        """Run one named suite, once per type; build-phase failures become
+        certificates."""
 
-        try:
-            return self._run_suite(name, suite)
-        except BudgetExceeded as exc:
-            return [
-                Certificate(
-                    name=suite, ctype=name, verdict="indeterminate", detail=str(exc)
-                )
-            ]
-        except CheckFailure as exc:
-            return [Certificate(name=suite, ctype=name, verdict="fail", detail=str(exc))]
+        def build():
+            try:
+                return self._run_suite(name, suite)
+            except BudgetExceeded as exc:
+                verdict, detail = "indeterminate", str(exc)
+            except CheckFailure as exc:
+                verdict, detail = "fail", str(exc)
+            return [Certificate(name=suite, ctype=name, verdict=verdict, detail=detail)]
+
+        return list(self._once(("suite", name, suite), build))
 
     def _run_suite(self, name, suite):
         budget = self.budget
@@ -327,11 +321,10 @@ class Workspace:
         if suite == "drc":
             return [check_drc(datum, self.saito(name), budget)]
         if suite == "hrc":
-            certs = [check_hrc(datum, self.saito(name), budget)]
-            grc_a = check_grc(self.minor_table(name, ARRANGEMENT), budget)
-            drc = check_drc(datum, self.saito(name), budget)
-            certs.append(equivalence_probe(certs[0], drc, grc_a, name))
-            return certs
+            hrc = check_hrc(datum, self.saito(name), budget)
+            (grc_a,) = self.run_suite(name, "grc-A")
+            (drc,) = self.run_suite(name, "drc")
+            return [hrc, equivalence_probe(hrc, drc, grc_a, name)]
         if suite == "algebra":
             certs = []
             for side in (ARRANGEMENT, DISCRIMINANT):

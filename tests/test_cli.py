@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coxsaito.cli import main, required_tier
 
@@ -116,8 +119,12 @@ def _witnessed(doc):
     return next(c for c in doc["checks"] if c["witnesses"])
 
 
+def _item(doc, kind):
+    return next(w for c in doc["checks"] for w in c["witnesses"] if w["kind"] == kind)
+
+
 def _cofactor(doc):
-    return _witnessed(doc)["witnesses"][0]["cofactors"][0]
+    return _item(doc, "witness")["cofactors"][0]
 
 
 # each mutation edits the report in place, or returns a replacement
@@ -128,13 +135,18 @@ _MUTATIONS = {
     "null-coefficient": lambda doc: _cofactor(doc)["terms"][0].update(coeff=None),
     "null-check": lambda doc: doc["checks"].__setitem__(0, None),
     "top-level-list": lambda doc: [doc],
+    "zero-denominator": lambda doc: _cofactor(doc)["terms"][0]["coeff"].update(a=["1", "0"]),
+    "empty-det-matrix": lambda doc: _item(doc, "det_eq")["matrix"].update(entries=[]),
+    "empty-zero-combo-pair": lambda doc: _item(doc, "zero_combo")["terms"].__setitem__(0, []),
 }
 
 
 @pytest.fixture(scope="module")
 def a2_report(tmp_path_factory):
+    # datum, saito and grc-A give det_eq, zero_combo and witness payloads
     out = tmp_path_factory.mktemp("a2") / "a2.json"
-    assert main(["run", "--type", "A2", "--suite", "grc-A", "--tier", "fast", "--out", str(out)]) == 0
+    argv = ["run", "--type", "A2", "--suite", "datum,saito,grc-A", "--out", str(out)]
+    assert main(argv) == 0
     return json.loads(out.read_text())
 
 
@@ -146,6 +158,43 @@ def test_verify_wrong_field_types_exit_2(mutation, a2_report, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(bad)]) == 2
     assert "malformed report" in capsys.readouterr().err
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for idx, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (idx,))
+    else:
+        yield path
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(["", "x", "0", "-1", "1.5", "witness", "det_eq", "zero_combo"]),
+    st.sampled_from([[], {}, [[]], ["1", "0"], {"a": ["1", "0"]}]),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_fuzzed_report_never_crashes(data, a2_report, tmp_path):
+    doc = copy.deepcopy(a2_report)
+    paths = list(_leaf_paths(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        owner[last] = copy.deepcopy(data.draw(_LEAVES))
+        paths = list(_leaf_paths(doc))
+    bad = tmp_path / "fuzzed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) in (0, 1, 2)
 
 
 def test_fixture_emission_idempotent(tmp_path):

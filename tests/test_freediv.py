@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from coxsaito.catalog import _elementary_symmetric, build_datum
@@ -161,3 +163,22 @@ def test_b3_fixture_catches_tampering():
     bad = __import__("json").loads(__import__("json").dumps(bad))
     bad["constant"]["a"] = ["5", "1"]
     assert not verify_payload_item(bad)
+
+
+@pytest.mark.parametrize("case", ["free-divisor-sum", "published-fixture", "arrangement-lift"])
+def test_non_dividing_determinant_is_a_fail_verdict(case):
+    # each check divides a determinant by its divisor; an extra factor in
+    # the divisor makes that division inexact, which is a refuted claim
+    d, sd, tD, cache = setup("B3")
+    disc_times_p1 = replace(tD, saito=replace(sd, disc=sd.disc * sd.p_ring.gen(0)))
+    delta_times_x1 = replace(
+        tD, saito=replace(sd, datum=replace(d, delta=d.delta * d.ring.gen(0)))
+    )
+    cert = {
+        "free-divisor-sum": lambda: check_free_divisor_sum(disc_times_p1),
+        "published-fixture": lambda: check_b3_fixture(disc_times_p1),
+        "arrangement-lift": lambda: check_lift(delta_times_x1, cache),
+    }[case]()
+    assert cert.name == case
+    assert cert.verdict == "fail"
+    assert "multiple" in cert.detail
