@@ -14,14 +14,19 @@ import random
 from dataclasses import dataclass
 
 from .catalog import SAMPLING_SEED, stabilizer_components
-from .certs import CheckFailure, run_check, zero_combo_payload
+from .certs import (
+    CheckFailure,
+    constant_ratio,
+    members,
+    quotient,
+    run_check,
+    zero_combo_payload,
+)
 from .engine import (
     Budget,
-    NonMembership,
     back_substitute,
     distinct_root_count,
     echelon,
-    graded_membership_batch,
     minimal_polynomial,
     rank_of_vectors,
     reduce_row,
@@ -99,11 +104,7 @@ def verify_generators(table, budget=None):
             for j in range(l):
                 lhs = table.minors[i, l - 1] * table.minors[l - 1, j]
                 rhs = table.minors[i, j] * table.minors[l - 1, l - 1]
-                diff = lhs - rhs
-                try:
-                    q = diff.exact_div(defining) if diff else defining.ring.zero()
-                except ValueError:
-                    raise CheckFailure(f"cross identity fails at ({i+1},{j+1})")
+                q = quotient(lhs - rhs, defining, f"cross identity fails at ({i+1},{j+1})")
                 payload.append(
                     zero_combo_payload(
                         f"cross-{i+1}-{j+1}",
@@ -121,27 +122,27 @@ def verify_generators(table, budget=None):
                 for i in range(l - 1):
                     num = datum.act(table.minors[i, l - 1], g)
                     den = datum.act(table.minors[l - 1, l - 1], g)
-                    diff = num * table.minors[l - 1, l - 1] - table.minors[i, l - 1] * den
-                    try:
-                        q = diff.exact_div(defining) if diff else defining.ring.zero()
-                    except ValueError:
-                        raise CheckFailure(
-                            f"generator {i+1} not invariant under reflection {g_idx+1}"
-                        )
+                    quotient(
+                        num * table.minors[l - 1, l - 1] - table.minors[i, l - 1] * den,
+                        defining,
+                        f"generator {i+1} not invariant under reflection {g_idx+1}",
+                    )
         return {"unit_index": l}, payload
 
     name = "generators-A" if table.side == ARRANGEMENT else "generators-D"
     return run_check(name, table.datum.name, body, budget)
 
 
-def build_mul_table(table, budget=None, from_discriminant=None, cache=None):
+def build_mul_table(table, budget=None, mtD=None, cache=None):
     """Structure constants h_i h_j = sum_k c^k_ij h_k modulo the defining
-    equation, one graded solve per degree class.
+    equation.
 
-    On the arrangement side the constants can instead be pulled back from
-    an existing discriminant-side table: the two generator systems agree in
-    the fraction ring, so the pulled-back constants satisfy the same
-    congruences, certified here by exact division rather than by a solve.
+    On the discriminant side they are solved by graded membership, one
+    graded solve per degree class.  On the arrangement side they are pulled
+    back through cache from the discriminant-side table mtD: the two
+    generator systems agree in the fraction ring, so the pulled-back
+    constants satisfy the same congruences, certified here by exact
+    division rather than by a solve.
     """
     l = table.rank
     ring = table.defining.ring
@@ -154,8 +155,8 @@ def build_mul_table(table, budget=None, from_discriminant=None, cache=None):
         row[j] = ring.one()
         constants[l - 1][j] = constants[j][l - 1] = row
         cof_def[l - 1][j] = cof_def[j][l - 1] = ring.zero()
-    if from_discriminant is not None and table.side == ARRANGEMENT and cache is not None:
-        found = _pulled_back_constants(table, nums, from_discriminant, cache)
+    if table.side == ARRANGEMENT:
+        found = _pulled_back_constants(table, nums, mtD, cache)
     else:
         found = _solved_constants(table, nums, budget)
     for (i, j), cs, q in found:
@@ -177,20 +178,15 @@ def _solved_constants(table, nums, budget):
     l = table.rank
     den = nums[l - 1]
     gens = [nums[k] * den for k in range(l)] + [table.defining]
-    jobs = {}
-    for i in range(l - 1):
-        for j in range(i, l - 1):
-            t = nums[i] * nums[j]
-            jobs.setdefault(t.whomog_degree(), []).append(((i, j), t))
-    for deg in sorted(jobs):
-        pairs = jobs[deg]
-        results = graded_membership_batch([t for _, t in pairs], gens, budget)
-        for ((i, j), _), res in zip(pairs, results):
-            if isinstance(res, NonMembership):
-                raise CheckFailure(
-                    f"product h_{i+1} h_{j+1} escapes the generator span"
-                )
-            yield (i, j), res.cofactors[:l], res.cofactors[l]
+    pairs = [(i, j) for i in range(l - 1) for j in range(i, l - 1)]
+    found = members(
+        [nums[i] * nums[j] for i, j in pairs],
+        gens,
+        budget,
+        lambda k: f"product h_{pairs[k][0]+1} h_{pairs[k][1]+1} escapes the generator span",
+    )
+    for k, w in found:
+        yield pairs[k], w.cofactors[:l], w.cofactors[l]
 
 
 def _pulled_back_constants(table, nums, mtD, cache):
@@ -209,12 +205,9 @@ def _pulled_back_constants(table, nums, mtD, cache):
             for k in range(l):
                 if cs[k]:
                     rem = rem - cs[k] * (nums[k] * den)
-            try:
-                q = rem.exact_div(delta) if rem else delta.ring.zero()
-            except ValueError:
-                raise CheckFailure(
-                    f"pulled-back constants fail the congruence at ({i+1},{j+1})"
-                )
+            q = quotient(
+                rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})"
+            )
             yield (i, j), cs, q
 
 
@@ -257,13 +250,7 @@ def check_mul_table(mt, budget=None):
                         diff = lhs[n] - rhs[n]
                         if diff:
                             acc = acc + diff * nums[n]
-                    if acc:
-                        try:
-                            acc.exact_div(defining)
-                        except ValueError:
-                            raise CheckFailure(
-                                f"associativity fails on ({i+1},{j+1},{k+1})"
-                            )
+                    quotient(acc, defining, f"associativity fails on ({i+1},{j+1},{k+1})")
         # grading: c^k_ij is homogeneous of degree D_i + D_j - D_k - D_l
         degs = _gen_degrees(mt)
         for i in range(l):
@@ -312,11 +299,7 @@ def check_quotient_rule(sd, table_a, cache, budget=None):
             for j in range(l):
                 lhs = di * table_a.minors[l - 1, j]
                 rhs = dl * table_a.minors[i, j]
-                diff = lhs - rhs
-                try:
-                    q = diff.exact_div(delta) if diff else delta.ring.zero()
-                except ValueError:
-                    raise CheckFailure(f"quotient rule fails at ({i+1},{j+1})")
+                q = quotient(lhs - rhs, delta, f"quotient rule fails at ({i+1},{j+1})")
                 if i == 0 and j == 0:
                     payload.append(
                         zero_combo_payload(
@@ -349,11 +332,7 @@ def check_generator_match(sd, table_a, table_d, cache, budget=None):
             M_il = cache.pullback(table_d.minors[i, l - 1])
             lhs = M_il * den
             rhs = table_a.minors[i, l - 1] * M_ll
-            diff = lhs - rhs
-            try:
-                q = diff.exact_div(delta) if diff else delta.ring.zero()
-            except ValueError:
-                raise CheckFailure(f"generator match fails at i={i+1}")
+            q = quotient(lhs - rhs, delta, f"generator match fails at i={i+1}")
             payload.append(
                 zero_combo_payload(
                     f"generator-match-{i+1}",
@@ -589,9 +568,7 @@ def check_boolean_split(datum, sd_factors, budget=None):
                     raise CheckFailure("Jacobian is not diagonal")
         # delta is the monomial x_1 ... x_l up to a constant
         expected = ring.from_dict({tuple([1] * l): ring.coeff(1)})
-        q = datum.delta.exact_div(expected)
-        if not q.is_constant():
-            raise CheckFailure("arrangement polynomial is not the full monomial")
+        constant_ratio(datum.delta, expected, "arrangement polynomial is not the full monomial")
         comps = stabilizer_components(datum, [0] * l)
         if len(comps) != l or any(len(c) != 1 for c in comps):
             raise CheckFailure("origin stabilizer does not split into A1 factors")
@@ -603,11 +580,10 @@ def check_boolean_split(datum, sd_factors, budget=None):
             branch.append(ring.from_dict({tuple(term): ring.coeff(1)}))
         for i in range(l):
             for j in range(i + 1, l):
-                prod = branch[i] * branch[j]
-                try:
-                    prod.exact_div(expected)  # divisible: lies in (delta)
-                except ValueError:
-                    raise CheckFailure("branch representatives do not annihilate")
+                # divisible: lies in (delta)
+                quotient(
+                    branch[i] * branch[j], expected, "branch representatives do not annihilate"
+                )
         return {"factors": l}, []
 
     return run_check("boolean-split", datum.name, body, budget)

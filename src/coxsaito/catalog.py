@@ -17,7 +17,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
+from .engine import solve_linear
 from .poly import Poly, PolyRing, product
 from .polymatrix import jacobian
 from .scalars import Quad, invert, scalar_from_json, scalar_to_json
@@ -128,17 +130,12 @@ def _mat_mul(a, b, zero):
 
 def _mat_inv(mat, zero, one):
     n = len(mat)
-    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    eqs = [
+        ({j: c for j, c in enumerate(row) if c}, [one if i == k else zero for k in range(n)])
+        for i, row in enumerate(mat)
+    ]
+    cols = solve_linear(eqs, n, n)
+    return [[cols[k].get(i, zero) for k in range(n)] for i in range(n)]
 
 
 def _reflection_matrix(gram, alpha, d):
@@ -158,41 +155,30 @@ def _reflection_matrix(gram, alpha, d):
     )
 
 
+def _orbit(seeds, gens, act):
+    """The seeds and every image under repeated act(g, x), g in gens, in
+    breadth-first order of discovery."""
+    seen = dict.fromkeys(seeds)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    seen[y] = None
+                    new.append(y)
+        frontier = new
+    return list(seen)
+
+
 def _closure(gens, d):
-    seen = {g: None for g in gens}
     zero = Fraction(0) if d is None else Quad(0, 0, d)
     n = len(gens[0])
     ident = tuple(
         tuple((zero + 1) if i == j else zero for j in range(n)) for i in range(n)
     )
-    seen[ident] = None
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = _mat_mul(g, m, zero)
-                if prod not in seen:
-                    seen[prod] = None
-                    new.append(prod)
-        frontier = new
-    return list(seen)
-
-
-def _root_orbit(gens, simple_roots, d):
-    zero = Fraction(0) if d is None else Quad(0, 0, d)
-    seen = {tuple(r): None for r in simple_roots}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                w = tuple(_mat_vec(g, v, zero))
-                if w not in seen:
-                    seen[w] = None
-                    new.append(w)
-        frontier = new
-    return list(seen)
+    return _orbit(list(gens) + [ident], gens, lambda g, m: _mat_mul(g, m, zero))
 
 
 def _normalize_direction(vec):
@@ -302,21 +288,14 @@ def _type_data(tag, param):
     raise UnsupportedTypeError(f"unknown type tag {tag!r}")
 
 
-_EXPECTED_ORDER = {
-    "A": lambda l: _factorial(l + 1),
-    "B": lambda l: 2**l * _factorial(l),
-    "D": lambda l: 2 ** (l - 1) * _factorial(l),
+EXPECTED_ORDER = {
+    "A": lambda l: factorial(l + 1),
+    "B": lambda l: 2**l * factorial(l),
+    "D": lambda l: 2 ** (l - 1) * factorial(l),
     "I2": lambda k: 2 * k,
     "H": lambda l: 120 if l == 3 else 14400,
     "F": lambda _l: 1152,
 }
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +436,10 @@ def _build_irreducible(tag, param):
     simple_roots = [[ring.coeff(c) for c in r] for r in simple_roots]
     gens = [_reflection_matrix(gram, a, d) for a in simple_roots]
 
-    all_roots = _root_orbit(gens, simple_roots, d)
+    zero = ring.coeff(0)
+    all_roots = _orbit(
+        [tuple(r) for r in simple_roots], gens, lambda g, v: tuple(_mat_vec(g, v, zero))
+    )
     mirrors = {}
     for r in all_roots:
         mirrors.setdefault(_normalize_direction(r), r)
@@ -474,7 +456,7 @@ def _build_irreducible(tag, param):
             raise RuntimeError(f"{tag}{param}: exponent symmetry broken")
 
     group = _closure(gens, d)
-    expected = _EXPECTED_ORDER[tag](param)
+    expected = EXPECTED_ORDER[tag](param)
     if len(group) != expected:
         raise RuntimeError(
             f"{tag}{param}: group closure has order {len(group)}, expected {expected}"
@@ -516,9 +498,7 @@ def _build_irreducible(tag, param):
         raise RuntimeError(f"{tag}{param}: det J is not a constant multiple of delta")
     c = c.constant_value()
 
-    zero = ring.coeff(0)
-    one = ring.coeff(1)
-    gram_dual = _mat_inv(gram, zero, one)
+    gram_dual = _mat_inv(gram, zero, ring.coeff(1))
     p_ring = PolyRing([f"p{i+1}" for i in range(rank)], d=d, weights=degrees)
 
     return CoxeterDatum(

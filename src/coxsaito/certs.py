@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .engine import BudgetExceeded, NonMembership, Witness
+from .engine import BudgetExceeded, NonMembership, Witness, graded_membership_batch
 from .poly import Poly, PolyRing
 from .polymatrix import PolyMatrix
 from .scalars import scalar_from_json, scalar_to_json
@@ -90,25 +90,60 @@ def run_check(name, ctype, fn, budget=None):
 
 
 # ---------------------------------------------------------------------------
+# the identities every check states: graded membership and exact division
+
+
+def members(targets, gens, budget, failure):
+    """Membership of every nonzero target in the ideal of gens, one graded
+    solve per degree, lowest degree first.  Returns (index, Witness) pairs
+    in that order; the first non-member raises CheckFailure(failure(index))."""
+    by_degree = {}
+    for idx, t in enumerate(targets):
+        if t:
+            by_degree.setdefault(t.whomog_degree(), []).append(idx)
+    out = []
+    for deg in sorted(by_degree):
+        idxs = by_degree[deg]
+        results = graded_membership_batch([targets[i] for i in idxs], gens, budget)
+        for idx, res in zip(idxs, results):
+            if isinstance(res, NonMembership):
+                raise CheckFailure(failure(idx))
+            out.append((idx, res))
+    return out
+
+
+def quotient(f, g, failure):
+    """f / g, zero when f is zero; CheckFailure(failure) when g does not
+    divide f."""
+    if not f:
+        return f
+    try:
+        return f.exact_div(g)
+    except ValueError:
+        raise CheckFailure(failure) from None
+
+
+def constant_ratio(f, g, failure):
+    """The nonzero constant c with f == c * g; CheckFailure(failure) when
+    there is none."""
+    q = quotient(f, g, failure)
+    if not q or not q.is_constant():
+        raise CheckFailure(failure)
+    return q.constant_value()
+
+
+# ---------------------------------------------------------------------------
 # payload construction and re-verification
 
 
-def witness_payload(w):
-    return w.to_json()
-
-
-def nonmember_payload(nm):
-    return nm.to_json()
-
-
-def division_payload(label, f, divisor, quotient):
-    """Records f == quotient * divisor."""
+def division_payload(label, f, divisor, q):
+    """Records f == q * divisor."""
     return {
         "kind": "division",
         "label": label,
         "f": f.to_json(),
         "divisor": divisor.to_json(),
-        "quotient": quotient.to_json(),
+        "quotient": q.to_json(),
     }
 
 
@@ -187,7 +222,7 @@ def write_report(path, ctype, certs, seeds, version="0.1.0"):
         "checks": [c.to_json() for c in certs],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     return doc
 

@@ -456,12 +456,12 @@ def graded_membership_batch(targets, gens, budget=None):
     Modular first: a target the modular run settles is accepted only as an
     exactly verified witness, and one it finds inconsistent only with an
     exactly verified separating functional, also found modularly.  The
-    exact kernel decides whatever is left."""
+    exact kernel decides whatever is left.  No generators, or only zero
+    ones, span the zero ideal: the dual of a monomial of each target then
+    separates it."""
     budget = _budget(budget)
     ring = targets[0].ring
     gens = [g for g in gens if g]
-    if not gens:
-        raise EngineError("empty generator list")
     degs = {t.whomog_degree() for t in targets}
     if None in degs or len(degs) > 1:
         raise EngineError("targets must be homogeneous of one degree")
@@ -472,6 +472,9 @@ def graded_membership_batch(targets, gens, budget=None):
         if dg is None:
             raise EngineError("non-homogeneous generator")
         gdegs.append(dg)
+    if not gens:
+        one = ring.coeff(1)
+        return [NonMembership(t, [], ring.from_dict({t.leading()[0]: one})) for t in targets]
 
     # one row per monomial of degree dt, the targets' first; one column
     # (unknown) per generator times cofactor monomial

@@ -12,17 +12,14 @@ from __future__ import annotations
 
 from .certs import (
     CheckFailure,
+    constant_ratio,
     det_payload,
     division_payload,
+    members,
+    quotient,
     run_check,
-    witness_payload,
 )
-from .engine import (
-    NonMembership,
-    codim_at_least_two,
-    graded_membership_batch,
-    squarefree_test,
-)
+from .engine import codim_at_least_two, squarefree_test
 from .poly import Poly
 from .polymatrix import PolyMatrix
 from .saito import field_apply
@@ -71,16 +68,8 @@ def check_derivative_ideal(table_d, budget=None):
             (d_gens, minor_gens, "derivative-in-minors"),
             (minor_gens, d_gens, "minor-in-derivatives"),
         ):
-            by_deg = {}
-            for t in targets:
-                if t:
-                    by_deg.setdefault(t.whomog_degree(), []).append(t)
-            for deg in sorted(by_deg):
-                results = graded_membership_batch(by_deg[deg], gens, budget)
-                for res in results:
-                    if isinstance(res, NonMembership):
-                        raise CheckFailure(f"ideal equality fails ({tag})")
-                    payload.append(witness_payload(res))
+            found = members(targets, gens, budget, lambda _: f"ideal equality fails ({tag})")
+            payload += [w.to_json() for _, w in found]
         return {}, payload
 
     return run_check("derivative-ideal", sd.datum.name, body, budget)
@@ -96,30 +85,29 @@ def solve_basis_change(table_d, budget=None):
     mll = corner_minor(table_d)
     d_gens = _log_derivatives(table_d)
 
-    euler_val = sd.euler_const * mll.whomog_degree()  # delta_1(mll) = this * mll
     cols = [None] * l
-    witnesses = []
-    by_deg = {}
-    for i in range(l - 1):
-        t = table_d.minors[l - 1, i]
-        by_deg.setdefault(t.whomog_degree(), []).append((i, t))
-    for deg in sorted(by_deg):
-        pairs = by_deg[deg]
-        results = graded_membership_batch([t for _, t in pairs], d_gens, budget)
-        for (i, _), res in zip(pairs, results):
-            if isinstance(res, NonMembership):
-                raise CheckFailure(f"no logarithmic field realizes minor {i+1}")
-            cols[i] = res.cofactors
-            witnesses.append(witness_payload(res))
+    found = members(
+        [table_d.minors[l - 1, i] for i in range(l - 1)],
+        d_gens,
+        budget,
+        lambda i: f"no logarithmic field realizes minor {i+1}",
+    )
+    for i, w in found:
+        cols[i] = w.cofactors
     last = [p_ring.zero()] * l
-    last[0] = p_ring.const(1 / euler_val)
+    if l == 1:
+        # the corner minor is the constant 1 and B the identity
+        last[0] = p_ring.one()
+    else:
+        euler_val = sd.euler_const * mll.whomog_degree()  # delta_1(mll) = this * mll
+        last[0] = p_ring.const(1 / euler_val)
     cols[l - 1] = last
 
     B = PolyMatrix(p_ring, [[cols[j][i] for j in range(l)] for i in range(l)])
     detB = B.det()
     if not detB or not detB.is_constant():
         raise CheckFailure("basis-change determinant is not a nonzero constant")
-    return B, detB.constant_value(), witnesses
+    return B, detB.constant_value(), [w.to_json() for _, w in found]
 
 
 def basis_change(table_d, budget=None):
@@ -153,23 +141,14 @@ def _saito_criterion(Z, f, g, criterion_label, column_label):
     and every column applied to f * g is a multiple of it.  Returns c and
     the payload recording both."""
     target = f * g
-    try:
-        q = Z.det().exact_div(target)
-    except ValueError:
-        q = None
-    if q is None or not q.is_constant():
-        raise CheckFailure(f"{criterion_label}: determinant is not a constant multiple")
-    c = q.constant_value()
-    if not c:
-        raise CheckFailure(f"{criterion_label}: determinant vanishes")
+    c = constant_ratio(
+        Z.det(), target, f"{criterion_label}: determinant is not a nonzero constant multiple"
+    )
     payload = [det_payload(criterion_label, Z, c, [f, g])]
     for j in range(Z.n):
         val = field_apply(Z, j, target)
-        try:
-            quotient = val.exact_div(target) if val else target.ring.zero()
-        except ValueError:
-            raise CheckFailure(f"{criterion_label}: column {j+1} is not logarithmic")
-        payload.append(division_payload(f"{column_label}-{j+1}", val, target, quotient))
+        q = quotient(val, target, f"{criterion_label}: column {j+1} is not logarithmic")
+        payload.append(division_payload(f"{column_label}-{j+1}", val, target, q))
     return c, payload
 
 
@@ -315,14 +294,9 @@ def check_b3_fixture(table_d, budget=None):
 
     def body():
         A = published_b3_matrix(p_ring)
-        detA = A.det()
-        try:
-            q = detA.exact_div(sd.disc)
-        except ValueError:
-            q = None
-        if q is None or not q.is_constant():
-            raise CheckFailure("published determinant is not a discriminant multiple")
-        c = q.constant_value()
+        c = constant_ratio(
+            A.det(), sd.disc, "published determinant is not a discriminant multiple"
+        )
         payload = [det_payload("published-det", A, c, [sd.disc])]
         # column operations over the invariant ring: B0 = K^{-1} A must have
         # polynomial entries and constant determinant
@@ -334,10 +308,9 @@ def check_b3_fixture(table_d, budget=None):
                 acc = p_ring.zero()
                 for k in range(l):
                     acc = acc + adK[i, k] * A[k, j]
-                try:
-                    b0[i][j] = acc.exact_div(scale)
-                except ValueError:
-                    raise CheckFailure("published columns are not combinations of ours")
+                b0[i][j] = quotient(
+                    acc, scale, "published columns are not combinations of ours"
+                )
         B0 = PolyMatrix(p_ring, b0)
         detB0 = B0.det()
         if not detB0.is_constant() or not detB0:
@@ -347,11 +320,8 @@ def check_b3_fixture(table_d, budget=None):
         published = published_b3_ideal(p_ring)
         ours = table_d.row_ideal()
         for targets, gens, tag in ((published, ours, "pub-in-ours"), (ours, published, "ours-in-pub")):
-            for t in targets:
-                res = graded_membership_batch([t], gens, budget)[0]
-                if isinstance(res, NonMembership):
-                    raise CheckFailure(f"ideal comparison fails ({tag})")
-                payload.append(witness_payload(res))
+            found = members(targets, gens, budget, lambda _: f"ideal comparison fails ({tag})")
+            payload += [w.to_json() for _, w in found]
         return {
             "det_ratio": str(c),
             "basis_change_det": str(detB0.constant_value()),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certs import CheckFailure, nonmember_payload, run_check, witness_payload
+from .certs import CheckFailure, constant_ratio, members, run_check
 from .engine import (
     NonMembership,
     codim_at_least_two,
@@ -149,11 +149,9 @@ def _gradient_row(table):
             row = [r + c * adB[i, j] for j, r in enumerate(row)]
     const = None
     for j in range(l):
-        dd = datum.delta.diff(j)
-        q = row[j].exact_div(dd)
-        if not q.is_constant():
-            raise CheckFailure("gradient row is not proportional to grad delta")
-        c = q.constant_value()
+        c = constant_ratio(
+            row[j], datum.delta.diff(j), "gradient row is not proportional to grad delta"
+        )
         if const is None:
             const = c
         elif c != const:
@@ -173,24 +171,13 @@ def check_grc(table, budget=None):
     gens = table.row_ideal()
 
     def body():
-        payload = []
-        # batch the memberships degree by degree (one graded solve each)
-        by_degree = {}
-        for i in range(l):
-            for j in range(l):
-                m = table.minors[i, j]
-                if not m:
-                    continue
-                by_degree.setdefault(m.whomog_degree(), []).append(((i, j), m))
-        for deg in sorted(by_degree):
-            pairs = by_degree[deg]
-            results = graded_membership_batch([m for _, m in pairs], gens, budget)
-            for ((i, j), _), res in zip(pairs, results):
-                if isinstance(res, NonMembership):
-                    raise CheckFailure(
-                        f"minor ({i+1},{j+1}) is not in the last-row ideal"
-                    )
-                payload.append(witness_payload(res))
+        found = members(
+            table.all_minors(),
+            gens,
+            budget,
+            lambda k: f"minor ({k // l + 1},{k % l + 1}) is not in the last-row ideal",
+        )
+        payload = [w.to_json() for _, w in found]
         constants = {
             "degrees": table.degrees,
             "det_const": str(table.det_const),
@@ -216,11 +203,10 @@ def check_drc(datum, sd, budget=None):
         for j in range(l - 1):
             gens = [sd.J[j, k] for k in range(l)]
             gens += [p for p in datum.invariants if p.whomog_degree() <= h - 1]
-            results = graded_membership_batch(targets, gens, budget)
-            for k, res in enumerate(results):
-                if isinstance(res, NonMembership):
-                    raise CheckFailure(f"drc fails at invariant {j+1}, partial {k+1}")
-                payload.append(witness_payload(res))
+            found = members(
+                targets, gens, budget, lambda k: f"drc fails at invariant {j+1}, partial {k+1}"
+            )
+            payload += [w.to_json() for _, w in found]
         return {"trivial_direction": 1}, payload
 
     return run_check("drc", datum.name, body, budget)
@@ -262,7 +248,7 @@ def check_hrc(datum, sd, budget=None):
                 raise CheckFailure(f"Hessian rank condition fails for j={j+1}")
             i, idx, res = found
             pairs.append([i + 1, j + 1, idx + 1])
-            payload.append(nonmember_payload(res))
+            payload.append(res.to_json())
         return {"witness_pairs": pairs}, payload
 
     return run_check("hrc", datum.name, body, budget)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import CoxeterDatum, SAMPLING_SEED, is_invariant
-from .certs import CheckFailure
+from .certs import CheckFailure, constant_ratio, quotient
 from .engine import EngineError, solve_linear
 from .poly import Poly
 from .polymatrix import PolyMatrix, jacobian
@@ -188,19 +188,18 @@ def build_saito(datum, cache=None):
     if not det_KR:
         raise CheckFailure("det K vanishes")
     disc = det_KR.primitive()
-    disc_const = det_KR.exact_div(disc).constant_value()
+    disc_const = constant_ratio(det_KR, disc, "det K is not a multiple of its primitive part")
     # det(K_S) = det(Gamma) * (det J)^2 = det(Gamma) * c^2 * delta^2, and
     # det(K_R) o p = det(K_S), so disc o p = pull_const * delta^2 exactly
     det_gamma = PolyMatrix.from_scalars(ring, datum.gram_dual).det().constant_value()
     pull_const = det_gamma * datum.jac_const * datum.jac_const / disc_const
 
     # Euler column: K_R[i][0] == euler_const * w_i * p_i exactly
-    p1 = p_ring.gen(0)
-    euler_const = None
-    quot = K_R[0, 0].exact_div(p1.scale(degrees[0]))
-    if not quot.is_constant():
-        raise CheckFailure("K[0][0] is not a constant multiple of w_1 p_1")
-    euler_const = quot.constant_value()
+    euler_const = constant_ratio(
+        K_R[0, 0],
+        p_ring.gen(0).scale(degrees[0]),
+        "K[0][0] is not a constant multiple of w_1 p_1",
+    )
     for i in range(l):
         expected = p_ring.gen(i).scale(degrees[i] * euler_const)
         if K_R[i, 0] != expected:
@@ -235,7 +234,9 @@ def _dihedral_shape(sd):
     p1, p2 = p_ring.gen(0), p_ring.gen(1)
     lam = sd.euler_const  # K[0][0] = lam * 2 p1
     # K[0][1] = euler_const * h * p2; rescale q := c2 * p2 so K[0][1] = lam h q
-    c2 = sd.K_R[0, 1].exact_div(p2.scale(h * lam)).constant_value()
+    c2 = constant_ratio(
+        sd.K_R[0, 1], p2.scale(h * lam), "K[0][1] is not a constant multiple of p_2"
+    )
     Q = sd.K_R[1, 1].scale(1 / lam)
     # write Q in terms of p1 and q = c2 p2: substitute p2 = q / c2
     a = Q.coeff_of((h - 1, 0))
@@ -305,8 +306,11 @@ def normalize_linear_part(sd):
 
             new_datum = copy.copy(datum)
             new_datum.invariants = new_invs
-            jc = jacobian(new_invs, datum.ring).det().exact_div(datum.delta)
-            new_datum.jac_const = jc.constant_value()
+            new_datum.jac_const = constant_ratio(
+                jacobian(new_invs, datum.ring).det(),
+                datum.delta,
+                "changed invariants lose the Jacobian identity",
+            )
             new_sd = build_saito(new_datum)
             # the conductor-degree minor is unchanged up to det(T)^2
             detT = T[0][0] * T[1][1] - T[0][1] * T[1][0]
@@ -437,10 +441,10 @@ def logarithmic_quotients(sd):
     out = {"eta": [], "delta": []}
     for j in range(datum.rank):
         val = eta_field_apply(sd, j, datum.delta)
-        out["eta"].append(val.exact_div(datum.delta) if val else datum.ring.zero())
+        out["eta"].append(quotient(val, datum.delta, f"eta_{j+1} is not logarithmic for delta"))
     for j in range(datum.rank):
         val = field_apply(sd.K_R, j, sd.disc)
-        out["delta"].append(val.exact_div(sd.disc) if val else sd.p_ring.zero())
+        out["delta"].append(quotient(val, sd.disc, f"delta_{j+1} is not logarithmic for disc"))
     sd.log_quotients = out
     return out
 

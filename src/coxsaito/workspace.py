@@ -62,15 +62,6 @@ ALL_SUITES = (
     "lift",
 )
 
-_CLASSICAL_ORDERS = {
-    "A": lambda n: catalog._factorial(n + 1),
-    "B": lambda n: 2**n * catalog._factorial(n),
-    "D": lambda n: 2 ** (n - 1) * catalog._factorial(n),
-    "I2": lambda k: 2 * k,
-    "H": lambda n: 120 if n == 3 else 14400,
-    "F": lambda _n: 1152,
-}
-
 
 def check_datum(datum, budget=None):
     """Catalog certification: group order, exponent bookkeeping, and the
@@ -79,7 +70,7 @@ def check_datum(datum, budget=None):
     def body():
         expected = 1
         for tag, param in catalog.parse_type(datum.name):
-            expected *= _CLASSICAL_ORDERS[tag](param)
+            expected *= catalog.EXPECTED_ORDER[tag](param)
         if datum.group_order != expected:
             raise CheckFailure(
                 f"group order {datum.group_order} != classical value {expected}"
@@ -268,8 +259,8 @@ class Workspace:
                 return build_mul_table(
                     table,
                     self.budget,
-                    from_discriminant=self.mul_table(name, DISCRIMINANT),
-                    cache=self.pullback_cache(name),
+                    self.mul_table(name, DISCRIMINANT),
+                    self.pullback_cache(name),
                 )
             return build_mul_table(table, self.budget)
 
@@ -355,12 +346,13 @@ class Workspace:
             ]
         if suite == "freediv":
             table = self.minor_table(name, DISCRIMINANT)
-            certs = [
-                adjoint_divisor(table, budget),
-                check_derivative_ideal(table, budget),
-                check_basis_change(table, budget),
-                check_free_divisor_sum(table, budget),
-            ]
+            certs = [adjoint_divisor(table, budget)]
+            if datum.rank > 1:
+                # at rank 1 the adjoint minor is the constant 1: it has no
+                # logarithmic derivatives and B no Euler column to fix
+                certs.append(check_derivative_ideal(table, budget))
+                certs.append(check_basis_change(table, budget))
+            certs.append(check_free_divisor_sum(table, budget))
             sdn = normalize_linear_part(self.saito(name))
             if sdn.shape_obstruction is None:
                 certs.append(check_distinguished_monomials(sdn, budget))

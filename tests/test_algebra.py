@@ -35,7 +35,9 @@ def mul_tables(name):
     d, sd, tA, tD = setup(name)
     key = name + ":mul"
     if key not in _WS:
-        _WS[key] = (build_mul_table(tA), build_mul_table(tD))
+        # the arrangement table is pulled back, as the workspace builds it
+        mD = build_mul_table(tD)
+        _WS[key] = (build_mul_table(tA, None, mD, PullbackCache(d)), mD)
     return _WS[key]
 
 

@@ -1,0 +1,36 @@
+import pytest
+
+from coxsaito.certs import CheckFailure, constant_ratio, members, quotient
+from coxsaito.poly import PolyRing
+
+
+@pytest.fixture
+def ring():
+    return PolyRing(("x", "y"))
+
+
+def test_members_in_degree_order(ring):
+    x, y = ring.gens()
+    targets = [x**3, ring.zero(), x * y, x * y * y]
+    found = members(targets, [x, y * y], None, lambda i: f"target {i}")
+    assert [i for i, _ in found] == [2, 0, 3]
+    assert all(w.target == targets[i] and w.verify() for i, w in found)
+
+
+def test_members_names_the_failing_index(ring):
+    x, y = ring.gens()
+    # the member of degree 2 is solved first; the non-member is index 0
+    with pytest.raises(CheckFailure, match="^target 0$"):
+        members([y**3, x * y], [x], None, lambda i: f"target {i}")
+
+
+def test_quotient_and_constant_ratio(ring):
+    x, y = ring.gens()
+    assert quotient(x * y, x, "no") == y
+    assert not quotient(ring.zero(), x, "no")
+    assert constant_ratio(3 * (x * y), x * y, "no") == 3
+    for f, g in ((y, x), (x * y, x), (ring.zero(), x)):
+        with pytest.raises(CheckFailure, match="^no$"):
+            constant_ratio(f, g, "no")
+    with pytest.raises(CheckFailure, match="^no$"):
+        quotient(y, x, "no")

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -84,6 +86,26 @@ def test_budget_indeterminate_exit(tmp_path):
     assert rc == 3
     doc = json.loads(out.read_text())
     assert any(c["verdict"] == "indeterminate" for c in doc["checks"])
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ("A1",) + _benchmark_workloads().WITH_A1)
+def test_a1_and_its_products_pass_and_verify(name, tmp_path):
+    # the benchmark's correctness gate on its catalog-sweep jobs holding A1
+    out = tmp_path / "report.json"
+    assert main(["run", "--type", name, "--tier", "fast", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["checks"] and all(c["verdict"] == "pass" for c in doc["checks"])
+    # rank 1 leaves out basis-change; a product runs it for its other factor
+    assert ("basis-change" in {c["check"] for c in doc["checks"]}) == (name != "A1")
+    assert main(["verify", str(out)]) == 0
 
 
 def test_verify_round_trip(tmp_path, capsys):

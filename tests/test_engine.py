@@ -79,6 +79,16 @@ def test_batch_membership(ring):
     assert all(isinstance(r, Witness) for r in res)
 
 
+def test_membership_in_the_zero_ideal(ring):
+    x, y = ring.gens()
+    targets = [x * x + 2 * (x * y), y * y]
+    for gens in ([], [ring.zero()]):
+        res = graded_membership_batch(targets, gens)
+        assert [r.target for r in res] == targets
+        assert all(isinstance(r, NonMembership) and r.verify() for r in res)
+        assert all(NonMembership.from_json(r.to_json(), ring).verify() for r in res)
+
+
 def test_membership_requires_homogeneous(ring):
     x, y = ring.gens()
     with pytest.raises(EngineError):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -143,6 +144,17 @@ def test_shared_objects_built_once_per_type(monkeypatch):
         assert all(c.passed for c in ws.run_suite("B2", suite))
     assert len(quotients) == 1
     assert len(solves) == 1
+
+
+def test_inexact_logarithmic_division_is_a_fail_verdict():
+    # with delta multiplied by x_1 the eta fields no longer divide it
+    ws = Workspace()
+    good = ws.datum("A2")
+    bad = dataclasses.replace(good, delta=good.delta * good.ring.gen(0))
+    ws.datum = lambda name: bad
+    certs = ws.run_suite("A2", "saito")
+    assert [c.verdict for c in certs] == ["fail"]
+    assert "not logarithmic" in certs[0].detail
 
 
 def test_trace_targets_resolve():
