@@ -5,7 +5,6 @@ from .catalog import (
     CoxeterDatum,
     UnsupportedTypeError,
     build_datum,
-    reynolds_average,
     stabilizer_components,
 )
 from .certs import Certificate, verify_report_file, write_report

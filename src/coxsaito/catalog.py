@@ -626,14 +626,6 @@ def build_datum(name):
 # operators on the datum
 
 
-def reynolds_average(datum, f):
-    """Group average; a projection of S onto the invariant ring."""
-    acc = datum.ring.zero()
-    for mat in datum.group_elements():
-        acc = acc + datum.act(f, mat)
-    return acc.scale(Fraction(1, datum.group_order))
-
-
 def is_invariant(datum, f):
     """Invariance under the simple reflections (hence under the group)."""
     return all(datum.act(f, g) == f for g in datum.generators())

@@ -199,9 +199,7 @@ def check_lift(table_d, cache, budget=None):
 
     def body():
         B, detB, _ = basis_change(table_d, budget)
-        BK_x = (B * _kpp(sd)).map(cache.pullback)
-        gamma = PolyMatrix.from_scalars(datum.ring, datum.gram_dual)
-        W = gamma * sd.J.transpose() * BK_x
+        W = sd.eta * (B * _kpp(sd)).map(cache.pullback)
         mll_x = cache.pullback(mll)
         c, payload = _saito_criterion(
             W, datum.delta, mll_x, "lift-criterion", "lift-log-column"

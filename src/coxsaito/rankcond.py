@@ -219,7 +219,6 @@ def check_hrc(datum, sd, budget=None):
     l = datum.rank
     exps = datum.exponents
     h = datum.coxeter_number
-    gamma = PolyMatrix.from_scalars(datum.ring, datum.gram_dual)
     f_gens = [p for p in datum.invariants if p.whomog_degree() <= h - 1]
 
     def body():
@@ -231,9 +230,7 @@ def check_hrc(datum, sd, budget=None):
             if not cands:
                 raise CheckFailure(f"no complementary exponent for j={j+1}")
             for i in cands:
-                hess = hessian(datum.invariants[i])
-                eta_j = gamma.mul_vec([sd.J[j, k] for k in range(l)])
-                vec = hess.mul_vec(eta_j)
+                vec = hessian(datum.invariants[i]).mul_vec(sd.eta.col(j))
                 entries = [v for v in vec if v]
                 if not entries:
                     continue

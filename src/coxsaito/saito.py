@@ -10,34 +10,32 @@ from the verified entrywise pullbacks, so no large expansion is needed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .catalog import CoxeterDatum, SAMPLING_SEED, is_invariant
-from .certs import CheckFailure, constant_ratio, quotient
-from .engine import EngineError, solve_linear
+from .catalog import CoxeterDatum
+from .certs import CheckFailure, constant_ratio, members, quotient
+from .engine import EngineError
 from .poly import Poly
 from .polymatrix import PolyMatrix, jacobian
-from .scalars import Quad, rational_sqrt
 
 
 @dataclass
 class SaitoData:
     datum: CoxeterDatum
     J: PolyMatrix
-    K_S: PolyMatrix  # over the coordinate ring
+    eta: PolyMatrix  # Gamma J^t: column j is the field eta_j = Gamma grad p_j
+    K_S: PolyMatrix  # J eta, over the coordinate ring
     K_R: PolyMatrix  # same entries in invariant coordinates
     disc: Poly  # discriminant in invariant coordinates, primitive
     disc_const: object  # det K_R = disc_const * disc
     pull_const: object  # disc o p = pull_const * delta^2 (derived exactly)
     euler_const: object  # K_R[i][0] = euler_const * w_i * p_i
     kbar: PolyMatrix  # linear part of K_R
-    alphas: list  # anti-diagonal constants of kbar after normalization
-    change: list | None  # recorded constant change of invariants, or None
+    alphas: list  # anti-diagonal constants of kbar
     dihedral_shape: dict | None = None  # lambda, a, b for rank-2 types
     shape_obstruction: dict | None = None  # set when no real normal form exists
-    log_quotients: dict = field(default_factory=dict)  # set by build_saito
+    log_values: dict = field(default_factory=dict)  # eta_j(delta), delta_j(disc)
+    log_quotients: dict = field(default_factory=dict)  # the same divided exactly
 
     @property
     def ring(self):
@@ -49,93 +47,60 @@ class SaitoData:
 
 
 class PullbackCache:
-    """Caches powers of the basic invariants for repeated pullbacks."""
+    """The pullback of each p-monomial through the basic invariants, each
+    built once from the monomial with its last exponent lowered."""
 
     def __init__(self, datum):
         self.datum = datum
-        self._pows = [dict() for _ in datum.invariants]
+        self._mons = {}
 
-    def power(self, i, k):
-        cache = self._pows[i]
-        got = cache.get(k)
+    def monomial(self, mu):
+        got = self._mons.get(mu)
         if got is None:
-            if k == 0:
+            last = max((i for i, k in enumerate(mu) if k), default=None)
+            if last is None:
                 got = self.datum.ring.one()
             else:
-                got = self.power(i, k - 1) * self.datum.invariants[i]
-            cache[k] = got
+                lower = mu[:last] + (mu[last] - 1,) + mu[last + 1 :]
+                got = self.monomial(lower) * self.datum.invariants[last]
+            self._mons[mu] = got
         return got
 
     def pullback(self, g):
         """Substitute the basic invariants into a p-polynomial."""
-        ring = self.datum.ring
-        acc = ring.zero()
+        acc = self.datum.ring.zero()
         for e, c in g.t.items():
-            term = ring.const(ring.coeff(c))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * self.power(i, k)
-            acc = acc + term
+            acc = acc + self.monomial(e).scale(c)
         return acc
 
 
-def express_in_invariants(f, datum, cache=None, max_tries=5):
+def express_in_invariants(f, datum, cache=None):
     """Write a W-invariant x-polynomial exactly in invariant coordinates.
 
-    Weighted-degree ansatz solved by interpolation at small random points,
-    then certified by exact resubstitution.  Non-homogeneous inputs are
-    handled per homogeneous component.
+    Each homogeneous part is a graded member of the span of the pullbacks
+    of the p-monomials of its degree: the witness's constant cofactors are
+    the coefficients and its identity is the pullback identity.  A part
+    that is not invariant is a non-member, so a CheckFailure.
     """
     if cache is None:
         cache = PullbackCache(datum)
-    if not is_invariant(datum, f):
-        raise EngineError("polynomial is not invariant")
-    ring = datum.ring
     p_ring = datum.p_ring
-    if not f:
-        return p_ring.zero()
-    # split into homogeneous components (each is invariant on its own)
-    comps = {}
+    parts = {}
     for e, c in f.t.items():
-        comps.setdefault(sum(e), {})[e] = c
+        parts.setdefault(sum(e), {})[e] = c
     out = p_ring.zero()
-    for d, terms in sorted(comps.items()):
-        out = out + _express_homogeneous(Poly(ring, terms), datum, cache, max_tries)
+    for d, terms in sorted(parts.items()):
+        mons = p_ring.monomials(d)
+        ((_, w),) = members(
+            [Poly(datum.ring, terms)],
+            [cache.monomial(mu) for mu in mons],
+            None,
+            lambda _: f"the degree-{d} part is not a polynomial in the basic invariants",
+        )
+        out = out + p_ring.from_dict(
+            {mu: c.constant_value() for mu, c in zip(mons, w.cofactors)}
+        )
     return out
-
-
-def _express_homogeneous(f, datum, cache, max_tries):
-    ring = datum.ring
-    p_ring = datum.p_ring
-    d = f.deg()
-    mons = p_ring.monomials(d)
-    if not mons:
-        raise EngineError("no invariant monomials in this degree")
-    rng = random.Random(SAMPLING_SEED + d)
-    npts = len(mons) + 3
-    for attempt in range(max_tries):
-        pts = [
-            [rng.randint(-9, 9) for _ in range(ring.n)] for _ in range(npts)
-        ]
-        eqs = []
-        for v in pts:
-            pv = [p.eval(v) for p in datum.invariants]
-            row = {}
-            for j, mu in enumerate(mons):
-                val = ring.coeff(1)
-                for i, k in enumerate(mu):
-                    if k:
-                        val = val * pv[i] ** k
-                if val:
-                    row[j] = val
-            eqs.append((row, [f.eval(v)]))
-        sol = solve_linear(eqs, len(mons), 1)[0]
-        if sol is not None:
-            g = p_ring.from_dict({mons[j]: c for j, c in sol.items()})
-            if cache.pullback(g) == f:
-                return g
-        npts += len(mons) // 2 + 2
-    raise EngineError("interpolation failed to produce a certified expression")
 
 
 def _linear_part(g):
@@ -165,12 +130,13 @@ def build_saito(datum, cache=None):
 
     J = jacobian(datum.invariants, ring)
     gamma = PolyMatrix.from_scalars(ring, datum.gram_dual)
-    K_S = J * gamma * J.transpose()
+    eta = gamma * J.transpose()
+    K_S = J * eta
     if not K_S.is_symmetric():
         raise CheckFailure("K = J Gamma J^t is not symmetric")
 
-    # entrywise invariant-coordinate expression; the pullback check inside
-    # express_in_invariants certifies K_R o p == K_S
+    # entrywise invariant-coordinate expression; the membership witness
+    # inside express_in_invariants certifies K_R o p == K_S
     entries = [[None] * l for _ in range(l)]
     for i in range(l):
         for j in range(i, l):
@@ -191,7 +157,7 @@ def build_saito(datum, cache=None):
     disc_const = constant_ratio(det_KR, disc, "det K is not a multiple of its primitive part")
     # det(K_S) = det(Gamma) * (det J)^2 = det(Gamma) * c^2 * delta^2, and
     # det(K_R) o p = det(K_S), so disc o p = pull_const * delta^2 exactly
-    det_gamma = PolyMatrix.from_scalars(ring, datum.gram_dual).det().constant_value()
+    det_gamma = gamma.det().constant_value()
     pull_const = det_gamma * datum.jac_const * datum.jac_const / disc_const
 
     # Euler column: K_R[i][0] == euler_const * w_i * p_i exactly
@@ -209,6 +175,7 @@ def build_saito(datum, cache=None):
     sd = SaitoData(
         datum=datum,
         J=J,
+        eta=eta,
         K_S=K_S,
         K_R=K_R,
         disc=disc,
@@ -217,7 +184,6 @@ def build_saito(datum, cache=None):
         euler_const=euler_const,
         kbar=kbar,
         alphas=[],
-        change=None,
     )
     if l == 2:
         sd.dihedral_shape = _dihedral_shape(sd)
@@ -254,76 +220,47 @@ def _dihedral_shape(sd):
 
 
 def normalize_linear_part(sd):
-    """Bring the linear part of K into anti-triangular normal form.
+    """Verify the anti-triangular normal form of the linear part of K.
 
     For types with pairwise distinct degrees this is a pure verification.
-    For the even D types the top-degree coefficient matrix has a middle
-    block indexed by the repeated degree; an anti-diagonalizing constant
-    change of invariants is applied when one exists over the coefficient
-    field.  The block is congruent to a definite form for these types, so
-    over a real field no such change exists; the certified facts are then
-    the block anti-diagonal form and the recorded obstruction (a definite
-    block only becomes hyperbolic over an imaginary extension).
+    Repeated degrees occur only for the even D types, whose top-degree
+    coefficient matrix has a middle block indexed by the repeated degree.
+    That block is definite, and a definite block only becomes hyperbolic
+    over an imaginary extension, so no real constant change of invariants
+    makes it anti-diagonal; the certified facts are then the block
+    anti-diagonal form and the recorded obstruction.
     """
     datum = sd.datum
     l = datum.rank
     degrees = datum.degrees
     h = max(degrees)
+    pl = l - 1
     groups = {}
     for i, w in enumerate(degrees):
         groups.setdefault(w, []).append(i)
     repeated = [idx for idx in groups.values() if len(idx) > 1]
 
-    new_sd = sd
-    change = [[Fraction(1 if i == j else 0) for j in range(l)] for i in range(l)]
+    block_indices = set()
     obstruction = None
     if repeated:
         if len(repeated) != 1 or len(repeated[0]) != 2:
             raise CheckFailure("unexpected degree multiplicity pattern")
         i0, i1 = repeated[0]
-        pl = l - 1
         c00 = _coeff_of_var(sd.kbar[i0, i0], pl)
         c01 = _coeff_of_var(sd.kbar[i0, i1], pl)
         c11 = _coeff_of_var(sd.kbar[i1, i1], pl)
-        try:
-            T = _isotropic_change(c00, c01, c11, sd.p_ring)
-        except CheckFailure:
-            T = None
-        if T is None:
-            obstruction = {
-                "block": [str(c00), str(c01), str(c11)],
-                "reason": "definite repeated-degree block; anti-diagonal "
-                "form needs an imaginary quadratic extension",
-            }
-        else:
-            for a in range(2):
-                for b in range(2):
-                    change[[i0, i1][a]][[i0, i1][b]] = T[a][b]
-            new_invs = list(datum.invariants)
-            new_invs[i0] = datum.invariants[i0].scale(T[0][0]) + datum.invariants[i1].scale(T[1][0])
-            new_invs[i1] = datum.invariants[i0].scale(T[0][1]) + datum.invariants[i1].scale(T[1][1])
-            import copy
-
-            new_datum = copy.copy(datum)
-            new_datum.invariants = new_invs
-            new_datum.jac_const = constant_ratio(
-                jacobian(new_invs, datum.ring).det(),
-                datum.delta,
-                "changed invariants lose the Jacobian identity",
-            )
-            new_sd = build_saito(new_datum)
-            # the conductor-degree minor is unchanged up to det(T)^2
-            detT = T[0][0] * T[1][1] - T[0][1] * T[1][0]
-            before = sd.K_R.adjugate()[l - 1, l - 1]
-            after = new_sd.K_R.adjugate()[l - 1, l - 1]
-            if after != before.scale(detT * detT):
-                raise CheckFailure("corner minor not preserved by renormalization")
+        if not c00 * c11 - c01 * c01 > 0:
+            raise CheckFailure("repeated-degree block is not definite")
+        block_indices = {i0, i1}
+        obstruction = {
+            "block": [str(c00), str(c01), str(c11)],
+            "reason": "definite repeated-degree block; anti-diagonal "
+            "form needs an imaginary quadratic extension",
+        }
 
     # verify the top-degree coefficient matrix: entries vanish off the
     # degree pairing w_i + w_j = h + 2, and the paired entries are nonzero
-    kbar = new_sd.kbar
-    pl = l - 1
-    block_indices = set(repeated[0]) if (repeated and obstruction is not None) else set()
+    kbar = sd.kbar
     alphas = [None] * l
     for i in range(l):
         for j in range(l):
@@ -341,63 +278,13 @@ def normalize_linear_part(sd):
                 alphas[i] = c_pl
             if i + j > l - 1 and lin and not paired:
                 raise CheckFailure(f"entry ({i},{j}) below the anti-diagonal is nonzero")
-    if obstruction is not None:
-        # the unreachable part must still be a nondegenerate block
-        i0, i1 = repeated[0]
-        c00 = _coeff_of_var(kbar[i0, i0], pl)
-        c01 = _coeff_of_var(kbar[i0, i1], pl)
-        c11 = _coeff_of_var(kbar[i1, i1], pl)
-        if not (c00 * c11 - c01 * c01):
-            raise CheckFailure("repeated-degree block is degenerate")
-    else:
+    if obstruction is None:
         for i in range(l):
             if alphas[i] != alphas[l - 1 - i]:
                 raise CheckFailure("anti-diagonal constants are not symmetric")
-    new_sd.alphas = alphas
-    new_sd.change = change if (repeated and obstruction is None) else None
-    new_sd.shape_obstruction = obstruction
-    return new_sd
-
-
-def _isotropic_change(c00, c01, c11, p_ring):
-    """Constant 2x2 change making [[c00,c01],[c01,c11]] anti-diagonal."""
-    zero = p_ring.coeff(0)
-    one = p_ring.coeff(1)
-    if not c00 and not c11:
-        if not c01:
-            raise CheckFailure("degenerate repeated-degree block")
-        return [[one, zero], [zero, one]]
-    if not c00:
-        # first column already isotropic; shear away the (1,1) entry
-        if not c01:
-            raise CheckFailure("repeated-degree block is diagonal and anisotropic")
-        t = -c11 / (2 * c01)
-        return [[one, t], [zero, one]]
-    if not c11:
-        if not c01:
-            raise CheckFailure("repeated-degree block is diagonal and anisotropic")
-        t = -c00 / (2 * c01)
-        return [[one, zero], [t, one]]
-    # general case: two isotropic directions (1, s) with
-    # c00 + 2 s c01 + s^2 c11 = 0
-    disc = c01 * c01 - c00 * c11
-    root = _sqrt_scalar(disc, p_ring)
-    if root is None:
-        raise CheckFailure("repeated-degree block is anisotropic over the field")
-    s1 = (-c01 + root) / c11
-    s2 = (-c01 - root) / c11
-    if s1 == s2:
-        raise CheckFailure("repeated-degree block is degenerate")
-    return [[one, one], [s1, s2]]
-
-
-def _sqrt_scalar(c, p_ring):
-    if isinstance(c, Quad):
-        if not c.b:
-            r = rational_sqrt(c.a)
-            return Quad(r, 0, c.d) if r is not None else None
-        return None
-    return rational_sqrt(c)
+    sd.alphas = alphas
+    sd.shape_obstruction = obstruction
+    return sd
 
 
 def field_apply(K, j, g):
@@ -412,39 +299,19 @@ def field_apply(K, j, g):
     return acc
 
 
-def eta_field_apply(sd, j, g):
-    """Apply eta_j (coefficient vector Gamma grad p_j) to an x-polynomial."""
-    datum = sd.datum
-    ring = datum.ring
-    grad = sd.J.row(j)  # row j of J is grad p_j
-    coeffs = []
-    for i in range(datum.rank):
-        acc = ring.zero()
-        for k in range(datum.rank):
-            gd = datum.gram_dual[i][k]
-            if gd and grad[k]:
-                acc = acc + grad[k].scale(gd)
-        coeffs.append(acc)
-    out = ring.zero()
-    for i, c in enumerate(coeffs):
-        if c:
-            gi = g.diff(i)
-            if gi:
-                out = out + c * gi
-    return out
-
-
 def logarithmic_quotients(sd):
-    """Quotients certifying eta_j(delta) in (delta) and delta_j(disc) in
-    (disc); stored on sd so re-verification is a pure product check."""
+    """eta_j(delta) and delta_j(disc) with their quotients by delta and
+    disc, which certify that the fields are logarithmic; both are stored on
+    sd so re-verification is a pure product check."""
     datum = sd.datum
-    out = {"eta": [], "delta": []}
-    for j in range(datum.rank):
-        val = eta_field_apply(sd, j, datum.delta)
-        out["eta"].append(quotient(val, datum.delta, f"eta_{j+1} is not logarithmic for delta"))
-    for j in range(datum.rank):
-        val = field_apply(sd.K_R, j, sd.disc)
-        out["delta"].append(quotient(val, sd.disc, f"delta_{j+1} is not logarithmic for disc"))
-    sd.log_quotients = out
-    return out
-
+    sd.log_values = {"eta": [], "delta": []}
+    sd.log_quotients = {"eta": [], "delta": []}
+    sides = (("eta", sd.eta, datum.delta, "delta"), ("delta", sd.K_R, sd.disc, "disc"))
+    for key, fields, f, name in sides:
+        for j in range(datum.rank):
+            val = field_apply(fields, j, f)
+            sd.log_values[key].append(val)
+            sd.log_quotients[key].append(
+                quotient(val, f, f"{key}_{j+1} is not logarithmic for {name}")
+            )
+    return sd.log_quotients

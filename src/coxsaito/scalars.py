@@ -10,7 +10,6 @@ they can be shared freely between threads and used as dict keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 # Discriminants actually used by the catalog.  I2(8) needs sqrt(2) and
 # I2(12) needs sqrt(3) for their root coordinates; everything else is
@@ -150,17 +149,6 @@ def coerce(x, d=None):
             raise ValueError("mixed quadratic fields")
         return x
     return Quad(Fraction(x), 0, d)
-
-
-def rational_sqrt(q):
-    """Exact square root of a non-negative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # -- serialization --------------------------------------------------------

@@ -39,13 +39,7 @@ from .rankcond import (
     check_hrc,
     equivalence_probe,
 )
-from .saito import (
-    PullbackCache,
-    build_saito,
-    eta_field_apply,
-    field_apply,
-    normalize_linear_part,
-)
+from .saito import PullbackCache, build_saito, normalize_linear_part
 
 ALL_SUITES = (
     "datum",
@@ -115,28 +109,15 @@ def check_saito_shape(sd, budget=None):
 
     def body():
         datum = sd.datum
-        l = datum.rank
         if not sd.K_S.is_symmetric() or not sd.K_R.is_symmetric():
             raise CheckFailure("Saito matrix is not symmetric")
         sdn = normalize_linear_part(sd)
-        quotients = sd.log_quotients
         payload = []
-        for j, q in enumerate(quotients["eta"]):
-            val = eta_field_apply(sd, j, datum.delta)
-            payload.append(
-                zero_combo_payload(
-                    f"eta-log-{j+1}",
-                    [(val, datum.ring.one()), (-q, datum.delta)],
+        for key, f in (("eta", datum.delta), ("delta", sd.disc)):
+            for j, (val, q) in enumerate(zip(sd.log_values[key], sd.log_quotients[key])):
+                payload.append(
+                    zero_combo_payload(f"{key}-log-{j+1}", [(val, f.ring.one()), (-q, f)])
                 )
-            )
-        for j, q in enumerate(quotients["delta"]):
-            val = field_apply(sd.K_R, j, sd.disc)
-            payload.append(
-                zero_combo_payload(
-                    f"delta-log-{j+1}",
-                    [(val, sd.p_ring.one()), (-q, sd.disc)],
-                )
-            )
         constants = {
             "euler_const": str(sd.euler_const),
             "disc_const": str(sd.disc_const),
@@ -218,24 +199,22 @@ class Workspace:
         return self._memo[key]
 
     def datum(self, name):
-        if self.cache_dir:
-            path = Path(self.cache_dir) / f"{name}.datum.json"
-            if path.exists():
-                from . import catalog as cat
-
-                got = cat._DATUM_CACHE.get(name)
-                if got is None:
-                    with open(path) as fh:
-                        got = cat.datum_from_json(json.load(fh))
-                    cat._DATUM_CACHE[name] = got
-                return got
-            got = build_datum(name)
-            Path(self.cache_dir).mkdir(parents=True, exist_ok=True)
-            from .catalog import save_fixture
-
-            save_fixture(got, path)
+        # fixtures hold irreducible data only; a product is assembled from
+        # freshly built factors, as without a cache
+        if not self.cache_dir or len(catalog.parse_type(name)) > 1:
+            return build_datum(name)
+        path = Path(self.cache_dir) / f"{name}.datum.json"
+        if path.exists():
+            got = catalog._DATUM_CACHE.get(name)
+            if got is None:
+                with open(path) as fh:
+                    got = catalog.datum_from_json(json.load(fh))
+                catalog._DATUM_CACHE[name] = got
             return got
-        return build_datum(name)
+        got = build_datum(name)
+        Path(self.cache_dir).mkdir(parents=True, exist_ok=True)
+        catalog.save_fixture(got, path)
+        return got
 
     def saito(self, name):
         return self._once(

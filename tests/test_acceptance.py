@@ -59,13 +59,21 @@ def test_criterion_1_catalog_certification(ws):
 @pytest.mark.long
 def test_criterion_2_discriminant_monic(ws):
     lines = []
-    for name in FAST_TYPES + LONG_TYPES:
-        datum = ws.datum(name)
-        parts = [p.name for p, _ in datum.factors] or [name]
-        for part in parts:
-            cert = check_discriminant_monic(ws.saito(part))
-            assert cert.passed, (part, cert.detail)
-        lines.append(f"criterion 2 monic discriminant {name}: PASS")
+    elapsed = {}
+    for tier, names in (("fast", FAST_TYPES), ("long", LONG_TYPES)):
+        t0 = time.monotonic()
+        for name in names:
+            datum = ws.datum(name)
+            parts = [p.name for p, _ in datum.factors] or [name]
+            for part in parts:
+                cert = check_discriminant_monic(ws.saito(part))
+                assert cert.passed, (part, cert.detail)
+            lines.append(f"criterion 2 monic discriminant {name}: PASS")
+        elapsed[tier] = time.monotonic() - t0
+    assert elapsed["long"] < 120, f"long Saito builds took {elapsed['long']:.0f}s"
+    lines.append(
+        f"criterion 2 runtime: fast {elapsed['fast']:.1f}s, long {elapsed['long']:.1f}s (<120)"
+    )
     # the odd dihedral normal form has no mixed term
     sd5 = ws.saito("I2(5)")
     assert sd5.dihedral_shape["b"] == 0

@@ -1,6 +1,3 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from coxsaito.catalog import (
@@ -10,7 +7,6 @@ from coxsaito.catalog import (
     datum_to_json,
     is_invariant,
     parse_type,
-    reynolds_average,
     stabilizer_components,
 )
 from coxsaito.polymatrix import jacobian
@@ -97,28 +93,6 @@ def test_invariance_under_all_generators():
         d = build_datum(name)
         for p in d.invariants:
             assert is_invariant(d, p)
-
-
-def test_reynolds_projection_properties():
-    d = build_datum("B2")
-    ring = d.ring
-    x1 = ring.gen(0)
-    avg = reynolds_average(d, x1 * x1)
-    assert avg == (x1 * x1 + ring.gen(1) * ring.gen(1)).scale(Fraction(1, 2))
-    # idempotent on invariants: averaging twice changes nothing
-    assert reynolds_average(d, avg) == avg
-    # no degree-one invariants
-    a2 = build_datum("A2")
-    assert not reynolds_average(a2, a2.ring.gen(0))
-    rng = random.Random(3)
-    for _ in range(5):
-        f = ring.from_dict(
-            {
-                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-3, 3))
-                for _ in range(3)
-            }
-        )
-        assert is_invariant(d, reynolds_average(d, f))
 
 
 def test_delta_squarefree_by_construction():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coxsaito import catalog
 from coxsaito.cli import main, required_tier
 
 
@@ -40,6 +41,19 @@ def test_run_selected_suites(tmp_path):
     names = [c["check"] for c in doc["checks"]]
     assert "grc-A" in names and "free-divisor-sum" in names
     assert "fibers" not in names
+
+
+def test_product_runs_twice_into_one_cache(tmp_path, monkeypatch):
+    # each run starts with an empty in-memory catalog, as a new process
+    # does, so the second one reads what the first left in the cache
+    argv = ["run", "--type", "B2xA1", "--suite", "datum,saito,grc-A", "--tier", "fast",
+            "--cache", str(tmp_path / "cache")]
+    for k in range(2):
+        monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+        out = tmp_path / f"run{k}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert all(c["verdict"] == "pass" for c in doc["checks"])
 
 
 def test_unsupported_type_is_usage_error(capsys):

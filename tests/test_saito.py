@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from coxsaito.catalog import build_datum
-from coxsaito.engine import EngineError
+from coxsaito.certs import CheckFailure
 from coxsaito.polymatrix import PolyMatrix, hessian
 from coxsaito.saito import (
     PullbackCache,
@@ -125,8 +126,26 @@ def test_express_square_of_invariant():
 
 def test_express_rejects_non_invariant():
     d = build_datum("A2")
-    with pytest.raises(EngineError):
+    with pytest.raises(CheckFailure):
         express_in_invariants(d.ring.gen(0), d)
+    # an invariant part next to a non-invariant one of another degree
+    with pytest.raises(CheckFailure):
+        express_in_invariants(d.invariants[0] + d.ring.gen(0) ** 3, d)
+
+
+@pytest.mark.parametrize("name", ["B3", "I2(5)"])
+def test_pullback_cache_matches_substitution(name):
+    d = build_datum(name)
+    cache = PullbackCache(d)
+    rng = random.Random(11)
+    for _ in range(4):
+        g = d.p_ring.from_dict(
+            {
+                tuple(rng.randint(0, 2) for _ in range(d.rank)): d.p_ring.coeff(rng.randint(-4, 4))
+                for _ in range(4)
+            }
+        )
+        assert cache.pullback(g) == g.subst(d.invariants)
 
 
 def test_hessian_of_quadratic_invariant():
@@ -151,10 +170,17 @@ def test_logarithmic_fields():
         sd = get(name)
         q = logarithmic_quotients(sd)
         d = sd.datum
-        from coxsaito.saito import eta_field_apply, field_apply
+        from coxsaito.saito import field_apply
 
+        gamma = PolyMatrix.from_scalars(d.ring, d.gram_dual)
         for j in range(d.rank):
-            assert eta_field_apply(sd, j, d.delta) == q["eta"][j] * d.delta
+            # eta_j has coefficient vector Gamma grad p_j
+            eta_j = gamma.mul_vec(d.invariants[j].grad())
+            assert sd.eta.col(j) == eta_j
+            val = d.ring.zero()
+            for i, c in enumerate(eta_j):
+                val = val + c * d.delta.diff(i)
+            assert val == q["eta"][j] * d.delta
             assert field_apply(sd.K_R, j, sd.disc) == q["delta"][j] * sd.disc
         # the Euler-type field scales delta by a constant
         assert q["eta"][0].is_constant()
@@ -163,7 +189,6 @@ def test_logarithmic_fields():
 def test_normalize_linear_part_distinct_degrees():
     sd = normalize_linear_part(get("B3"))
     assert sd.shape_obstruction is None
-    assert sd.change is None
     assert len(sd.alphas) == 3
     assert sd.alphas[0] == sd.alphas[2] != 0
 
@@ -175,6 +200,17 @@ def test_normalize_linear_part_d4_obstruction():
     # domain deliberately excludes; the obstruction is recorded instead
     assert sd.shape_obstruction is not None
     assert "definite" in sd.shape_obstruction["reason"]
+
+
+def test_normalize_linear_part_rejects_indefinite_block():
+    # negating one diagonal entry of the D4 block [[1/3, 0], [0, 16]] makes
+    # it indefinite, so the recorded obstruction would be false
+    sd = get("D4")
+    entries = [[sd.kbar[i, j] for j in range(4)] for i in range(4)]
+    entries[2][2] = -entries[2][2]
+    bad = dataclasses.replace(sd, kbar=PolyMatrix(sd.p_ring, entries))
+    with pytest.raises(CheckFailure, match="not definite"):
+        normalize_linear_part(bad)
 
 
 def test_corner_minor_unchanged_by_renormalization():

@@ -9,7 +9,6 @@ from coxsaito.scalars import (
     conjugate,
     coerce,
     invert,
-    rational_sqrt,
     scalar_from_json,
     scalar_to_json,
 )
@@ -90,12 +89,6 @@ def test_json_round_trip():
     assert back == q and not isinstance(back, Quad)
     # rationals omit the surd part entirely
     assert set(scalar_to_json(q)) == {"a"}
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(2) is None
-    assert rational_sqrt(-1) is None
 
 
 def test_coerce_field_tags():

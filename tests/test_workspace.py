@@ -157,6 +157,20 @@ def test_inexact_logarithmic_division_is_a_fail_verdict():
     assert "not logarithmic" in certs[0].detail
 
 
+def test_non_invariant_basic_invariant_is_a_fail_verdict():
+    # with p_2 + x_1^3 in place of p_2 the entries of K are not invariant,
+    # so they have no expression in the basic invariants
+    ws = Workspace()
+    good = ws.datum("A2")
+    invariants = list(good.invariants)
+    invariants[1] = invariants[1] + good.ring.gen(0) ** 3
+    bad = dataclasses.replace(good, invariants=invariants)
+    ws.datum = lambda name: bad
+    certs = ws.run_suite("A2", "saito")
+    assert [c.verdict for c in certs] == ["fail"]
+    assert "not a polynomial in the basic invariants" in certs[0].detail
+
+
 def test_trace_targets_resolve():
     # the benchmark's tracer wraps these attributes by name; a rename would
     # otherwise only show up as a failed traced benchmark run
