@@ -9,8 +9,6 @@ from .catalog import (
 )
 from .certs import Certificate, verify_report_file, write_report
 from .engine import (
-    Budget,
-    BudgetExceeded,
     IdealBasis,
     NonMembership,
     Witness,

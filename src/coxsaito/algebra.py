@@ -23,7 +23,6 @@ from .certs import (
     zero_combo_payload,
 )
 from .engine import (
-    Budget,
     back_substitute,
     distinct_root_count,
     echelon,
@@ -31,7 +30,8 @@ from .engine import (
     rank_of_vectors,
     reduce_row,
 )
-from .poly import Poly, PolyRing
+from .poly import PolyRing
+from .polymatrix import jacobian
 from .rankcond import ARRANGEMENT, MinorTable
 
 
@@ -92,7 +92,7 @@ def fraction_representatives(table, tries=60):
     raise CheckFailure("no nonzerodivisor fraction representative found")
 
 
-def verify_generators(table, budget=None):
+def verify_generators(table):
     """Cross identities h_i m^l_j = m^i_j for every column j, as exact
     congruences modulo the defining equation; quotients recorded."""
     l = table.rank
@@ -130,10 +130,10 @@ def verify_generators(table, budget=None):
         return {"unit_index": l}, payload
 
     name = "generators-A" if table.side == ARRANGEMENT else "generators-D"
-    return run_check(name, table.datum.name, body, budget)
+    return run_check(name, table.datum.name, body)
 
 
-def build_mul_table(table, budget=None, mtD=None, cache=None):
+def build_mul_table(table, mtD=None, cache=None):
     """Structure constants h_i h_j = sum_k c^k_ij h_k modulo the defining
     equation.
 
@@ -158,7 +158,7 @@ def build_mul_table(table, budget=None, mtD=None, cache=None):
     if table.side == ARRANGEMENT:
         found = _pulled_back_constants(table, nums, mtD, cache)
     else:
-        found = _solved_constants(table, nums, budget)
+        found = _solved_constants(table, nums)
     for (i, j), cs, q in found:
         constants[i][j] = constants[j][i] = cs
         cof_def[i][j] = cof_def[j][i] = q
@@ -171,7 +171,7 @@ def build_mul_table(table, budget=None, mtD=None, cache=None):
     )
 
 
-def _solved_constants(table, nums, budget):
+def _solved_constants(table, nums):
     """Yields ((i, j), constants, defining cofactor) for i <= j < l from
     graded membership of n_i n_j in the span of the n_k n and the defining
     equation."""
@@ -182,7 +182,6 @@ def _solved_constants(table, nums, budget):
     found = members(
         [nums[i] * nums[j] for i, j in pairs],
         gens,
-        budget,
         lambda k: f"product h_{pairs[k][0]+1} h_{pairs[k][1]+1} escapes the generator span",
     )
     for k, w in found:
@@ -211,7 +210,7 @@ def _pulled_back_constants(table, nums, mtD, cache):
             yield (i, j), cs, q
 
 
-def check_mul_table(mt, budget=None):
+def check_mul_table(mt):
     """Commutativity, unit row, and associativity on all triples, exactly
     modulo the defining equation."""
     l = mt.rank
@@ -267,7 +266,7 @@ def check_mul_table(mt, budget=None):
         return {"rank": l}, payload
 
     name = "algebra-A" if mt.side == ARRANGEMENT else "algebra-D"
-    return run_check(name, mt.table.datum.name, body, budget)
+    return run_check(name, mt.table.datum.name, body)
 
 
 def _gen_degrees(mt):
@@ -284,7 +283,7 @@ def _gen_degrees(mt):
 # the two comparison identities between the fraction descriptions
 
 
-def check_quotient_rule(sd, table_a, cache, budget=None):
+def check_quotient_rule(sd, table_a, cache):
     """h_i equals the ratio of discriminant partials: for all i, j the
     congruence d_i(disc) o p * m^l_j == d_l(disc) o p * m^i_j mod delta."""
     datum = sd.datum
@@ -311,10 +310,10 @@ def check_quotient_rule(sd, table_a, cache, budget=None):
                     )
         return {}, payload
 
-    return run_check("fractions", datum.name, body, budget)
+    return run_check("fractions", datum.name, body)
 
 
-def check_generator_match(sd, table_a, table_d, cache, budget=None):
+def check_generator_match(sd, table_a, table_d, cache):
     """The arrangement and discriminant fractional generators agree: the
     pullback of ad(K) satisfies (ad K o p)_il * m^l_l == m^i_l * (ad K o p)_ll
     modulo delta."""
@@ -341,7 +340,7 @@ def check_generator_match(sd, table_a, table_d, cache, budget=None):
             )
         return {}, payload
 
-    return run_check("generators-match", datum.name, body, budget)
+    return run_check("generators-match", datum.name, body)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +387,7 @@ def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
                 for k in range(l):
                     img[k] = img[k] + a[i] * cvals[i][jq][k]
             red = _sparse(img)
-            reduce_row(red, [], pivots, Budget())
+            reduce_row(red, [], pivots)
             mat.append([red.get(i, zero) for i in free])
         mat = [[mat[c][r] for c in range(q)] for r in range(q)]
         mp = minimal_polynomial(mat, uni)
@@ -464,7 +463,7 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
     return points
 
 
-def check_fibers(mt, points=None, budget=None):
+def check_fibers(mt, points=None):
     """Fiber point counts match the stabilizer component counts."""
     datum = mt.table.datum
 
@@ -483,14 +482,14 @@ def check_fibers(mt, points=None, budget=None):
                 )
         return {"points": records}, []
 
-    return run_check("fibers", datum.name, body, budget)
+    return run_check("fibers", datum.name, body)
 
 
 # ---------------------------------------------------------------------------
 # spot checks for the extreme cases
 
 
-def check_normalization_gap(sd, table_d, budget=None):
+def check_normalization_gap(sd, table_d):
     """For dihedral types with odd Coxeter number: the value semigroup of
     the partial normalization misses degree one, so it is a proper subring
     of the normalization.  The graded dimensions of coker K are computed
@@ -549,18 +548,16 @@ def check_normalization_gap(sd, table_d, budget=None):
             "dims": {str(t): dims[t] for t in sorted(dims)},
         }, []
 
-    return run_check("normalization-gap", datum.name, body, budget)
+    return run_check("normalization-gap", datum.name, body)
 
 
-def check_boolean_split(datum, sd_factors, budget=None):
+def check_boolean_split(datum):
     """For a power of A1 the partial normalization splits into one
     polynomial-ring factor per coordinate hyperplane."""
 
     def body():
         l = datum.rank
         ring = datum.ring
-        from .polymatrix import jacobian
-
         J = jacobian(datum.invariants, ring)
         for i in range(l):
             for j in range(l):
@@ -586,4 +583,4 @@ def check_boolean_split(datum, sd_factors, budget=None):
                 )
         return {"factors": l}, []
 
-    return run_check("boolean-split", datum.name, body, budget)
+    return run_check("boolean-split", datum.name, body)

@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .engine import BudgetExceeded, NonMembership, Witness, graded_membership_batch
+from .engine import NonMembership, Witness, graded_membership_batch
 from .poly import Poly, PolyRing
 from .polymatrix import PolyMatrix
 from .scalars import scalar_from_json, scalar_to_json
@@ -26,11 +26,10 @@ class CheckFailure(Exception):
 class Certificate:
     name: str
     ctype: str
-    verdict: str  # pass | fail | indeterminate
+    verdict: str  # pass | fail | error
     constants: dict = field(default_factory=dict)
     payload: list = field(default_factory=list)
     wall_time: float = 0.0
-    budget_used: int | None = None
     detail: str = ""
 
     @property
@@ -45,7 +44,6 @@ class Certificate:
             "constants": self.constants,
             "witnesses": self.payload,
             "wall_time": self.wall_time,
-            "budget_used": self.budget_used,
             "detail": self.detail,
         }
 
@@ -58,25 +56,31 @@ class Certificate:
             constants=obj.get("constants", {}),
             payload=obj.get("witnesses", []),
             wall_time=obj.get("wall_time", 0.0),
-            budget_used=obj.get("budget_used"),
             detail=obj.get("detail", ""),
         )
 
 
-def run_check(name, ctype, fn, budget=None):
+def failure_verdict(exc):
+    """(verdict, detail) for an exception that ended a check: fail for a
+    refuted condition, error for anything else."""
+    if isinstance(exc, CheckFailure):
+        return "fail", str(exc)
+    return "error", f"{type(exc).__name__}: {exc}"
+
+
+def run_check(name, ctype, fn):
     """Run a check body, timing it and converting exceptions to verdicts.
 
-    The body returns (constants, payload) on success, raises CheckFailure on
-    a refuted condition and BudgetExceeded when out of steps.
+    The body returns (constants, payload) on success and raises
+    CheckFailure on a refuted condition; any other exception is an error.
     """
     t0 = time.monotonic()
     try:
         constants, payload = fn()
         verdict, detail = "pass", ""
-    except CheckFailure as exc:
-        constants, payload, verdict, detail = {}, [], "fail", str(exc)
-    except BudgetExceeded as exc:
-        constants, payload, verdict, detail = {}, [], "indeterminate", str(exc)
+    except Exception as exc:
+        constants, payload = {}, []
+        verdict, detail = failure_verdict(exc)
     return Certificate(
         name=name,
         ctype=ctype,
@@ -84,7 +88,6 @@ def run_check(name, ctype, fn, budget=None):
         constants=constants,
         payload=payload,
         wall_time=time.monotonic() - t0,
-        budget_used=budget.used if budget is not None else None,
         detail=detail,
     )
 
@@ -93,7 +96,7 @@ def run_check(name, ctype, fn, budget=None):
 # the identities every check states: graded membership and exact division
 
 
-def members(targets, gens, budget, failure):
+def members(targets, gens, failure):
     """Membership of every nonzero target in the ideal of gens, one graded
     solve per degree, lowest degree first.  Returns (index, Witness) pairs
     in that order; the first non-member raises CheckFailure(failure(index))."""
@@ -104,7 +107,7 @@ def members(targets, gens, budget, failure):
     out = []
     for deg in sorted(by_degree):
         idxs = by_degree[deg]
-        results = graded_membership_batch([targets[i] for i in idxs], gens, budget)
+        results = graded_membership_batch([targets[i] for i in idxs], gens)
         for idx, res in zip(idxs, results):
             if isinstance(res, NonMembership):
                 raise CheckFailure(failure(idx))

@@ -5,8 +5,8 @@
     coxsaito verify report.json
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 usage error,
-unsupported request or malformed report; 3 a check was indeterminate
-(budget exhausted) and none failed.
+unsupported request or malformed report; 3 a check ended in an error (an
+unexpected exception, such as a corrupt fixture) and none failed.
 """
 
 from __future__ import annotations
@@ -84,20 +84,20 @@ def cmd_run(args):
                 file=sys.stderr,
             )
             return 2
-    ws = Workspace(budget_steps=args.budget_steps, cache_dir=args.cache)
+    ws = Workspace(cache_dir=args.cache)
     certs = []
     for s in suites:
         certs.extend(ws.run_suite(name, s))
     out = args.out or f"report-{name.replace('(', '').replace(')', '')}.json"
     write_report(out, name, certs, _seeds())
     failed = [c for c in certs if c.verdict == "fail"]
-    indet = [c for c in certs if c.verdict == "indeterminate"]
+    errors = [c for c in certs if c.verdict == "error"]
     for c in certs:
-        print(f"{c.verdict.upper():13s} {c.name} [{c.wall_time:.2f}s]")
+        print(f"{c.verdict.upper():5s} {c.name} [{c.wall_time:.2f}s]")
     print(f"report written to {out}")
     if failed:
         return 1
-    if indet:
+    if errors:
         return 3
     return 0
 
@@ -109,7 +109,7 @@ def cmd_fixture(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     name = canonical_name(factors)
-    ws = Workspace(budget_steps=args.budget_steps, cache_dir=args.cache)
+    ws = Workspace(cache_dir=args.cache)
     paths = ws.emit_fixtures(name, args.out or "fixtures")
     for p in paths:
         print(p)
@@ -139,14 +139,12 @@ def build_parser():
     run.add_argument("--suite", help="comma-separated suite list (default: all)")
     run.add_argument("--tier", choices=("fast", "long", "stretch"), default="fast")
     run.add_argument("--out", help="report path")
-    run.add_argument("--budget-steps", type=int, default=None)
-    run.add_argument("--cache", help="cache directory (or COXSAITO_CACHE)")
+    run.add_argument("--cache", help="cache directory")
     run.set_defaults(fn=cmd_run)
 
     fx = sub.add_parser("fixture", help="emit datum and Saito fixtures as JSON")
     fx.add_argument("--type", required=True)
     fx.add_argument("--out", help="output directory (default: fixtures)")
-    fx.add_argument("--budget-steps", type=int, default=None)
     fx.add_argument("--cache", help="cache directory")
     fx.set_defaults(fn=cmd_fixture)
 

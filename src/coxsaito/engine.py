@@ -16,7 +16,7 @@ exact scalar elimination (solves, ranks, nullspaces) runs: `echelon`,
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -29,26 +29,6 @@ from .scalars import Quad
 
 class EngineError(ValueError):
     pass
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a step budget runs out; callers turn this into an
-    'indeterminate' certificate rather than hanging."""
-
-
-@dataclass
-class Budget:
-    steps: int | None = None
-    used: int = 0
-
-    def tick(self, n=1):
-        self.used += n
-        if self.steps is not None and self.used > self.steps:
-            raise BudgetExceeded(f"budget of {self.steps} steps exhausted")
-
-
-def _budget(b):
-    return b if b is not None else Budget(None)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +140,13 @@ class NonMembership:
 # exact sparse linear algebra over the scalar field
 
 
-def reduce_row(work, rhs, pivots, budget):
+def reduce_row(work, rhs, pivots):
     """Reduce a sparse row (dict unknown->scalar) and its right-hand sides
     in place against the pivot rows until no pivot unknown is left in it."""
     while True:
         hits = [u for u in work if u in pivots]
         if not hits:
             return
-        budget.tick(len(hits))
         for u in sorted(hits):
             c = work.pop(u, None)
             if c is None or not c:
@@ -187,20 +166,19 @@ def reduce_row(work, rhs, pivots, budget):
                     rhs[t] = rhs[t] - c * prhs[t]
 
 
-def echelon(eqs, budget=None):
+def echelon(eqs):
     """Forward elimination of (row dict, rhs list) equations.
 
     Returns (pivots, bad): pivots maps the smallest unknown of each reduced
     row to that row normalized to 1 there, with its right-hand sides; a
     pivot row holds only unknowns larger than its pivot.  bad is the set of
     right-hand side indices some equation proved inconsistent."""
-    budget = _budget(budget)
     pivots = {}
     bad = set()
     for row, rhs in eqs:
         work = dict(row)
         r = list(rhs)
-        reduce_row(work, r, pivots, budget)
+        reduce_row(work, r, pivots)
         if not work:
             bad.update(t for t, x in enumerate(r) if x)
             continue
@@ -231,7 +209,7 @@ def back_substitute(pivots, t=None, sol=None):
     return sol
 
 
-def solve_linear(eqs, nun, nrhs, budget=None):
+def solve_linear(eqs, nun, nrhs):
     """Solve a sparse linear system with several right-hand sides.
 
     eqs: list of (coeff dict unknown->scalar, rhs list of length nrhs).
@@ -241,13 +219,13 @@ def solve_linear(eqs, nun, nrhs, budget=None):
     the smallest unknown of each reduced row, so the result is
     deterministic.
     """
-    pivots, bad = echelon(eqs, budget)
+    pivots, bad = echelon(eqs)
     return [None if t in bad else back_substitute(pivots, t) for t in range(nrhs)]
 
 
-def rank_of_vectors(vecs, budget=None):
+def rank_of_vectors(vecs):
     """Rank of a list of sparse vectors (dicts key->scalar)."""
-    return len(echelon(((vec, ()) for vec in vecs), budget)[0])
+    return len(echelon((vec, ()) for vec in vecs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +329,7 @@ def _columns_to_int(cols):
     return entries, scales
 
 
-def _modular_solve(cols, targets, nrows, budget, d, accept):
+def _modular_solve(cols, targets, nrows, d, accept):
     """Solve for several right-hand sides modulo word-size primes.
 
     cols (one per unknown) and targets are sparse vectors, dicts row ->
@@ -379,7 +357,6 @@ def _modular_solve(cols, targets, nrows, budget, d, accept):
     inconsistent = set()
     pattern = None
     for p, s in _primes_for(d):
-        budget.tick(nrows * nun // 64 + 1)
         runs = []
         for root in (0,) if d is None else (s, p - s):
             M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
@@ -440,17 +417,17 @@ def _shift_poly(ring, g, mu):
     return {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()}
 
 
-def graded_membership(target, gens, budget=None):
+def graded_membership(target, gens):
     """Decide membership of a homogeneous target in a homogeneous ideal.
 
     Returns a Witness (with cofactors homogeneous of the complementary
     degrees) or a NonMembership functional.  The decision is exact.
     """
-    out = graded_membership_batch([target], gens, budget)
+    out = graded_membership_batch([target], gens)
     return out[0]
 
 
-def graded_membership_batch(targets, gens, budget=None):
+def graded_membership_batch(targets, gens):
     """Membership of several targets of equal degree in one graded solve.
 
     Modular first: a target the modular run settles is accepted only as an
@@ -459,7 +436,6 @@ def graded_membership_batch(targets, gens, budget=None):
     exact kernel decides whatever is left.  No generators, or only zero
     ones, span the zero ideal: the dual of a monomial of each target then
     separates it."""
-    budget = _budget(budget)
     ring = targets[0].ring
     gens = [g for g in gens if g]
     degs = {t.whomog_degree() for t in targets}
@@ -500,10 +476,10 @@ def graded_membership_batch(targets, gens, budget=None):
         return Witness(targets[t], gens, [ring.from_dict(tm) for tm in cof_terms])
 
     results, inconsistent = _modular_solve(
-        col_vecs, target_vecs, len(monos), budget, ring.d, witness
+        col_vecs, target_vecs, len(monos), ring.d, witness
     )
     for t in sorted(inconsistent):
-        results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos, budget)
+        results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos)
 
     pending = [t for t, r in enumerate(results) if r is None]
     if pending:
@@ -513,11 +489,11 @@ def graded_membership_batch(targets, gens, budget=None):
             (row, [target_vecs[t].get(r, zero) for t in pending])
             for r, row in enumerate(_transpose(col_vecs, len(monos)))
         ]
-        solutions = solve_linear(eq_list, len(cols), len(pending), budget)
+        solutions = solve_linear(eq_list, len(cols), len(pending))
         for t, sol in zip(pending, solutions):
             if sol is None:
                 results[t] = _nonmember_functional(
-                    targets[t], gens, col_vecs, target_vecs[t], monos, budget
+                    targets[t], gens, col_vecs, target_vecs[t], monos
                 )
             else:
                 results[t] = witness(t, sol)
@@ -538,7 +514,7 @@ def _functional(target, gens, monos, sol):
     return NonMembership(target, gens, ring.from_dict({monos[u]: v for u, v in sol.items()}))
 
 
-def _modular_functional(target, gens, col_vecs, tvec, monos, budget):
+def _modular_functional(target, gens, col_vecs, tvec, monos):
     """A separating functional found modulo primes, or None.  The system is
     the transpose of the membership one: one unknown per monomial, every
     column paired to 0 and the target paired to 1."""
@@ -547,19 +523,18 @@ def _modular_functional(target, gens, col_vecs, tvec, monos, budget):
         _transpose(col_vecs + [tvec], len(monos)),
         [{m: target.ring.coeff(1)}],
         m + 1,
-        budget,
         target.ring.d,
         lambda _, sol: _functional(target, gens, monos, sol),
     )[0][0]
 
 
-def _nonmember_functional(target, gens, col_vecs, tvec, monos, budget):
+def _nonmember_functional(target, gens, col_vecs, tvec, monos):
     """Solve exactly for a separating functional of a non-member, from the
     same transposed system, and verify it."""
     ring = target.ring
     eqs = [(vec, [ring.coeff(0)]) for vec in col_vecs]
     eqs.append((tvec, [ring.coeff(1)]))
-    sol = solve_linear(eqs, len(monos), 1, budget)[0]
+    sol = solve_linear(eqs, len(monos), 1)[0]
     if sol is None:
         raise EngineError("membership solver inconsistency (no functional)")
     return _functional(target, gens, monos, sol)
@@ -569,18 +544,16 @@ def _nonmember_functional(target, gens, col_vecs, tvec, monos, budget):
 # Buchberger
 
 
-def reduce_full(f, basis, key=None, budget=None):
+def reduce_full(f, basis, key=None):
     """Full normal form of f against a list of nonzero polynomials."""
     if not f:
         return f
-    budget = _budget(budget)
     ring = f.ring
     key = key or ring.term_key
     lts = [(g.leading(key), g) for g in basis if g]
     work = dict(f.t)
     rem = {}
     while work:
-        budget.tick()
         e = max(work, key=key)
         c = work.pop(e)
         hit = None
@@ -618,10 +591,9 @@ def _spair(f, g, key):
     return tf - tg
 
 
-def groebner(gens, key=None, budget=None):
+def groebner(gens, key=None):
     """Reduced Groebner basis via Buchberger with sugar selection and the
     coprimality and chain criteria."""
-    budget = _budget(budget)
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -631,7 +603,7 @@ def groebner(gens, key=None, budget=None):
     G = []
     sugars = []
     for g in sorted(gens, key=lambda h: key(h.leading(key)[0])):
-        r = reduce_full(g, G, key, budget)
+        r = reduce_full(g, G, key)
         if r:
             G.append(r.monic(key))
             sugars.append(r.deg())
@@ -666,7 +638,6 @@ def groebner(gens, key=None, budget=None):
         push_pairs(j)
 
     while heap:
-        budget.tick()
         _, _, _, i, j = heapq.heappop(heap)
         if (i, j) in done_pairs:
             continue
@@ -687,7 +658,7 @@ def groebner(gens, key=None, budget=None):
         if skip:
             continue
         s = _spair(G[i], G[j], key)
-        r = reduce_full(s, G, key, budget)
+        r = reduce_full(s, G, key)
         if r:
             G.append(r.monic(key))
             sugars.append(max(sugars[i], sugars[j], r.deg()))
@@ -697,7 +668,7 @@ def groebner(gens, key=None, budget=None):
     reduced = []
     for i, g in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
-        r = reduce_full(g, others, key, budget)
+        r = reduce_full(g, others, key)
         if r:
             reduced.append(r.monic(key))
     # removing redundant members can create duplicates; dedupe and sort
@@ -708,44 +679,43 @@ def groebner(gens, key=None, budget=None):
     final = []
     for i, g in enumerate(seen):
         others = [h for j, h in enumerate(seen) if j != i]
-        r = reduce_full(g, others, key, budget)
+        r = reduce_full(g, others, key)
         if r:
             final.append(r.monic(key))
     final.sort(key=lambda h: key(h.leading(key)[0]), reverse=True)
     return final
 
 
-def normal_form(f, gb, key=None, budget=None):
+def normal_form(f, gb, key=None):
     """Normal form against a Groebner basis; zero iff f is in the ideal.
     Accepts a flagged IdealBasis or a plain list of basis elements."""
     if isinstance(gb, IdealBasis):
         if not gb.groebner:
             raise EngineError("normal form requires a Groebner-flagged basis")
         gb = gb.gens
-    return reduce_full(f, gb, key, budget)
+    return reduce_full(f, gb, key)
 
 
-def groebner_basis(basis: IdealBasis, key=None, budget=None) -> IdealBasis:
-    out = IdealBasis(groebner(basis.gens, key, budget), homogeneous=basis.homogeneous)
+def groebner_basis(basis: IdealBasis, key=None) -> IdealBasis:
+    out = IdealBasis(groebner(basis.gens, key), homogeneous=basis.homogeneous)
     out.groebner = True
     return out
 
 
-def ideal_equal(a: IdealBasis, b: IdealBasis, budget=None):
+def ideal_equal(a: IdealBasis, b: IdealBasis):
     """Mutual inclusion; graded solves where both sides are homogeneous."""
-    budget = _budget(budget)
     if a.homogeneous and b.homogeneous:
         for f in a.gens:
-            if isinstance(graded_membership(f, b.gens, budget), NonMembership):
+            if isinstance(graded_membership(f, b.gens), NonMembership):
                 return False
         for f in b.gens:
-            if isinstance(graded_membership(f, a.gens, budget), NonMembership):
+            if isinstance(graded_membership(f, a.gens), NonMembership):
                 return False
         return True
-    gb_a = a.gens if a.groebner else groebner(a.gens, budget=budget)
-    gb_b = b.gens if b.groebner else groebner(b.gens, budget=budget)
-    return all(not normal_form(f, gb_b, budget=budget) for f in a.gens) and all(
-        not normal_form(f, gb_a, budget=budget) for f in b.gens
+    gb_a = a.gens if a.groebner else groebner(a.gens)
+    gb_b = b.gens if b.groebner else groebner(b.gens)
+    return all(not normal_form(f, gb_b) for f in a.gens) and all(
+        not normal_form(f, gb_a) for f in b.gens
     )
 
 
@@ -753,12 +723,12 @@ def ideal_equal(a: IdealBasis, b: IdealBasis, budget=None):
 # dimension, reducedness, root counting
 
 
-def krull_dimension(basis: IdealBasis, budget=None):
+def krull_dimension(basis: IdealBasis):
     """Dimension of V(I): maximal size of a variable subset meeting no
     leading-term support; -1 for the empty variety."""
     if not basis.gens:
         raise EngineError("dimension of the zero ideal: provide a ring explicitly")
-    gb = basis.gens if basis.groebner else groebner(basis.gens, budget=budget)
+    gb = basis.gens if basis.groebner else groebner(basis.gens)
     if not gb:
         return basis.ring.n
     ring = gb[0].ring
@@ -790,11 +760,10 @@ def _bivariate_coeff_lists(f, var):
     return out
 
 
-def _pair_cuts_out_points(f, g, budget=None):
+def _pair_cuts_out_points(f, g):
     """Sound finiteness test for V(f, g) in two variables: the pair has
     trivial common content and a nonzero resultant specialization, shown
     by a constant gcd at a point where a leading coefficient survives."""
-    budget = _budget(budget)
     ring = f.ring
     zero = ring.coeff(0)
     if f.is_constant() or g.is_constant():
@@ -810,7 +779,6 @@ def _pair_cuts_out_points(f, g, budget=None):
             if _uni_deg(row) < 0:
                 continue
             acc = row if acc is None else _uni_gcd(acc, row)
-            budget.tick()
     if acc is None or _uni_deg(acc) > 0:
         return False
     # one nonzero value of the resultant in the first variable proves the
@@ -819,7 +787,6 @@ def _pair_cuts_out_points(f, g, budget=None):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
-        budget.tick()
         u0 = ring.coeff(u0)
         fs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in fc]
         gs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in gc]
@@ -830,7 +797,7 @@ def _pair_cuts_out_points(f, g, budget=None):
     return False
 
 
-def codim_at_least_two(gens, seed=1, budget=None, tries=6):
+def codim_at_least_two(gens, seed=1, tries=6):
     """Sound one-sided test that V(gens) has codimension >= 2.
 
     The variety is a (weighted) cone, so cutting with a linear 2-plane
@@ -863,7 +830,7 @@ def codim_at_least_two(gens, seed=1, budget=None, tries=6):
         cut.sort(key=lambda h: len(h.t))
         for i in range(len(cut)):
             for j in range(i + 1, min(len(cut), i + 4)):
-                if _pair_cuts_out_points(cut[i], cut[j], budget):
+                if _pair_cuts_out_points(cut[i], cut[j]):
                     return True
         # individual generators may share factors (mirrors inside minors);
         # two random combinations behave like a regular sequence
@@ -873,12 +840,12 @@ def codim_at_least_two(gens, seed=1, budget=None, tries=6):
             for c in cut:
                 f = f + c.scale(rng.randint(-5, 5))
                 g = g + c.scale(rng.randint(-5, 5))
-            if f and g and _pair_cuts_out_points(f.primitive(), g.primitive(), budget):
+            if f and g and _pair_cuts_out_points(f.primitive(), g.primitive()):
                 return True
     return False
 
 
-def squarefree_test(f, budget=None):
+def squarefree_test(f):
     """Jacobian criterion in characteristic zero: f squarefree iff
     V(f, grad f) has dimension at most dim V(f) - 1."""
     if not f:
@@ -887,7 +854,7 @@ def squarefree_test(f, budget=None):
         return True
     n = f.ring.n
     gens = [f] + [g for g in f.grad() if g]
-    dim = krull_dimension(IdealBasis(gens), budget)
+    dim = krull_dimension(IdealBasis(gens))
     return dim <= n - 2
 
 

@@ -20,7 +20,6 @@ from .certs import (
     run_check,
 )
 from .engine import codim_at_least_two, squarefree_test
-from .poly import Poly
 from .polymatrix import PolyMatrix
 from .saito import field_apply
 
@@ -30,20 +29,20 @@ def corner_minor(table_d):
     return table_d.minors[l - 1, l - 1]
 
 
-def adjoint_divisor(table_d, budget=None):
+def adjoint_divisor(table_d):
     """The adjoint equation with its two side conditions: it is reduced,
     and the full minor ideal has codimension two."""
     sd = table_d.saito
     mll = corner_minor(table_d)
 
     def body():
-        if not squarefree_test(mll, budget):
+        if not squarefree_test(mll):
             raise CheckFailure("the adjoint equation is not reduced")
         if not table_d.codim2_ok:
             raise CheckFailure("minor ideal codimension not certified")
         return {"adjoint": str(mll)}, []
 
-    return run_check("adjoint-divisor", sd.datum.name, body, budget)
+    return run_check("adjoint-divisor", sd.datum.name, body)
 
 
 def _log_derivatives(table_d):
@@ -54,7 +53,7 @@ def _log_derivatives(table_d):
     return [field_apply(sd.K_R, j, mll) for j in range(l)]
 
 
-def check_derivative_ideal(table_d, budget=None):
+def check_derivative_ideal(table_d):
     """The logarithmic derivatives of the adjoint equation generate the
     minor ideal: mutual graded membership with witnesses."""
     sd = table_d.saito
@@ -68,14 +67,14 @@ def check_derivative_ideal(table_d, budget=None):
             (d_gens, minor_gens, "derivative-in-minors"),
             (minor_gens, d_gens, "minor-in-derivatives"),
         ):
-            found = members(targets, gens, budget, lambda _: f"ideal equality fails ({tag})")
+            found = members(targets, gens, lambda _: f"ideal equality fails ({tag})")
             payload += [w.to_json() for _, w in found]
         return {}, payload
 
-    return run_check("derivative-ideal", sd.datum.name, body, budget)
+    return run_check("derivative-ideal", sd.datum.name, body)
 
 
-def solve_basis_change(table_d, budget=None):
+def solve_basis_change(table_d):
     """The matrix B with dM(delta-tilde_i) = M^l_i, delta-tilde_i = sum_j
     B^j_i delta_j; the last column is the recorded multiple of the Euler
     field, and det B must be a nonzero constant."""
@@ -89,7 +88,6 @@ def solve_basis_change(table_d, budget=None):
     found = members(
         [table_d.minors[l - 1, i] for i in range(l - 1)],
         d_gens,
-        budget,
         lambda i: f"no logarithmic field realizes minor {i+1}",
     )
     for i, w in found:
@@ -110,12 +108,12 @@ def solve_basis_change(table_d, budget=None):
     return B, detB.constant_value(), [w.to_json() for _, w in found]
 
 
-def basis_change(table_d, budget=None):
+def basis_change(table_d):
     """solve_basis_change, solved once per table: its result, or the
     CheckFailure it raised, is kept on the table for every later check."""
     if table_d.basis_change is None:
         try:
-            table_d.basis_change = solve_basis_change(table_d, budget)
+            table_d.basis_change = solve_basis_change(table_d)
         except CheckFailure as exc:
             table_d.basis_change = exc
     if isinstance(table_d.basis_change, CheckFailure):
@@ -123,16 +121,16 @@ def basis_change(table_d, budget=None):
     return table_d.basis_change
 
 
-def check_basis_change(table_d, budget=None):
+def check_basis_change(table_d):
     sd = table_d.saito
 
     def body():
-        B, detB, witnesses = basis_change(table_d, budget)
+        B, detB, witnesses = basis_change(table_d)
         payload = list(witnesses)
         payload.append(det_payload("det-B", B, detB, []))
         return {"det_B": str(detB), "euler_scale": str(B[0, table_d.rank - 1])}, payload
 
-    return run_check("basis-change", sd.datum.name, body, budget)
+    return run_check("basis-change", sd.datum.name, body)
 
 
 def _saito_criterion(Z, f, g, criterion_label, column_label):
@@ -167,7 +165,7 @@ def _kpp(sd):
     )
 
 
-def check_free_divisor_sum(table_d, budget=None):
+def check_free_divisor_sum(table_d):
     """Saito's criterion for discriminant plus adjoint: the matrix K B K''
     has determinant a constant times disc * adjoint, its columns are
     logarithmic for the product, and the product is reduced."""
@@ -176,21 +174,21 @@ def check_free_divisor_sum(table_d, budget=None):
     disc = sd.disc
 
     def body():
-        B, detB, _ = basis_change(table_d, budget)
+        B, detB, _ = basis_change(table_d)
         Z = sd.K_R * B * _kpp(sd)
         c, payload = _saito_criterion(Z, disc, mll, "saito-criterion", "log-column")
-        if not squarefree_test(mll, budget):
+        if not squarefree_test(mll):
             raise CheckFailure("adjoint equation is not reduced")
-        if not squarefree_test(disc, budget):
+        if not squarefree_test(disc):
             raise CheckFailure("discriminant equation is not reduced")
-        if not codim_at_least_two([disc, mll], budget=budget):
+        if not codim_at_least_two([disc, mll]):
             raise CheckFailure("discriminant and adjoint share a component")
         return {"det_const": str(c), "det_B": str(detB)}, payload
 
-    return run_check("free-divisor-sum", sd.datum.name, body, budget)
+    return run_check("free-divisor-sum", sd.datum.name, body)
 
 
-def check_lift(table_d, cache, budget=None):
+def check_lift(table_d, cache):
     """The pullback construction: Gamma J^t (B K'' o p) is a Saito matrix
     for the arrangement plus the preimage of the adjoint divisor."""
     sd = table_d.saito
@@ -198,7 +196,7 @@ def check_lift(table_d, cache, budget=None):
     mll = corner_minor(table_d)
 
     def body():
-        B, detB, _ = basis_change(table_d, budget)
+        B, detB, _ = basis_change(table_d)
         W = sd.eta * (B * _kpp(sd)).map(cache.pullback)
         mll_x = cache.pullback(mll)
         c, payload = _saito_criterion(
@@ -210,14 +208,14 @@ def check_lift(table_d, cache, budget=None):
         for f in datum.mirror_forms:
             if mll_x.divisible_by(f):
                 raise CheckFailure("a mirror hyperplane lies in the lifted adjoint")
-        if not squarefree_test(mll, budget):
+        if not squarefree_test(mll):
             raise CheckFailure("adjoint equation is not reduced")
         return {"det_const": str(c), "adjoint_pullback_terms": len(mll_x.t)}, payload
 
-    return run_check("arrangement-lift", datum.name, body, budget)
+    return run_check("arrangement-lift", datum.name, body)
 
 
-def check_distinguished_monomials(sd_norm, budget=None):
+def check_distinguished_monomials(sd_norm):
     """Bookkeeping on the linearized matrix: the adjugate entry paired with
     index i contains the monomial p_i p_l^(l-2), and no other."""
     datum = sd_norm.datum
@@ -246,7 +244,7 @@ def check_distinguished_monomials(sd_norm, budget=None):
                     )
         return {"rank": l}, []
 
-    return run_check("distinguished-monomials", datum.name, body, budget)
+    return run_check("distinguished-monomials", datum.name, body)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def published_b3_ideal(p_ring):
     ]
 
 
-def check_b3_fixture(table_d, budget=None):
+def check_b3_fixture(table_d):
     """The published rank-3 matrix against our apparatus: its determinant
     is a constant multiple of the discriminant, its columns are
     combinations of ours by a constant-determinant matrix over the
@@ -318,7 +316,7 @@ def check_b3_fixture(table_d, budget=None):
         published = published_b3_ideal(p_ring)
         ours = table_d.row_ideal()
         for targets, gens, tag in ((published, ours, "pub-in-ours"), (ours, published, "ours-in-pub")):
-            found = members(targets, gens, budget, lambda _: f"ideal comparison fails ({tag})")
+            found = members(targets, gens, lambda _: f"ideal comparison fails ({tag})")
             payload += [w.to_json() for _, w in found]
         return {
             "det_ratio": str(c),
@@ -326,4 +324,4 @@ def check_b3_fixture(table_d, budget=None):
             "entry_reading": "-2y^2+18xz",
         }, payload
 
-    return run_check("published-fixture", sd.datum.name, body, budget)
+    return run_check("published-fixture", sd.datum.name, body)

@@ -58,7 +58,7 @@ class MinorTable:
         return [self.minors[i, j] for i in range(l) for j in range(l)]
 
 
-def build_minor_table(sd, side, budget=None):
+def build_minor_table(sd, side):
     """All sub-maximal minors with the Cramer identity, degree table,
     gradient row and grade checks certified."""
     datum = sd.datum
@@ -121,7 +121,7 @@ def build_minor_table(sd, side, budget=None):
             raise CheckFailure("last-row minors are linearly dependent")
     # grade >= 2: the minor ideal cuts out codimension two; the last-row
     # minors suffice since their zero locus contains the full one
-    table.codim2_ok = codim_at_least_two(table.row_ideal(), budget=budget)
+    table.codim2_ok = codim_at_least_two(table.row_ideal())
     if not table.codim2_ok:
         raise CheckFailure("could not certify codimension 2 for the minor ideal")
     return table
@@ -164,7 +164,7 @@ def _gradient_row(table):
 # certificates
 
 
-def check_grc(table, budget=None):
+def check_grc(table):
     """Every sub-maximal minor lies in the ideal of the last-row minors."""
     sd = table.saito
     l = table.rank
@@ -174,7 +174,6 @@ def check_grc(table, budget=None):
         found = members(
             table.all_minors(),
             gens,
-            budget,
             lambda k: f"minor ({k // l + 1},{k % l + 1}) is not in the last-row ideal",
         )
         payload = [w.to_json() for _, w in found]
@@ -187,10 +186,10 @@ def check_grc(table, budget=None):
         return constants, payload
 
     name = "grc-A" if table.side == ARRANGEMENT else "grc-D"
-    return run_check(name, sd.datum.name, body, budget)
+    return run_check(name, sd.datum.name, body)
 
 
-def check_drc(datum, sd, budget=None):
+def check_drc(datum, sd):
     """Last gradient module inside each earlier one, modulo the invariant
     ideal: for j < l every d(p_l)/dx_k has a witness in
     (dp_j/dx_1..dp_j/dx_l) + (p_1..p_l)."""
@@ -204,15 +203,15 @@ def check_drc(datum, sd, budget=None):
             gens = [sd.J[j, k] for k in range(l)]
             gens += [p for p in datum.invariants if p.whomog_degree() <= h - 1]
             found = members(
-                targets, gens, budget, lambda k: f"drc fails at invariant {j+1}, partial {k+1}"
+                targets, gens, lambda k: f"drc fails at invariant {j+1}, partial {k+1}"
             )
             payload += [w.to_json() for _, w in found]
         return {"trivial_direction": 1}, payload
 
-    return run_check("drc", datum.name, body, budget)
+    return run_check("drc", datum.name, body)
 
 
-def check_hrc(datum, sd, budget=None):
+def check_hrc(datum, sd):
     """Hessian rank condition: for each j some Hessian of a complementary
     invariant sends eta_j outside the invariant ideal; the witnessing pair
     and a separating functional are recorded."""
@@ -234,7 +233,7 @@ def check_hrc(datum, sd, budget=None):
                 entries = [v for v in vec if v]
                 if not entries:
                     continue
-                results = graded_membership_batch(entries, f_gens, budget)
+                results = graded_membership_batch(entries, f_gens)
                 for idx, res in enumerate(results):
                     if isinstance(res, NonMembership):
                         found = (i, idx, res)
@@ -248,7 +247,7 @@ def check_hrc(datum, sd, budget=None):
             payload.append(res.to_json())
         return {"witness_pairs": pairs}, payload
 
-    return run_check("hrc", datum.name, body, budget)
+    return run_check("hrc", datum.name, body)
 
 
 def equivalence_probe(cert_hrc, cert_drc, cert_grc_a, ctype):

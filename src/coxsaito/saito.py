@@ -94,7 +94,6 @@ def express_in_invariants(f, datum, cache=None):
         ((_, w),) = members(
             [Poly(datum.ring, terms)],
             [cache.monomial(mu) for mu in mons],
-            None,
             lambda _: f"the degree-{d} part is not a polynomial in the basic invariants",
         )
         out = out + p_ring.from_dict(

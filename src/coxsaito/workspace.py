@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from . import catalog
@@ -17,9 +16,8 @@ from .algebra import (
     check_quotient_rule,
     verify_generators,
 )
-from .catalog import build_datum, datum_to_json
-from .certs import Certificate, CheckFailure, det_payload, run_check, zero_combo_payload
-from .engine import Budget, BudgetExceeded
+from .catalog import build_datum
+from .certs import Certificate, CheckFailure, det_payload, failure_verdict, run_check, zero_combo_payload
 from .freediv import (
     adjoint_divisor,
     check_b3_fixture,
@@ -57,7 +55,7 @@ ALL_SUITES = (
 )
 
 
-def check_datum(datum, budget=None):
+def check_datum(datum):
     """Catalog certification: group order, exponent bookkeeping, and the
     Jacobian determinant identity."""
 
@@ -100,10 +98,10 @@ def check_datum(datum, budget=None):
             "jac_const": str(datum.jac_const),
         }, payload
 
-    return run_check("datum", datum.name, body, budget)
+    return run_check("datum", datum.name, body)
 
 
-def check_saito_shape(sd, budget=None):
+def check_saito_shape(sd):
     """Symmetry, the Euler column, logarithmic fields, and the triangular
     shape of the linear part (with any field obstruction recorded)."""
 
@@ -132,10 +130,10 @@ def check_saito_shape(sd, budget=None):
             }
         return constants, payload
 
-    return run_check("saito-shape", sd.datum.name, body, budget)
+    return run_check("saito-shape", sd.datum.name, body)
 
 
-def check_discriminant_monic(sd, budget=None):
+def check_discriminant_monic(sd):
     """The discriminant is degree rank in the top invariant with constant
     leading coefficient; rank-2 types match the closed normal form."""
 
@@ -176,7 +174,7 @@ def check_discriminant_monic(sd, budget=None):
             constants.update({"a": str(a), "b": str(b), "lambda": str(lam)})
         return constants, payload
 
-    return run_check("discriminant-monic", sd.datum.name, body, budget)
+    return run_check("discriminant-monic", sd.datum.name, body)
 
 
 class Workspace:
@@ -188,9 +186,8 @@ class Workspace:
     check that needs them.
     """
 
-    def __init__(self, budget_steps=None, cache_dir=None):
-        self.budget = Budget(budget_steps) if budget_steps else None
-        self.cache_dir = cache_dir or os.environ.get("COXSAITO_CACHE")
+    def __init__(self, cache_dir=None):
+        self.cache_dir = cache_dir
         self._memo = {}
 
     def _once(self, key, build):
@@ -228,7 +225,7 @@ class Workspace:
     def minor_table(self, name, side):
         return self._once(
             ("minors", name, side),
-            lambda: build_minor_table(self.saito(name), side, self.budget),
+            lambda: build_minor_table(self.saito(name), side),
         )
 
     def mul_table(self, name, side):
@@ -237,42 +234,38 @@ class Workspace:
             if side == ARRANGEMENT:
                 return build_mul_table(
                     table,
-                    self.budget,
                     self.mul_table(name, DISCRIMINANT),
                     self.pullback_cache(name),
                 )
-            return build_mul_table(table, self.budget)
+            return build_mul_table(table)
 
         return self._once(("mul", name, side), build)
 
     # -- suites ------------------------------------------------------------
 
     def run_suite(self, name, suite):
-        """Run one named suite, once per type; build-phase failures become
-        certificates."""
+        """Run one named suite, once per type; an exception raised while
+        building what the suite's checks need becomes a certificate."""
 
         def build():
             try:
                 return self._run_suite(name, suite)
-            except BudgetExceeded as exc:
-                verdict, detail = "indeterminate", str(exc)
-            except CheckFailure as exc:
-                verdict, detail = "fail", str(exc)
+            except Exception as exc:
+                verdict, detail = failure_verdict(exc)
             return [Certificate(name=suite, ctype=name, verdict=verdict, detail=detail)]
 
         return list(self._once(("suite", name, suite), build))
 
     def _run_suite(self, name, suite):
-        budget = self.budget
         datum = self.datum(name)
         if suite == "datum":
-            return [check_datum(datum, budget)]
+            return [check_datum(datum)]
         if not datum.irreducible:
             if suite == "algebra" and all(
                 part.name == "A1" for part, _off in datum.factors
             ):
                 # Boolean arrangements split into polynomial factors
-                return [check_boolean_split(datum, None, budget)]
+                return [check_boolean_split(datum)]
             # the remaining suites run per irreducible factor
             certs = []
             for part, _off in datum.factors:
@@ -280,18 +273,18 @@ class Workspace:
             return certs
         if suite == "saito":
             sd = self.saito(name)
-            return [check_saito_shape(sd, budget), check_discriminant_monic(sd, budget)]
+            return [check_saito_shape(sd), check_discriminant_monic(sd)]
         if suite == "grc-A":
-            return [check_grc(self.minor_table(name, ARRANGEMENT), budget)]
+            return [check_grc(self.minor_table(name, ARRANGEMENT))]
         if suite == "grc-D":
-            certs = [check_grc(self.minor_table(name, DISCRIMINANT), budget)]
+            certs = [check_grc(self.minor_table(name, DISCRIMINANT))]
             if name == "B3":
-                certs.append(check_b3_fixture(self.minor_table(name, DISCRIMINANT), budget))
+                certs.append(check_b3_fixture(self.minor_table(name, DISCRIMINANT)))
             return certs
         if suite == "drc":
-            return [check_drc(datum, self.saito(name), budget)]
+            return [check_drc(datum, self.saito(name))]
         if suite == "hrc":
-            hrc = check_hrc(datum, self.saito(name), budget)
+            hrc = check_hrc(datum, self.saito(name))
             (grc_a,) = self.run_suite(name, "grc-A")
             (drc,) = self.run_suite(name, "drc")
             return [hrc, equivalence_probe(hrc, drc, grc_a, name)]
@@ -299,18 +292,17 @@ class Workspace:
             certs = []
             for side in (ARRANGEMENT, DISCRIMINANT):
                 table = self.minor_table(name, side)
-                certs.append(verify_generators(table, budget))
-                certs.append(check_mul_table(self.mul_table(name, side), budget))
+                certs.append(verify_generators(table))
+                certs.append(check_mul_table(self.mul_table(name, side)))
             return certs
         if suite == "fibers":
-            return [check_fibers(self.mul_table(name, ARRANGEMENT), budget=budget)]
+            return [check_fibers(self.mul_table(name, ARRANGEMENT))]
         if suite == "fractions":
             return [
                 check_quotient_rule(
                     self.saito(name),
                     self.minor_table(name, ARRANGEMENT),
                     self.pullback_cache(name),
-                    budget,
                 )
             ]
         if suite == "generators":
@@ -320,35 +312,29 @@ class Workspace:
                     self.minor_table(name, ARRANGEMENT),
                     self.minor_table(name, DISCRIMINANT),
                     self.pullback_cache(name),
-                    budget,
                 )
             ]
         if suite == "freediv":
             table = self.minor_table(name, DISCRIMINANT)
-            certs = [adjoint_divisor(table, budget)]
+            certs = [adjoint_divisor(table)]
             if datum.rank > 1:
                 # at rank 1 the adjoint minor is the constant 1: it has no
                 # logarithmic derivatives and B no Euler column to fix
-                certs.append(check_derivative_ideal(table, budget))
-                certs.append(check_basis_change(table, budget))
-            certs.append(check_free_divisor_sum(table, budget))
+                certs.append(check_derivative_ideal(table))
+                certs.append(check_basis_change(table))
+            certs.append(check_free_divisor_sum(table))
             sdn = normalize_linear_part(self.saito(name))
             if sdn.shape_obstruction is None:
-                certs.append(check_distinguished_monomials(sdn, budget))
+                certs.append(check_distinguished_monomials(sdn))
             h = datum.coxeter_number
             if datum.rank == 2 and h % 2 == 1 and h >= 5:
-                certs.append(
-                    check_normalization_gap(
-                        self.saito(name), table, budget
-                    )
-                )
+                certs.append(check_normalization_gap(self.saito(name), table))
             return certs
         if suite == "lift":
             return [
                 check_lift(
                     self.minor_table(name, DISCRIMINANT),
                     self.pullback_cache(name),
-                    budget,
                 )
             ]
         raise ValueError(f"unknown suite {suite!r}")
@@ -368,7 +354,7 @@ class Workspace:
         if sd.dihedral_shape:
             out["dihedral"] = {k: str(v) for k, v in sd.dihedral_shape.items()}
         if name == "B3":
-            fx = check_b3_fixture(self.minor_table(name, DISCRIMINANT), self.budget)
+            fx = check_b3_fixture(self.minor_table(name, DISCRIMINANT))
             out["published_matrix_check"] = fx.constants
         return out
 
@@ -378,9 +364,7 @@ class Workspace:
         datum = self.datum(name)
         paths = []
         p1 = out_dir / f"{name}.datum.json"
-        with open(p1, "w") as fh:
-            json.dump(datum_to_json(datum), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        catalog.save_fixture(datum, p1)
         paths.append(p1)
         if datum.irreducible:
             p2 = out_dir / f"{name}.saito.json"

@@ -228,7 +228,7 @@ def test_criterion_10_partial_normalization_spot_checks(ws):
     from coxsaito.algebra import check_boolean_split
 
     for name in ("A1xA1", "A1xA1xA1"):
-        cert = check_boolean_split(build_datum(name), None)
+        cert = check_boolean_split(build_datum(name))
         assert cert.passed, cert.detail
         lines.append(f"criterion 10 {name} splits into polynomial factors: PASS")
     _report(lines)

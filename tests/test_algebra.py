@@ -37,7 +37,7 @@ def mul_tables(name):
     if key not in _WS:
         # the arrangement table is pulled back, as the workspace builds it
         mD = build_mul_table(tD)
-        _WS[key] = (build_mul_table(tA, None, mD, PullbackCache(d)), mD)
+        _WS[key] = (build_mul_table(tA, mD, PullbackCache(d)), mD)
     return _WS[key]
 
 
@@ -155,7 +155,7 @@ def test_normalization_gap_rejects_even_types():
 
 def test_boolean_split():
     d = build_datum("A1xA1xA1")
-    cert = check_boolean_split(d, None)
+    cert = check_boolean_split(d)
     assert cert.passed, cert.detail
     assert cert.constants["factors"] == 3
 

@@ -80,26 +80,44 @@ def test_long_tier_refusal_for_f4(capsys):
     assert "long" in capsys.readouterr().err
 
 
-def test_budget_indeterminate_exit(tmp_path):
-    out = tmp_path / "b3.json"
-    rc = main(
-        [
-            "run",
-            "--type",
-            "B3",
-            "--suite",
-            "grc-A",
-            "--tier",
-            "fast",
-            "--budget-steps",
-            "5",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 3
-    doc = json.loads(out.read_text())
-    assert any(c["verdict"] == "indeterminate" for c in doc["checks"])
+def _truncated(path):
+    path.write_text('{"type": "B2"')
+
+
+def _without_gram(path):
+    doc = json.loads(path.read_text())
+    del doc["gram"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [(_truncated, "JSONDecodeError: "), (_without_gram, "KeyError: 'gram'")],
+    ids=["truncated", "no-gram"],
+)
+def test_corrupt_fixture_gives_error_verdicts(corrupt, detail, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "B2.datum.json"
+    catalog.save_fixture(catalog.build_datum("B2"), path)
+    corrupt(path)
+    # an empty in-memory catalog, as in a new process, so the fixture is read
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    out = tmp_path / "b2.json"
+    argv = ["run", "--type", "B2", "--suite", "datum,saito", "--cache", str(cache),
+            "--out", str(out)]
+    assert main(argv) == 3
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["check"] for c in checks] == ["datum", "saito"]
+    assert all(c["verdict"] == "error" and c["detail"].startswith(detail) for c in checks)
+    assert all(not c["witnesses"] for c in checks)
+
+
+def test_budget_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--type", "A2", "--suite", "datum", "--budget-steps", "5"])
+    assert exc.value.code == 2
+    assert "--budget-steps" in capsys.readouterr().err
 
 
 def _benchmark_workloads():
@@ -184,6 +202,17 @@ def a2_report(tmp_path_factory):
     argv = ["run", "--type", "A2", "--suite", "datum,saito,grc-A", "--out", str(out)]
     assert main(argv) == 0
     return json.loads(out.read_text())
+
+
+def test_report_with_budget_used_still_verifies(a2_report, tmp_path):
+    # reports written before the step budget was removed carry the key
+    assert all("budget_used" not in c for c in a2_report["checks"])
+    doc = copy.deepcopy(a2_report)
+    for check in doc["checks"]:
+        check["budget_used"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert main(["verify", str(old)]) == 0
 
 
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))

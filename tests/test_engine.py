@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
 from coxsaito.engine import (
-    Budget,
-    BudgetExceeded,
     EngineError,
     IdealBasis,
     NonMembership,
@@ -268,13 +266,6 @@ def test_minimal_polynomial():
     assert minimal_polynomial(nil, t_ring) == t * t
 
 
-def test_budget_exhaustion(ring):
-    x, y = ring.gens()
-    budget = Budget(steps=3)
-    with pytest.raises(BudgetExceeded):
-        groebner([x**4 * y - 1, x * y**4 - x, x * x - y**3], budget=budget)
-
-
 def test_solve_linear_and_rank():
     one = Fraction(1)
     eqs = [({0: one, 1: one}, [Fraction(3)]), ({0: one, 1: -one}, [Fraction(1)])]
@@ -361,7 +352,7 @@ def test_elimination_kernel_properties(system):
                 raise EngineError("not a solution")
         return cand
 
-    answers, _ = eng._modular_solve(cols, tvecs, len(A), Budget(), d, accept)
+    answers, _ = eng._modular_solve(cols, tvecs, len(A), d, accept)
     assert answers == solutions
 
 
@@ -419,7 +410,7 @@ def test_wrong_modular_candidates_fall_back_to_exact(ring, monkeypatch):
 
     offered = []
 
-    def wrong(cols, tvecs, nrows, budget, d, accept):
+    def wrong(cols, tvecs, nrows, d, accept):
         # offer a wrong candidate for every target and call every target
         # inconsistent, so the functional path is offered wrong ones too
         for t in range(len(tvecs)):
@@ -456,7 +447,7 @@ def test_modular_solve_skips_unlucky_prime():
                 raise EngineError("not a solution")
         return sol
 
-    answers, inconsistent = eng._modular_solve(cols, targets, 2, Budget(), None, accept)
+    answers, inconsistent = eng._modular_solve(cols, targets, 2, None, accept)
     assert answers == [{0: one, 1: one}]
     assert not inconsistent
 

@@ -1,0 +1,32 @@
+"""Every name a module imports is used in it (a stand-in for a linter's
+unused-import rule).  A name counts as used when it appears as an
+`ast.Name`, which covers the base of an attribute access (`np.zeros`);
+`__init__.py` is skipped, since it imports to re-export."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coxsaito"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) for every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield (alias.asname or alias.name), node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

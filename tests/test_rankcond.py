@@ -1,7 +1,7 @@
 import pytest
 
 from coxsaito.catalog import build_datum
-from coxsaito.engine import Budget, NonMembership, Witness, graded_membership
+from coxsaito.engine import NonMembership, Witness, graded_membership
 from coxsaito.rankcond import (
     ARRANGEMENT,
     DISCRIMINANT,
@@ -163,11 +163,3 @@ def test_equivalence_probe():
     fake_fail = Certificate(name="grc-A", ctype="A2", verdict="fail")
     probe2 = equivalence_probe(hrc, drc, fake_fail, "A2")
     assert probe2.verdict == "fail"
-
-
-def test_budget_gives_indeterminate():
-    d = build_datum("B3")
-    sd = build_saito(d)
-    t = build_minor_table(sd, ARRANGEMENT)
-    cert = check_grc(t, budget=Budget(steps=5))
-    assert cert.verdict == "indeterminate"
