@@ -62,10 +62,12 @@ class Certificate:
 
 def failure_verdict(exc):
     """(verdict, detail) for an exception that ended a check: fail for a
-    refuted condition, error for anything else."""
+    refuted condition, error for anything else, with the exception's notes
+    appended."""
     if isinstance(exc, CheckFailure):
         return "fail", str(exc)
-    return "error", f"{type(exc).__name__}: {exc}"
+    notes = getattr(exc, "__notes__", ())
+    return "error", "; ".join([f"{type(exc).__name__}: {exc}", *notes])
 
 
 def run_check(name, ctype, fn):

@@ -5,12 +5,16 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients
 optional quadratic discriminant d, and a weight vector used for weighted
 gradings (invariant rings have weights deg p_i; coordinate rings use all
 ones).  Zero is the empty dict; canonical term order is graded reverse
-lexicographic.
+lexicographic.  Products run over integer numerators, with one common
+denominator per operand, and normalize each output coefficient once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 
 from .scalars import Quad, coerce, scalar_from_json, scalar_to_json
 
@@ -196,23 +200,38 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        a, b = self.t, other.t
+        da, a = _integer_parts(self)
+        db, b = _integer_parts(other)
         if len(a) > len(b):
             a, b = b, a
+        den = da * db
+        d = self.ring.d
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e)
+        get = out.get
+        if d is None:
+            for e1, x1 in a.items():
+                for e2, x2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + x1 * x2
+            return Poly(self.ring, {e: Fraction(x, den) for e, x in out.items() if x})
+        for e1, (a1, b1) in a.items():
+            db1 = d * b1
+            for e2, (a2, b2) in b.items():
+                e = tuple(map(add, e1, e2))
+                s = get(e)
                 if s is None:
-                    out[e] = c1 * c2
+                    out[e] = [a1 * a2 + db1 * b2, a1 * b2 + b1 * a2]
                 else:
-                    s = s + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Poly(self.ring, out)
+                    s[0] += a1 * a2 + db1 * b2
+                    s[1] += a1 * b2 + b1 * a2
+        return Poly(
+            self.ring,
+            {
+                e: Quad(Fraction(x, den), Fraction(y, den), d)
+                for e, (x, y) in out.items()
+                if x or y
+            },
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -311,24 +330,13 @@ class Poly:
     def primitive(self):
         """Rescale by a rational so coefficients are coprime integers (both
         components, in quadratic contexts) and the leading one is positive."""
-        from math import gcd
-
         if not self.t:
             return self
-        nums, dens = [], []
-        for c in self.t.values():
-            parts = (c.a, c.b) if isinstance(c, Quad) else (c,)
-            for q in parts:
-                if q:
-                    nums.append(abs(q.numerator))
-                    dens.append(q.denominator)
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        l = 1
-        for v in dens:
-            l = l * v // gcd(l, v)
-        scaled = self.scale(Fraction(l, g))
+        den, nums = _integer_parts(self)
+        parts = nums.values()
+        if self.ring.d is not None:
+            parts = chain.from_iterable(parts)
+        scaled = self.scale(Fraction(den, gcd(*parts)))
         _, lead = scaled.leading()
         lead_sign = lead.a if isinstance(lead, Quad) else lead
         if lead_sign < 0 or (lead_sign == 0 and lead.b < 0):
@@ -496,6 +504,20 @@ class Poly:
             else:
                 bits.append(f"({c})")
         return " + ".join(bits)
+
+
+def _integer_parts(p):
+    """(D, {exp: numerators}) with every coefficient of p over one common
+    denominator D: one int per term over Q, the pair (A, B) for
+    (A + B*sqrt(d))/D over Q(sqrt d)."""
+    if p.ring.d is None:
+        den = lcm(*(c.denominator for c in p.t.values()))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in p.t.items()}
+    den = lcm(*(q.denominator for c in p.t.values() for q in (c.a, c.b)))
+    return den, {
+        e: (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+        for e, c in p.t.items()
+    }
 
 
 def _is_one(c):

@@ -196,18 +196,26 @@ class Workspace:
         return self._memo[key]
 
     def datum(self, name):
+        got = self._once(("datum", name), lambda: self._load_datum(name))
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    def _load_datum(self, name):
         # fixtures hold irreducible data only; a product is assembled from
         # freshly built factors, as without a cache
         if not self.cache_dir or len(catalog.parse_type(name)) > 1:
             return build_datum(name)
         path = Path(self.cache_dir) / f"{name}.datum.json"
         if path.exists():
-            got = catalog._DATUM_CACHE.get(name)
-            if got is None:
+            try:
                 with open(path) as fh:
-                    got = catalog.datum_from_json(json.load(fh))
-                catalog._DATUM_CACHE[name] = got
-            return got
+                    return catalog.datum_from_json(json.load(fh))
+            except Exception as exc:
+                # a bad fixture is remembered, so it is read once and every
+                # check that needs it names the file to delete
+                exc.add_note(f"fixture {path}")
+                return exc
         got = build_datum(name)
         Path(self.cache_dir).mkdir(parents=True, exist_ok=True)
         catalog.save_fixture(got, path)

@@ -113,6 +113,33 @@ def test_corrupt_fixture_gives_error_verdicts(corrupt, detail, tmp_path, monkeyp
     assert all(not c["witnesses"] for c in checks)
 
 
+def test_corrupt_fixture_is_read_once_and_named(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "B2.datum.json"
+    _truncated(path)
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    reads = []
+    load = json.load
+
+    def counting_load(fh, **kw):
+        reads.append(fh.name)
+        return load(fh, **kw)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    out = tmp_path / "b2.json"
+    argv = ["run", "--type", "B2", "--suite", "datum,saito,grc-A,grc-D", "--cache", str(cache),
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert reads == [str(path)]
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["check"] for c in checks] == ["datum", "saito", "grc-A", "grc-D"]
+    for c in checks:
+        assert c["verdict"] == "error"
+        assert c["detail"].startswith("JSONDecodeError: ")
+        assert str(path) in c["detail"]
+
+
 def test_budget_steps_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--type", "A2", "--suite", "datum", "--budget-steps", "5"])

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsaito.poly import Poly, PolyRing, poly_pairing, product
+from coxsaito.scalars import Quad
 
 
 @pytest.fixture
@@ -137,6 +140,10 @@ def test_primitive(ring):
     f = (x * x).scale(Fraction(4, 6)) + y.scale(Fraction(-2, 3))
     g = f.primitive()
     assert g == x * x - y
+    r5 = PolyRing(("x", "y"), d=5)
+    x, y = r5.gens()
+    f = (x * x).scale(Quad(Fraction(-1, 4), Fraction(3, 10), 5)) + y.scale(Fraction(5, 6))
+    assert f.primitive() == (x * x).scale(Quad(15, -18, 5)) - y.scale(50)
 
 
 def test_pairing(ring):
@@ -150,3 +157,63 @@ def test_product_helper(ring):
     x, y = ring.gens()
     assert product([x, y, x + 1]) == x * y * (x + 1)
     assert product([], ring) == ring.one()
+
+
+# -- products against a schoolbook reference --------------------------------
+
+MUL_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y"), d=2),
+    PolyRing(("x", "y"), d=3),
+    PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("p", "q", "r"), weights=(2, 3, 5)),
+)
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def mul_operands(draw):
+    ring = draw(st.sampled_from(MUL_RINGS))
+
+    def coeff():
+        a = draw(fractions)
+        return a if ring.d is None else Quad(a, draw(fractions), ring.d)
+
+    def poly():
+        exps = draw(st.sets(st.tuples(*[st.integers(0, 3)] * ring.n), max_size=5))
+        return ring.from_dict({e: coeff() for e in exps})
+
+    f, g = poly(), poly()
+    shape = draw(st.sampled_from(("plain", "cancelling", "constant")))
+    if shape == "cancelling":
+        # (f+g)(f-g): the cross terms cancel
+        f, g = f + g, f - g
+    elif shape == "constant":
+        g = ring.const(coeff())
+    return f, g
+
+
+def schoolbook(f, g):
+    out = {}
+    for e1, c1 in f.t.items():
+        for e2, c2 in g.t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(mul_operands())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook(operands):
+    f, g = operands
+    prod = f * g
+    assert prod.t == schoolbook(f, g)
+    d = f.ring.d
+    for c in prod.t.values():
+        assert c
+        if d is None:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is Quad and c.d == d
+            assert type(c.a) is Fraction and type(c.b) is Fraction
