@@ -4,11 +4,11 @@ Each type is realized by explicit simple roots and a Gram matrix over Q or
 a real quadratic field: A(l) in the l coordinates x_1..x_l of the sum-zero
 hyperplane (so its Gram matrix is not the identity), B/D/F4 in standard
 orthonormal coordinates, and the dihedral and H types in the basis of
-simple roots.  The group is closed from the simple reflections; the
-arrangement polynomial is the product of one linear form per mirror; the
-basic invariants are built from classical formulas or root orbit sums and
+simple roots.  The group order is the orbit size of a point on no mirror;
+the arrangement polynomial is the product of one linear form per mirror;
+the basic invariants are built from classical formulas or orbit sums and
 certified by det(Jacobian) being a nonzero constant multiple of the
-arrangement polynomial.
+arrangement polynomial.  A product is assembled from its memoized factors.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class CoxeterDatum:
     p_ring: PolyRing
     irreducible: bool
     factors: list = field(default_factory=list)  # (datum, var offset) pairs
-    group: list | None = None  # closure matrices; rebuilt on demand
 
     @property
     def exponents(self):
@@ -88,18 +87,9 @@ class CoxeterDatum:
     def generators(self):
         return [_reflection_matrix(self.gram, a, self.ring.d) for a in self.simple_roots]
 
-    def group_elements(self):
-        if self.group is None:
-            self.group = _closure(self.generators(), self.ring.d)
-        return self.group
-
     def act(self, f, mat):
         """Substitute x -> M x into a polynomial on V."""
-        images = [
-            self.ring.linear_form([mat[i][j] for j in range(self.rank)])
-            for i in range(self.rank)
-        ]
-        return f.subst(images)
+        return _act(f, mat)
 
     def inner(self, u, v):
         acc = self.ring.coeff(0)
@@ -116,16 +106,6 @@ class CoxeterDatum:
 
 def _mat_vec(mat, vec, zero):
     return [sum((mat[i][j] * vec[j] for j in range(len(vec))), zero) for i in range(len(mat))]
-
-
-def _mat_mul(a, b, zero):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), zero) for j in range(m))
-        for i in range(n)
-    )
 
 
 def _mat_inv(mat, zero, one):
@@ -155,16 +135,16 @@ def _reflection_matrix(gram, alpha, d):
     )
 
 
-def _orbit(seeds, gens, act):
-    """The seeds and every image under repeated act(g, x), g in gens, in
-    breadth-first order of discovery."""
-    seen = dict.fromkeys(seeds)
+def _orbit(seeds, gens, zero):
+    """The seed vectors and every image under repeated v -> g v, g in gens,
+    in breadth-first order of discovery."""
+    seen = dict.fromkeys(tuple(v) for v in seeds)
     frontier = list(seen)
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = act(g, x)
+                y = tuple(_mat_vec(g, x, zero))
                 if y not in seen:
                     seen[y] = None
                     new.append(y)
@@ -172,19 +152,35 @@ def _orbit(seeds, gens, act):
     return list(seen)
 
 
-def _closure(gens, d):
-    zero = Fraction(0) if d is None else Quad(0, 0, d)
-    n = len(gens[0])
-    ident = tuple(
-        tuple((zero + 1) if i == j else zero for j in range(n)) for i in range(n)
-    )
-    return _orbit(list(gens) + [ident], gens, lambda g, m: _mat_mul(g, m, zero))
+def _group_order(gens, forms, ring):
+    """|W| as the orbit size of a point on no mirror: such a point lies in
+    an open chamber, and W acts simply transitively on the chambers, so its
+    stabilizer is trivial.  The point is the first (1, k, k^2, ...),
+    k = 2, 3, ..., off every mirror; a hyperplane meets that curve in at
+    most rank - 1 points, so the search ends."""
+    k = 2
+    while True:
+        point = [ring.coeff(k**i) for i in range(ring.n)]
+        if all(f.eval(point) for f in forms):
+            return len(_orbit([point], gens, ring.coeff(0)))
+        k += 1
 
 
 def _normalize_direction(vec):
     lead = next(c for c in vec if c)
     inv = 1 / lead
     return tuple(c * inv for c in vec)
+
+
+def _mirror_forms(ring, gram, roots):
+    """The normalized linear form (G r) . x of the mirror of each root r."""
+    zero = ring.coeff(0)
+    return [ring.linear_form(_normalize_direction(_mat_vec(gram, list(r), zero))) for r in roots]
+
+
+def _act(f, mat):
+    """Substitute x -> M x into a polynomial on V."""
+    return f.subst([f.ring.linear_form(row) for row in mat])
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +359,15 @@ def _invariants_for(tag, param, ring, datum_stub):
         import random
 
         rng = random.Random(INVARIANT_SEED + k)
-        gens = datum_stub["generators"]
+        # lambda o w has coefficient vector w^t c, so the orbit of c under the
+        # transposed generators gives the group sum of lambda^k divided by
+        # |Stab(c)|, a factor that .primitive() removes
+        transposed = [tuple(zip(*g)) for g in datum_stub["generators"]]
         for _try in range(8):
-            lam = ring.linear_form([rng.randint(1, 3), rng.randint(1, 3)])
-            powed = lam**k
+            c = [ring.coeff(rng.randint(1, 3)), ring.coeff(rng.randint(1, 3))]
             acc = ring.zero()
-            for m in _closure(gens, ring.d):
-                images = [
-                    ring.linear_form([m[i][j] for j in range(2)]) for i in range(2)
-                ]
-                acc = acc + powed.subst(images)
+            for v in _orbit([c], transposed, ring.coeff(0)):
+                acc = acc + ring.linear_form(v) ** k
             if acc:
                 return [quadratic(), acc]
         raise RuntimeError("failed to build a dihedral invariant from seeds")
@@ -436,10 +431,7 @@ def _build_irreducible(tag, param):
     simple_roots = [[ring.coeff(c) for c in r] for r in simple_roots]
     gens = [_reflection_matrix(gram, a, d) for a in simple_roots]
 
-    zero = ring.coeff(0)
-    all_roots = _orbit(
-        [tuple(r) for r in simple_roots], gens, lambda g, v: tuple(_mat_vec(g, v, zero))
-    )
+    all_roots = _orbit(simple_roots, gens, ring.coeff(0))
     mirrors = {}
     for r in all_roots:
         mirrors.setdefault(_normalize_direction(r), r)
@@ -455,23 +447,18 @@ def _build_irreducible(tag, param):
         if exps[i] + exps[rank - 1 - i] != h:
             raise RuntimeError(f"{tag}{param}: exponent symmetry broken")
 
-    group = _closure(gens, d)
+    forms = _mirror_forms(ring, gram, mirror_roots)
+    order = _group_order(gens, forms, ring)
     expected = EXPECTED_ORDER[tag](param)
-    if len(group) != expected:
+    if order != expected:
         raise RuntimeError(
-            f"{tag}{param}: group closure has order {len(group)}, expected {expected}"
+            f"{tag}{param}: group has order {order}, expected {expected}"
         )
     order_from_degrees = 1
     for w in degrees:
         order_from_degrees *= w
     if order_from_degrees != expected:
         raise RuntimeError(f"{tag}{param}: degree product != group order")
-
-    forms = []
-    for r in mirror_roots:
-        coeffs = _mat_vec(gram, list(r), ring.coeff(0))
-        forms.append(ring.linear_form(_normalize_direction(coeffs)))
-    delta = product(forms, ring)
 
     stub = {
         "rank": rank,
@@ -484,40 +471,12 @@ def _build_irreducible(tag, param):
     for p, w in zip(invariants, degrees):
         if p.whomog_degree() != w:
             raise RuntimeError(f"{tag}{param}: invariant has wrong degree")
-        for g in gens:
-            images = [ring.linear_form([g[i][j] for j in range(rank)]) for i in range(rank)]
-            if p.subst(images) != p:
-                raise RuntimeError(f"{tag}{param}: candidate invariant not invariant")
+        if any(_act(p, g) != p for g in gens):
+            raise RuntimeError(f"{tag}{param}: candidate invariant not invariant")
 
-    jac = jacobian(invariants, ring)
-    det = jac.det()
-    if not det:
-        raise RuntimeError(f"{tag}{param}: invariants are algebraically dependent")
-    c = det.exact_div(delta)
-    if not c.is_constant():
-        raise RuntimeError(f"{tag}{param}: det J is not a constant multiple of delta")
-    c = c.constant_value()
-
-    gram_dual = _mat_inv(gram, zero, ring.coeff(1))
-    p_ring = PolyRing([f"p{i+1}" for i in range(rank)], d=d, weights=degrees)
-
-    return CoxeterDatum(
-        name=canonical_name([(tag, param)]),
-        rank=rank,
-        ring=ring,
-        gram=gram,
-        gram_dual=gram_dual,
-        simple_roots=simple_roots,
-        roots=mirror_roots,
-        mirror_forms=forms,
-        delta=delta,
-        degrees=degrees,
-        group_order=len(group),
-        invariants=invariants,
-        jac_const=c,
-        p_ring=p_ring,
-        irreducible=True,
-        group=group,
+    return _assemble(
+        canonical_name([(tag, param)]), ring, gram, simple_roots, mirror_roots,
+        forms, degrees, order, invariants,
     )
 
 
@@ -533,75 +492,70 @@ def _embed_poly(p, big_ring, offset):
 
 
 def _build_product(factors):
-    parts = [_build_irreducible(tag, param) for tag, param in factors]
-    d = None
-    for p in parts:
-        if p.ring.d is not None:
-            if d is not None and d != p.ring.d:
-                raise UnsupportedTypeError(
-                    "product mixes incompatible quadratic fields"
-                )
-            d = p.ring.d
+    parts = [build_datum(canonical_name([f])) for f in factors]
+    fields = {p.ring.d for p in parts} - {None}
+    if len(fields) > 1:
+        raise UnsupportedTypeError("product mixes incompatible quadratic fields")
     rank = sum(p.rank for p in parts)
-    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
+    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=next(iter(fields), None))
     zero = ring.coeff(0)
-    one = ring.coeff(1)
 
-    gram = [[zero] * rank for _ in range(rank)]
-    offset = 0
-    factor_list = []
+    gram = []
     simple_roots = []
     mirror_roots = []
-    forms = []
     invariants = []
     degrees = []
     order = 1
+    factor_list = []
+    offset = 0
     for p in parts:
-        for i in range(p.rank):
-            for j in range(p.rank):
-                gram[offset + i][offset + j] = ring.coeff(p.gram[i][j])
-        for r in p.simple_roots:
-            simple_roots.append([zero] * offset + [ring.coeff(c) for c in r] + [zero] * (rank - offset - p.rank))
-        for r in p.roots:
-            mirror_roots.append([zero] * offset + [ring.coeff(c) for c in r] + [zero] * (rank - offset - p.rank))
-        for f in p.mirror_forms:
-            forms.append(_embed_poly(f, ring, offset))
-        for q in p.invariants:
-            invariants.append(_embed_poly(q, ring, offset))
-        degrees.extend(p.degrees)
+        left, right = [zero] * offset, [zero] * (rank - offset - p.rank)
+
+        def embed(vecs):
+            return [left + [ring.coeff(c) for c in v] + right for v in vecs]
+
+        gram += embed(p.gram)  # block diagonal
+        simple_roots += embed(p.simple_roots)
+        mirror_roots += embed(p.roots)
+        invariants += [_embed_poly(q, ring, offset) for q in p.invariants]
+        degrees += p.degrees
         order *= p.group_order
         factor_list.append((p, offset))
         offset += p.rank
 
-    delta = product(forms, ring)
-    jac = jacobian(invariants, ring)
-    c = jac.det().exact_div(delta)
-    c = c.constant_value()
-    gram_dual = _mat_inv(gram, zero, one)
-    p_ring = PolyRing([f"p{i+1}" for i in range(rank)], d=d, weights=degrees)
-    gens = [_reflection_matrix(gram, a, d) for a in simple_roots]
-    group = _closure(gens, d) if order <= 4096 else None
-    if group is not None and len(group) != order:
-        raise RuntimeError("product closure has unexpected order")
+    return _assemble(
+        canonical_name(factors), ring, gram, simple_roots, mirror_roots,
+        _mirror_forms(ring, gram, mirror_roots), degrees, order, invariants,
+        factor_list,
+    )
 
+
+def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, invariants, factors=()):
+    """The datum, once det J = c * delta holds for a nonzero constant c."""
+    delta = product(forms, ring)
+    det = jacobian(invariants, ring).det()
+    if not det:
+        raise RuntimeError(f"{name}: invariants are algebraically dependent")
+    c = det.exact_div(delta)
+    if not c.is_constant():
+        raise RuntimeError(f"{name}: det J is not a constant multiple of delta")
     return CoxeterDatum(
-        name=canonical_name(factors),
-        rank=rank,
+        name=name,
+        rank=ring.n,
         ring=ring,
         gram=gram,
-        gram_dual=gram_dual,
+        gram_dual=_mat_inv(gram, ring.coeff(0), ring.coeff(1)),
         simple_roots=simple_roots,
-        roots=mirror_roots,
+        roots=roots,
         mirror_forms=forms,
         delta=delta,
         degrees=degrees,
         group_order=order,
         invariants=invariants,
-        jac_const=c,
-        p_ring=p_ring,
-        irreducible=len(factors) == 1,
-        factors=factor_list,
-        group=group,
+        jac_const=c.constant_value(),
+        p_ring=PolyRing([f"p{i+1}" for i in range(ring.n)], d=ring.d, weights=degrees),
+        irreducible=not factors,
+        factors=list(factors),
     )
 
 
@@ -681,8 +635,7 @@ def datum_to_json(datum):
 
 
 def datum_from_json(doc):
-    """Rebuild an irreducible datum from a fixture; the group closure is
-    reconstructed lazily only if an operation needs the full element list."""
+    """Rebuild an irreducible datum from a fixture."""
     d = doc["field"].get("d")
     rank = doc["rank"]
     ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
@@ -695,12 +648,7 @@ def datum_from_json(doc):
     simple_roots = mat(doc["simple_roots"])
     roots = mat(doc["roots"])
     degrees = list(doc["degrees"])
-    forms = []
-    zero = ring.coeff(0)
-    for r in roots:
-        coeffs = _mat_vec(gram, list(r), zero)
-        forms.append(ring.linear_form(_normalize_direction(coeffs)))
-    datum = CoxeterDatum(
+    return CoxeterDatum(
         name=doc["type"],
         rank=rank,
         ring=ring,
@@ -708,7 +656,7 @@ def datum_from_json(doc):
         gram_dual=gram_dual,
         simple_roots=simple_roots,
         roots=roots,
-        mirror_forms=forms,
+        mirror_forms=_mirror_forms(ring, gram, roots),
         delta=Poly.from_json(doc["delta"], ring),
         degrees=degrees,
         group_order=doc["group_order"],
@@ -716,9 +664,7 @@ def datum_from_json(doc):
         jac_const=scalar_from_json(doc["jac_const"], d=d),
         p_ring=PolyRing([f"p{i+1}" for i in range(rank)], d=d, weights=degrees),
         irreducible=True,
-        group=None,
     )
-    return datum
 
 
 def save_fixture(datum, path):

@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .engine import NonMembership, Witness, graded_membership_batch
+from .engine import EngineError, NonMembership, Witness, graded_membership_batch
 from .poly import Poly, PolyRing
 from .polymatrix import PolyMatrix
 from .scalars import scalar_from_json, scalar_to_json
@@ -179,21 +179,15 @@ def _ring_of(poly_json):
 
 def verify_payload_item(item):
     """Re-check one payload entry by evaluating its polynomial identity."""
-    from .engine import EngineError
-
     kind = item.get("kind")
-    if kind == "witness":
+    if kind in ("witness", "nonmember"):
         ring = _ring_of(item["target"])
+        cls = Witness if kind == "witness" else NonMembership
         try:
-            return Witness.from_json(item, ring).verify()
+            cls.from_json(item, ring)  # verified on construction
         except EngineError:
             return False
-    if kind == "nonmember":
-        ring = _ring_of(item["target"])
-        try:
-            return NonMembership.from_json(item, ring).verify()
-        except EngineError:
-            return False
+        return True
     if kind == "division":
         ring = _ring_of(item["f"])
         f = Poly.from_json(item["f"], ring)

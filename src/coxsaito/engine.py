@@ -764,8 +764,6 @@ def _pair_cuts_out_points(f, g):
     """Sound finiteness test for V(f, g) in two variables: the pair has
     trivial common content and a nonzero resultant specialization, shown
     by a constant gcd at a point where a leading coefficient survives."""
-    ring = f.ring
-    zero = ring.coeff(0)
     if f.is_constant() or g.is_constant():
         return bool(f.is_constant() and f) or bool(g.is_constant() and g)
     fc = _bivariate_coeff_lists(f, 1)
@@ -787,9 +785,8 @@ def _pair_cuts_out_points(f, g):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
-        u0 = ring.coeff(u0)
-        fs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in fc]
-        gs = [sum((row[i] * u0**i for i in range(len(row))), zero) for row in gc]
+        fs = [_uni_eval(row, u0) for row in fc]
+        gs = [_uni_eval(row, u0) for row in gc]
         if not (fs[-1] or gs[-1]) or _uni_deg(fs) < 0 or _uni_deg(gs) < 0:
             continue
         if _uni_deg(_uni_gcd(fs, gs)) == 0:
@@ -881,6 +878,15 @@ def _uni_deg(cs):
         if cs[i]:
             return i
     return -1
+
+
+def _uni_eval(cs, u0):
+    """Value of a nonempty coefficient list at the integer u0, by Horner's
+    rule."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * u0 + c
+    return acc
 
 
 def _uni_mod(a, b):

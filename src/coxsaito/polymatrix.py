@@ -1,7 +1,6 @@
 """Rectangular matrices of polynomials: products, determinants, adjugates.
 
-Determinants use memoized cofactor expansion up to size 4 and Bareiss
-fraction-free elimination above that; adjugates share the cofactor memo.
+Determinants use memoized cofactor expansion, which adjugates share.
 """
 
 from __future__ import annotations
@@ -151,39 +150,8 @@ class PolyMatrix:
     def det(self):
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        n = self.n
-        if n == 0:
-            return self.ring.one()
-        if n <= 4:
-            det_sub = self._minor_memo()
-            return det_sub(tuple(range(n)), tuple(range(n)))
-        return self._det_bareiss()
-
-    def _det_bareiss(self):
-        n = self.n
-        a = [[self.e[i][j] for j in range(n)] for i in range(n)]
-        sign = 1
-        prev = self.ring.one()
-        for k in range(n - 1):
-            # pivot search: any row with nonzero entry in column k
-            piv = None
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return self.ring.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = num.exact_div(prev)
-                a[i][k] = self.ring.zero()
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign == 1 else -d
+        all_idx = tuple(range(self.n))
+        return self._minor_memo()(all_idx, all_idx)
 
     def adjugate(self):
         """Matrix ad with self * ad == det(self) * identity, exactly."""

@@ -203,7 +203,7 @@ class Workspace:
 
     def _load_datum(self, name):
         # fixtures hold irreducible data only; a product is assembled from
-        # freshly built factors, as without a cache
+        # factors built in the process, as without a cache
         if not self.cache_dir or len(catalog.parse_type(name)) > 1:
             return build_datum(name)
         path = Path(self.cache_dir) / f"{name}.datum.json"

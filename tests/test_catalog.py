@@ -1,5 +1,6 @@
 import pytest
 
+from coxsaito import catalog
 from coxsaito.catalog import (
     UnsupportedTypeError,
     build_datum,
@@ -135,6 +136,14 @@ def test_product_datum():
     assert mixed.mirror_count == 5
     J = jacobian(mixed.invariants, mixed.ring)
     assert J.det() == mixed.delta.scale(mixed.jac_const)
+
+
+def test_product_factors_are_the_memoized_datums(monkeypatch):
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    d = build_datum("A2xA2")
+    a2 = build_datum("A2")
+    assert [off for _p, off in d.factors] == [0, 2]
+    assert all(p is a2 for p, _off in d.factors)
 
 
 def test_product_mixing_fields_rejected():

@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
-from coxsaito.certs import CheckFailure, constant_ratio, members, quotient
+from coxsaito.certs import CheckFailure, constant_ratio, members, quotient, verify_report_file, write_report
+from coxsaito.engine import NonMembership, Witness
 from coxsaito.poly import PolyRing
+from coxsaito.workspace import Workspace
 
 
 @pytest.fixture
@@ -34,3 +38,24 @@ def test_quotient_and_constant_ratio(ring):
             constant_ratio(f, g, "no")
     with pytest.raises(CheckFailure, match="^no$"):
         quotient(y, x, "no")
+
+
+def test_report_verifies_each_membership_item_once(tmp_path, monkeypatch):
+    ws = Workspace()
+    certs = [c for suite in ("grc-A", "drc", "hrc") for c in ws.run_suite("A2", suite)]
+    path = tmp_path / "report.json"
+    write_report(str(path), "A2", certs, {})
+    items = [
+        item
+        for check in json.loads(path.read_text())["checks"]
+        for item in check["witnesses"]
+        if item["kind"] in ("witness", "nonmember")
+    ]
+    assert items
+    calls = []
+    for cls in (Witness, NonMembership):
+        real = cls.verify
+        monkeypatch.setattr(cls, "verify", lambda self, real=real: calls.append(self) or real(self))
+    ok, failures = verify_report_file(str(path))
+    assert ok, failures
+    assert len(calls) == len(items)

@@ -1,7 +1,11 @@
 """Every name a module imports is used in it (a stand-in for a linter's
 unused-import rule).  A name counts as used when it appears as an
 `ast.Name`, which covers the base of an attribute access (`np.zeros`);
-`__init__.py` is skipped, since it imports to re-export."""
+`__init__.py` is skipped, since it imports to re-export.
+
+Every module-level private function or class (`_name`) is referenced
+somewhere in the package, so that a helper whose last caller is gone does
+not stay behind."""
 
 import ast
 from pathlib import Path
@@ -30,3 +34,26 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unreferenced, f"private definitions referenced nowhere: {', '.join(unreferenced)}"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -72,12 +73,19 @@ def test_det_multiplicative(ring):
         assert (a * b).det() == a.det() * b.det()
 
 
-def test_bareiss_matches_cofactor(ring):
+def test_det_matches_leibniz(ring):
     rng = random.Random(9)
-    m = rand_matrix(ring, rng, 5)
-    det_sub = m._minor_memo()
-    naive = det_sub(tuple(range(5)), tuple(range(5)))
-    assert m._det_bareiss() == naive
+    n = 5
+    m = rand_matrix(ring, rng, n)
+    leibniz = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.const(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * m[i, perm[i]]
+        leibniz = leibniz + term
+    assert leibniz
+    assert m.det() == leibniz
 
 
 def test_non_square_rejected(ring):

@@ -72,8 +72,22 @@ def test_datum_disk_cache(tmp_path, ws):
     d2 = w2.datum("B2")
     assert d2.delta == d1.delta
     assert d2.invariants == d1.invariants
-    assert len(d2.group_elements()) == 8
+    assert d2.group_order == 8
     cat._DATUM_CACHE.pop("B2", None)
+
+
+@pytest.mark.parametrize("name,factors", [("A2xA2", 1), ("B2xA2", 2)])
+def test_product_builds_each_factor_once(name, factors, monkeypatch):
+    monkeypatch.setattr(cat, "_DATUM_CACHE", {})
+    built = []
+    real = cat._build_irreducible
+    monkeypatch.setattr(
+        cat, "_build_irreducible", lambda tag, param: built.append((tag, param)) or real(tag, param)
+    )
+    w = Workspace()
+    for suite in ("datum", "saito", "grc-A"):
+        assert all(c.passed for c in w.run_suite(name, suite))
+    assert len(built) == len(set(built)) == factors
 
 
 def test_report_round_trip(tmp_path, ws):
