@@ -9,15 +9,12 @@ from .catalog import (
 )
 from .certs import Certificate, verify_report_file, write_report
 from .engine import (
-    IdealBasis,
     NonMembership,
     Witness,
     distinct_root_count,
     graded_membership,
     groebner,
-    ideal_equal,
     krull_dimension,
-    normal_form,
     squarefree_test,
 )
 from .poly import Poly, PolyRing

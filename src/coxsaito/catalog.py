@@ -8,7 +8,8 @@ simple roots.  The group order is the orbit size of a point on no mirror;
 the arrangement polynomial is the product of one linear form per mirror;
 the basic invariants are built from classical formulas or orbit sums and
 certified by det(Jacobian) being a nonzero constant multiple of the
-arrangement polynomial.  A product is assembled from its memoized factors.
+arrangement polynomial.  A product is assembled from its factor datums
+(`build_product`), memoized ones under `build_datum`.
 """
 
 from __future__ import annotations
@@ -491,8 +492,9 @@ def _embed_poly(p, big_ring, offset):
     return big_ring.from_dict(terms)
 
 
-def _build_product(factors):
-    parts = [build_datum(canonical_name([f])) for f in factors]
+def build_product(parts):
+    """The product datum of the factor datums parts, which it holds as its
+    factors."""
     fields = {p.ring.d for p in parts} - {None}
     if len(fields) > 1:
         raise UnsupportedTypeError("product mixes incompatible quadratic fields")
@@ -524,7 +526,7 @@ def _build_product(factors):
         offset += p.rank
 
     return _assemble(
-        canonical_name(factors), ring, gram, simple_roots, mirror_roots,
+        "x".join(p.name for p in parts), ring, gram, simple_roots, mirror_roots,
         _mirror_forms(ring, gram, mirror_roots), degrees, order, invariants,
         factor_list,
     )
@@ -571,18 +573,13 @@ def build_datum(name):
         if len(factors) == 1:
             got = _build_irreducible(*factors[0])
         else:
-            got = _build_product(factors)
+            got = build_product([build_datum(canonical_name([f])) for f in factors])
         _DATUM_CACHE[key] = got
     return got
 
 
 # ---------------------------------------------------------------------------
 # operators on the datum
-
-
-def is_invariant(datum, f):
-    """Invariance under the simple reflections (hence under the group)."""
-    return all(datum.act(f, g) == f for g in datum.generators())
 
 
 def stabilizer_components(datum, point):

@@ -11,20 +11,24 @@ is only ever reported together with such a functional.  Targets the
 modular run leaves unsettled go to the exact kernel, through which all
 exact scalar elimination (solves, ranks, nullspaces) runs: `echelon`,
 `reduce_row` and `back_substitute`.
+
+Buchberger's algorithm serves the reducedness test alone (through the
+dimension of the singular locus).  Its normal forms, and the univariate
+gcds of the codimension-two test and of root counting, are all division
+by `Poly.reduce`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .poly import Poly, PolyRing, poly_pairing
-from .scalars import Quad
+from .scalars import Quad, integer_parts
 
 
 class EngineError(ValueError):
@@ -32,27 +36,7 @@ class EngineError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# ideal bases and witnesses
-
-
-@dataclass
-class IdealBasis:
-    """A generator list with grading metadata and an optional Groebner flag."""
-
-    gens: list
-    homogeneous: bool = False
-    groebner: bool = False
-
-    def __post_init__(self):
-        self.gens = [g for g in self.gens if g]
-        if self.homogeneous:
-            for g in self.gens:
-                if g.whomog_degree() is None:
-                    raise EngineError("non-homogeneous generator in graded basis")
-
-    @property
-    def ring(self):
-        return self.gens[0].ring
+# witnesses
 
 
 class Witness:
@@ -114,8 +98,7 @@ class NonMembership:
             if dg is None or dg > dt:
                 continue
             for mu in ring.monomials(dt - dg):
-                shifted = Poly(ring, {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()})
-                if poly_pairing(self.functional, shifted) != 0:
+                if poly_pairing(self.functional, _shift_poly(g, mu)) != 0:
                     return False
         return True
 
@@ -313,22 +296,6 @@ def _rref_mod(M, p, nun):
     return tuple(pivots)
 
 
-def _columns_to_int(cols):
-    """Clear denominators column by column.  Returns the integer scale of
-    each column and its entries as (row, column, rational part, surd part)
-    integers; the surd part is zero in rational contexts."""
-    entries = []
-    scales = []
-    for j, col in enumerate(cols):
-        parts = [(r, (c.a, c.b) if isinstance(c, Quad) else (c, 0)) for r, c in col.items()]
-        den = lcm(*(q.denominator for _, pair in parts for q in pair))
-        for r, (a, b) in parts:
-            entries.append((r, j, a.numerator * (den // a.denominator),
-                            b.numerator * (den // b.denominator)))
-        scales.append(den)
-    return entries, scales
-
-
 def _modular_solve(cols, targets, nrows, d, accept):
     """Solve for several right-hand sides modulo word-size primes.
 
@@ -348,9 +315,15 @@ def _modular_solve(cols, targets, nrows, d, accept):
     the half sum and half difference of the two solves recover the rational
     and surd parts."""
     nun, nrhs = len(cols), len(targets)
-    entries, col_scales = _columns_to_int(cols)
-    rhs_entries, rhs_scales = _columns_to_int(targets)
-    entries += [(r, nun + t, a, b) for r, t, a, b in rhs_entries]
+    # clear denominators column by column: (row, column, rational part,
+    # surd part) integers, and the integer scale of each column
+    entries, scales = [], []
+    for j, col in enumerate(cols + targets):
+        den, nums = integer_parts(col, d)
+        if d is None:
+            nums = {r: (x, 0) for r, x in nums.items()}
+        entries += [(r, j, a, b) for r, (a, b) in nums.items()]
+        scales.append(den)
     index = (np.array([e[0] for e in entries], dtype=np.intp),
              np.array([e[1] for e in entries], dtype=np.intp))
     answers = [None] * nrhs
@@ -398,7 +371,7 @@ def _modular_solve(cols, targets, nrows, d, accept):
                     break
                 if v:
                     # undo the column scaling: x_c = y_c * scale_c / scale_t
-                    cand[c] = v * col_scales[c] / rhs_scales[t]
+                    cand[c] = v * scales[c] / scales[nun + t]
             if cand is not None:
                 try:
                     answers[t] = accept(t, cand)
@@ -413,8 +386,9 @@ def _modular_solve(cols, targets, nrows, d, accept):
 # graded membership
 
 
-def _shift_poly(ring, g, mu):
-    return {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()}
+def _shift_poly(g, mu):
+    """g times the monomial with exponent mu."""
+    return Poly(g.ring, {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()})
 
 
 def graded_membership(target, gens):
@@ -465,7 +439,7 @@ def graded_membership_batch(targets, gens):
         for mu in ring.monomials(dt - dg):
             cols.append((i, mu))
             col_vecs.append({row_index.setdefault(e, len(row_index)): c
-                             for e, c in _shift_poly(ring, g, mu).items()})
+                             for e, c in _shift_poly(g, mu).t.items()})
     monos = list(row_index)
 
     def witness(t, sol):
@@ -544,50 +518,14 @@ def _nonmember_functional(target, gens, col_vecs, tvec, monos):
 # Buchberger
 
 
-def reduce_full(f, basis, key=None):
-    """Full normal form of f against a list of nonzero polynomials."""
-    if not f:
-        return f
-    ring = f.ring
-    key = key or ring.term_key
-    lts = [(g.leading(key), g) for g in basis if g]
-    work = dict(f.t)
-    rem = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        hit = None
-        for (ge, gc), g in lts:
-            if all(a >= b for a, b in zip(e, ge)):
-                hit = (ge, gc, g)
-                break
-        if hit is None:
-            rem[e] = c
-            continue
-        ge, gc, g = hit
-        qe = tuple(a - b for a, b in zip(e, ge))
-        qc = c / gc
-        for e2, c2 in g.t.items():
-            if e2 == ge:
-                continue
-            e3 = tuple(a + b for a, b in zip(qe, e2))
-            s = work.get(e3, None)
-            s = -qc * c2 if s is None else s - qc * c2
-            if s:
-                work[e3] = s
-            else:
-                work.pop(e3, None)
-    return Poly(ring, rem)
-
-
 def _spair(f, g, key):
     fe, fc = f.leading(key)
     ge, gc = g.leading(key)
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
     mf = tuple(a - b for a, b in zip(lcm, fe))
     mg = tuple(a - b for a, b in zip(lcm, ge))
-    tf = Poly(f.ring, _shift_poly(f.ring, f, mf)).scale(1 / fc)
-    tg = Poly(g.ring, _shift_poly(g.ring, g, mg)).scale(1 / gc)
+    tf = _shift_poly(f, mf).scale(1 / fc)
+    tg = _shift_poly(g, mg).scale(1 / gc)
     return tf - tg
 
 
@@ -603,7 +541,7 @@ def groebner(gens, key=None):
     G = []
     sugars = []
     for g in sorted(gens, key=lambda h: key(h.leading(key)[0])):
-        r = reduce_full(g, G, key)
+        r = g.reduce(G, key)[1]
         if r:
             G.append(r.monic(key))
             sugars.append(r.deg())
@@ -658,7 +596,7 @@ def groebner(gens, key=None):
         if skip:
             continue
         s = _spair(G[i], G[j], key)
-        r = reduce_full(s, G, key)
+        r = s.reduce(G, key)[1]
         if r:
             G.append(r.monic(key))
             sugars.append(max(sugars[i], sugars[j], r.deg()))
@@ -668,7 +606,7 @@ def groebner(gens, key=None):
     reduced = []
     for i, g in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
-        r = reduce_full(g, others, key)
+        r = g.reduce(others, key)[1]
         if r:
             reduced.append(r.monic(key))
     # removing redundant members can create duplicates; dedupe and sort
@@ -679,58 +617,23 @@ def groebner(gens, key=None):
     final = []
     for i, g in enumerate(seen):
         others = [h for j, h in enumerate(seen) if j != i]
-        r = reduce_full(g, others, key)
+        r = g.reduce(others, key)[1]
         if r:
             final.append(r.monic(key))
     final.sort(key=lambda h: key(h.leading(key)[0]), reverse=True)
     return final
 
 
-def normal_form(f, gb, key=None):
-    """Normal form against a Groebner basis; zero iff f is in the ideal.
-    Accepts a flagged IdealBasis or a plain list of basis elements."""
-    if isinstance(gb, IdealBasis):
-        if not gb.groebner:
-            raise EngineError("normal form requires a Groebner-flagged basis")
-        gb = gb.gens
-    return reduce_full(f, gb, key)
-
-
-def groebner_basis(basis: IdealBasis, key=None) -> IdealBasis:
-    out = IdealBasis(groebner(basis.gens, key), homogeneous=basis.homogeneous)
-    out.groebner = True
-    return out
-
-
-def ideal_equal(a: IdealBasis, b: IdealBasis):
-    """Mutual inclusion; graded solves where both sides are homogeneous."""
-    if a.homogeneous and b.homogeneous:
-        for f in a.gens:
-            if isinstance(graded_membership(f, b.gens), NonMembership):
-                return False
-        for f in b.gens:
-            if isinstance(graded_membership(f, a.gens), NonMembership):
-                return False
-        return True
-    gb_a = a.gens if a.groebner else groebner(a.gens)
-    gb_b = b.gens if b.groebner else groebner(b.gens)
-    return all(not normal_form(f, gb_b) for f in a.gens) and all(
-        not normal_form(f, gb_a) for f in b.gens
-    )
-
-
 # ---------------------------------------------------------------------------
 # dimension, reducedness, root counting
 
 
-def krull_dimension(basis: IdealBasis):
-    """Dimension of V(I): maximal size of a variable subset meeting no
-    leading-term support; -1 for the empty variety."""
-    if not basis.gens:
-        raise EngineError("dimension of the zero ideal: provide a ring explicitly")
-    gb = basis.gens if basis.groebner else groebner(basis.gens)
+def krull_dimension(gens):
+    """Dimension of V(gens): maximal size of a variable subset meeting no
+    leading-term support of a Groebner basis; -1 for the empty variety."""
+    gb = groebner(gens)
     if not gb:
-        return basis.ring.n
+        raise EngineError("dimension of the zero ideal: provide a ring explicitly")
     ring = gb[0].ring
     n = ring.n
     key = ring.term_key
@@ -747,37 +650,26 @@ def krull_dimension(basis: IdealBasis):
     return best
 
 
-def _bivariate_coeff_lists(f, var):
-    """Coefficients of f with respect to one of two variables, as
-    coefficient lists of univariate polynomials in the other variable."""
-    other = 1 - var
-    vdeg = max(e[var] for e in f.t)
-    odeg = max(e[other] for e in f.t)
-    zero = f.ring.coeff(0)
-    out = [[zero] * (odeg + 1) for _ in range(vdeg + 1)]
-    for e, c in f.t.items():
-        out[e[var]][e[other]] = c
-    return out
-
-
 def _pair_cuts_out_points(f, g):
     """Sound finiteness test for V(f, g) in two variables: the pair has
     trivial common content and a nonzero resultant specialization, shown
     by a constant gcd at a point where a leading coefficient survives."""
     if f.is_constant() or g.is_constant():
         return bool(f.is_constant() and f) or bool(g.is_constant() and g)
-    fc = _bivariate_coeff_lists(f, 1)
-    gc = _bivariate_coeff_lists(g, 1)
+    # coefficient rows in the second variable, polynomials in the first
+    uni = PolyRing(("t",), d=f.ring.d)
+    fc, gc = (
+        [Poly(uni, {(e[0],): c for e, c in h.t.items() if e[1] == j})
+         for j in range(max(e[1] for e in h.t) + 1)]
+        for h in (f, g)
+    )
     if len(fc) == 1 or len(gc) == 1:
         return False  # no dependence on the second variable; try another cut
     # a common factor free of the second variable divides every coefficient
-    acc = None
-    for rows in (fc, gc):
-        for row in rows:
-            if _uni_deg(row) < 0:
-                continue
-            acc = row if acc is None else _uni_gcd(acc, row)
-    if acc is None or _uni_deg(acc) > 0:
+    acc = uni.zero()
+    for row in fc + gc:
+        acc = _gcd(row, acc)
+    if acc.deg() > 0:
         return False
     # one nonzero value of the resultant in the first variable proves the
     # resultant is a nonzero polynomial, hence no common component.  The
@@ -785,11 +677,13 @@ def _pair_cuts_out_points(f, g):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
-        fs = [_uni_eval(row, u0) for row in fc]
-        gs = [_uni_eval(row, u0) for row in gc]
-        if not (fs[-1] or gs[-1]) or _uni_deg(fs) < 0 or _uni_deg(gs) < 0:
-            continue
-        if _uni_deg(_uni_gcd(fs, gs)) == 0:
+        fs, gs = (
+            uni.from_dict({(j,): row.eval((u0,)) for j, row in enumerate(rows)})
+            for rows in (fc, gc)
+        )
+        if fs.deg() < len(fc) - 1 and gs.deg() < len(gc) - 1:
+            continue  # both leading coefficients vanish at u0
+        if fs and gs and _gcd(fs, gs).deg() == 0:
             return True
     return False
 
@@ -851,76 +745,23 @@ def squarefree_test(f):
         return True
     n = f.ring.n
     gens = [f] + [g for g in f.grad() if g]
-    dim = krull_dimension(IdealBasis(gens))
+    dim = krull_dimension(gens)
     return dim <= n - 2
 
 
-def _univariate_coeffs(f):
-    """Coefficient list of a univariate polynomial (any single active var)."""
-    active = set()
-    for e in f.t:
-        for i, k in enumerate(e):
-            if k:
-                active.add(i)
-    if len(active) > 1:
-        raise EngineError("polynomial is not univariate")
-    var = active.pop() if active else 0
-    deg = max((e[var] for e in f.t), default=0)
-    zero = f.ring.coeff(0)
-    out = [zero] * (deg + 1)
-    for e, c in f.t.items():
-        out[e[var]] = c
-    return out
-
-
-def _uni_deg(cs):
-    for i in range(len(cs) - 1, -1, -1):
-        if cs[i]:
-            return i
-    return -1
-
-
-def _uni_eval(cs, u0):
-    """Value of a nonempty coefficient list at the integer u0, by Horner's
-    rule."""
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = acc * u0 + c
-    return acc
-
-
-def _uni_mod(a, b):
-    """Remainder of univariate coefficient lists over a field."""
-    a = list(a)
-    db = _uni_deg(b)
-    inv = 1 / b[db]
-    while True:
-        da = _uni_deg(a)
-        if da < db:
-            return a[: da + 1]
-        c = a[da] * inv
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - c * b[i]
-        a[da] = a[da] * 0  # force exact zero
-
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while _uni_deg(b) >= 0:
-        a, b = b, _uni_mod(a, b)
+def _gcd(a, b):
+    """A gcd of two univariate polynomials, by Euclid's algorithm."""
+    while b:
+        a, b = b, a.reduce([b])[1]
     return a
 
 
 def distinct_root_count(f):
-    """Number of distinct complex roots: deg f - deg gcd(f, f')."""
-    if not f:
-        raise EngineError("root count of the zero polynomial")
-    cs = _univariate_coeffs(f)
-    d = _uni_deg(cs)
-    if d <= 0:
-        return 0
-    dcs = [cs[i] * i for i in range(1, len(cs))]
-    g = _uni_gcd(cs, dcs)
-    return d - _uni_deg(g)
+    """Number of distinct complex roots of a univariate polynomial:
+    deg f - deg gcd(f, f')."""
+    if not f or f.ring.n != 1:
+        raise EngineError("root count needs a nonzero univariate polynomial")
+    return f.deg() - _gcd(f, f.diff(0)).deg()
 
 
 def minimal_polynomial(mat, ring):

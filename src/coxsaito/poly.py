@@ -7,16 +7,19 @@ gradings (invariant rings have weights deg p_i; coordinate rings use all
 ones).  Zero is the empty dict; canonical term order is graded reverse
 lexicographic.  Products run over integer numerators, with one common
 denominator per operand, and normalize each output coefficient once.
+`Poly.reduce` (division by a list of polynomials) is the one division
+loop: single division, Groebner normal forms and univariate gcds all run
+through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
-from .scalars import Quad, coerce, scalar_from_json, scalar_to_json
+from .scalars import Quad, coerce, integer_parts, scalar_from_json, scalar_to_json
 
 
 def grevlex_key(exp):
@@ -200,12 +203,12 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        da, a = _integer_parts(self)
-        db, b = _integer_parts(other)
+        d = self.ring.d
+        da, a = integer_parts(self.t, d)
+        db, b = integer_parts(other.t, d)
         if len(a) > len(b):
             a, b = b, a
         den = da * db
-        d = self.ring.d
         out = {}
         get = out.get
         if d is None:
@@ -332,7 +335,7 @@ class Poly:
         components, in quadratic contexts) and the leading one is positive."""
         if not self.t:
             return self
-        den, nums = _integer_parts(self)
+        den, nums = integer_parts(self.t, self.ring.d)
         parts = nums.values()
         if self.ring.d is not None:
             parts = chain.from_iterable(parts)
@@ -397,8 +400,10 @@ class Poly:
         """Exact evaluation at a tuple of scalars."""
         if len(point) != self.ring.n:
             raise ValueError("evaluation point length mismatch")
-        point = [self.ring.coeff(v) for v in point]
-        pows = [{0: self.ring.coeff(1)} for _ in point]
+        # rational coordinates stay plain numbers: their powers and their
+        # products with a coefficient cost less than products of two Quads
+        point = [v if isinstance(v, (int, Fraction)) else self.ring.coeff(v) for v in point]
+        pows = [{0: 1} for _ in point]
 
         def power(i, k):
             cache = pows[i]
@@ -419,40 +424,51 @@ class Poly:
 
     # -- division ----------------------------------------------------------
 
-    def divmod_single(self, g, key=None):
-        """Division by one polynomial: self = q*g + r, no term of r divisible
-        by the leading term of g."""
-        if not g:
-            raise ZeroDivisionError("division by the zero polynomial")
-        self._check(g)
+    def reduce(self, divisors, key=None):
+        """Division by a list of polynomials: (quotients, r) with
+        self = sum(q_i * g_i) + r.  Each term, leading first, is reduced by
+        the first divisor whose leading term divides it, so no term of r is
+        divisible by any leading term."""
         key = key or self.ring.term_key
-        ge, gc = g.leading(key)
-        gcinv = 1 / gc
-        q = {}
+        leads = []
+        for g in divisors:
+            if not g:
+                raise ZeroDivisionError("division by the zero polynomial")
+            self._check(g)
+            ge, gc = g.leading(key)
+            leads.append((ge, 1 / gc, g))
+        zero = self.ring.coeff(0)
+        qs = [{} for _ in divisors]
         r = {}
         work = dict(self.t)
         while work:
             e = max(work, key=key)
             c = work.pop(e)
-            if all(a >= b for a, b in zip(e, ge)):
-                qe = tuple(a - b for a, b in zip(e, ge))
-                qc = c * gcinv
-                q[qe] = q.get(qe, self.ring.coeff(0)) + qc
-                for e2, c2 in g.t.items():
-                    if e2 == ge:
-                        continue
-                    e3 = tuple(a + b for a, b in zip(qe, e2))
-                    s = work.get(e3, self.ring.coeff(0)) - qc * c2
+            for (ge, inv, g), q in zip(leads, qs):
+                if all(a >= b for a, b in zip(e, ge)):
+                    break
+            else:
+                r[e] = c
+                continue
+            # every exponent leaves the work dict once, so qe is new to q
+            qe = tuple(a - b for a, b in zip(e, ge))
+            qc = c * inv
+            q[qe] = qc
+            for e2, c2 in g.t.items():
+                if e2 != ge:
+                    e3 = tuple(map(add, qe, e2))
+                    s = work.get(e3, zero) - qc * c2
                     if s:
                         work[e3] = s
                     else:
                         work.pop(e3, None)
-            else:
-                r[e] = c
-        return (
-            Poly(self.ring, {e: c for e, c in q.items() if c}),
-            Poly(self.ring, r),
-        )
+        return [Poly(self.ring, q) for q in qs], Poly(self.ring, r)
+
+    def divmod_single(self, g, key=None):
+        """Division by one polynomial: self = q*g + r, no term of r divisible
+        by the leading term of g."""
+        (q,), r = self.reduce([g], key)
+        return q, r
 
     def exact_div(self, g):
         """Quotient self/g, raising ValueError if g does not divide exactly."""
@@ -504,20 +520,6 @@ class Poly:
             else:
                 bits.append(f"({c})")
         return " + ".join(bits)
-
-
-def _integer_parts(p):
-    """(D, {exp: numerators}) with every coefficient of p over one common
-    denominator D: one int per term over Q, the pair (A, B) for
-    (A + B*sqrt(d))/D over Q(sqrt d)."""
-    if p.ring.d is None:
-        den = lcm(*(c.denominator for c in p.t.values()))
-        return den, {e: c.numerator * (den // c.denominator) for e, c in p.t.items()}
-    den = lcm(*(q.denominator for c in p.t.values() for q in (c.a, c.b)))
-    return den, {
-        e: (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
-        for e, c in p.t.items()
-    }
 
 
 def _is_one(c):

@@ -38,7 +38,6 @@ class MinorTable:
     degrees: list = field(default_factory=list)  # degree of row i of the adjugate
     grad_const: object = None  # side A: normalized row = grad_const * grad(delta)
     grad_row: list = field(default_factory=list)
-    codim2_ok: bool = False
     basis_change: object = None  # side D: freediv.basis_change's result or failure
 
     @property
@@ -121,8 +120,7 @@ def build_minor_table(sd, side):
             raise CheckFailure("last-row minors are linearly dependent")
     # grade >= 2: the minor ideal cuts out codimension two; the last-row
     # minors suffice since their zero locus contains the full one
-    table.codim2_ok = codim_at_least_two(table.row_ideal())
-    if not table.codim2_ok:
+    if not codim_at_least_two(table.row_ideal()):
         raise CheckFailure("could not certify codimension 2 for the minor ideal")
     return table
 

@@ -10,6 +10,7 @@ they can be shared freely between threads and used as dict keys.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 # Discriminants actually used by the catalog.  I2(8) needs sqrt(2) and
 # I2(12) needs sqrt(3) for their root coordinates; everything else is
@@ -134,6 +135,20 @@ def invert(x):
     if x == 0:
         raise ZeroDivisionError("scalar inverse of zero")
     return 1 / x
+
+
+def integer_parts(coeffs, d):
+    """(D, {key: numerators}) with every value of the dict coeffs over one
+    common denominator D: one int per key over Q (d None), the pair (A, B)
+    for (A + B*sqrt(d))/D over Q(sqrt d)."""
+    if d is None:
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+    den = lcm(*(q.denominator for c in coeffs.values() for q in (c.a, c.b)))
+    return den, {
+        k: (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+        for k, c in coeffs.items()
+    }
 
 
 def coerce(x, d=None):

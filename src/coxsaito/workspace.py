@@ -202,10 +202,13 @@ class Workspace:
         return got
 
     def _load_datum(self, name):
-        # fixtures hold irreducible data only; a product is assembled from
-        # factors built in the process, as without a cache
-        if not self.cache_dir or len(catalog.parse_type(name)) > 1:
+        if not self.cache_dir:
             return build_datum(name)
+        factors = catalog.parse_type(name)
+        if len(factors) > 1:
+            # fixtures hold irreducible data only: a product is assembled
+            # from this workspace's factor datums, each read from its fixture
+            return catalog.build_product([self.datum(catalog.canonical_name([f])) for f in factors])
         path = Path(self.cache_dir) / f"{name}.datum.json"
         if path.exists():
             try:

@@ -6,11 +6,11 @@ from coxsaito.catalog import (
     build_datum,
     canonical_name,
     datum_to_json,
-    is_invariant,
     parse_type,
     stabilizer_components,
 )
 from coxsaito.polymatrix import jacobian
+from oracles import is_invariant
 
 
 def test_parse_and_canonical_names():

@@ -10,7 +10,6 @@ import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
 from coxsaito.engine import (
     EngineError,
-    IdealBasis,
     NonMembership,
     Witness,
     codim_at_least_two,
@@ -18,11 +17,8 @@ from coxsaito.engine import (
     graded_membership,
     graded_membership_batch,
     groebner,
-    groebner_basis,
-    ideal_equal,
     krull_dimension,
     minimal_polynomial,
-    normal_form,
     rank_of_vectors,
     solve_linear,
     squarefree_test,
@@ -106,6 +102,10 @@ def test_groebner_tiny(ring):
     assert gb == [x - 1, y - 1] or gb == [y - 1, x - 1]
 
 
+def normal_form(f, gb):
+    return f.reduce(gb)[1]
+
+
 def test_groebner_normal_form_properties(ring):
     x, y = ring.gens()
     gens = [x * x * y - 1, x * y * y - x]
@@ -178,26 +178,6 @@ def test_graded_and_groebner_agree(ring):
         assert isinstance(graded, Witness) == gb_member
 
 
-def test_ideal_equal(ring):
-    x, y = ring.gens()
-    assert ideal_equal(
-        IdealBasis([x, y], homogeneous=True),
-        IdealBasis([x + y, x - y], homogeneous=True),
-    )
-    assert not ideal_equal(
-        IdealBasis([x], homogeneous=True), IdealBasis([x * x], homogeneous=True)
-    )
-
-
-def test_normal_form_requires_flag(ring):
-    x, y = ring.gens()
-    basis = IdealBasis([x - y])
-    with pytest.raises(EngineError):
-        normal_form(x, basis)
-    flagged = groebner_basis(basis)
-    assert normal_form(x + y, flagged) == 2 * y or normal_form(x + y, flagged) == 2 * x
-
-
 def test_b3_style_groebner_fixture():
     pring = PolyRing(("x", "y", "z"), weights=(2, 4, 6))
     x, y, z = pring.gens()
@@ -206,16 +186,19 @@ def test_b3_style_groebner_fixture():
         x * x * z - 3 * (y * z),
         x * y * z - 9 * (z * z),
     ]
-    basis = groebner_basis(IdealBasis(gens, homogeneous=True))
-    assert basis.groebner
-    assert ideal_equal(basis, IdealBasis(gens, homogeneous=True))
+    gb = groebner(gens)
+    # the basis spans the ideal of the generators: each side lies in the other
+    assert all(not normal_form(g, gb) for g in gens)
+    assert all(isinstance(graded_membership(g, gens), Witness) for g in gb)
 
 
 def test_krull_dimension(ring):
     x, y = ring.gens()
-    assert krull_dimension(IdealBasis([x, y])) == 0
-    assert krull_dimension(IdealBasis([x])) == 1
-    assert krull_dimension(IdealBasis([ring.one()])) == -1
+    assert krull_dimension([x, y]) == 0
+    assert krull_dimension([x]) == 1
+    assert krull_dimension([ring.one()]) == -1
+    with pytest.raises(EngineError):
+        krull_dimension([ring.zero()])
 
 
 def test_codim_at_least_two():
@@ -254,6 +237,28 @@ def test_distinct_root_count():
     assert distinct_root_count((t - 2) ** 4) == 1
     with pytest.raises(EngineError):
         distinct_root_count(t_ring.zero())
+    x = PolyRing(("x", "y")).gen(0)
+    with pytest.raises(EngineError):
+        distinct_root_count(x * x - 1)
+
+
+_ROOTS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), 7])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(_ROOTS, st.integers(1, 4), max_size=4),
+    st.sampled_from([None, 5]),
+    st.integers(1, 3),
+)
+def test_distinct_root_count_of_products(multiplicities, d, lead):
+    # prod (t - a_i)^m_i, scaled, has exactly as many distinct roots as a_i
+    t_ring = PolyRing(("t",), d=d)
+    t = t_ring.gen(0)
+    f = t_ring.const(lead)
+    for a, m in multiplicities.items():
+        f = f * (t - a) ** m
+    assert distinct_root_count(f) == len(multiplicities)
 
 
 def test_minimal_polynomial():

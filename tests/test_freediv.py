@@ -110,8 +110,8 @@ def test_even_dihedral_lift_splits_into_orbit_factors():
     cert = check_lift(tD, cache)
     assert cert.passed
     # the two orbits of I2(6): products over each orbit are invariant
-    from coxsaito.catalog import is_invariant
     from coxsaito.poly import product
+    from oracles import is_invariant
 
     orbits = {}
     gens = d.generators()

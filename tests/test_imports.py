@@ -3,9 +3,10 @@ unused-import rule).  A name counts as used when it appears as an
 `ast.Name`, which covers the base of an attribute access (`np.zeros`);
 `__init__.py` is skipped, since it imports to re-export.
 
-Every module-level private function or class (`_name`) is referenced
-somewhere in the package, so that a helper whose last caller is gone does
-not stay behind."""
+Every module-level function or class, private (`_name`) or public, is
+referenced somewhere in the package, so that a helper whose last caller is
+gone does not stay behind; a public name the package only re-exports from
+`__init__.py` counts as referenced."""
 
 import ast
 from pathlib import Path
@@ -36,7 +37,11 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-def test_no_unreferenced_private_definitions():
+def unreferenced_definitions(private):
+    """Module-level functions and classes of the package, private ones
+    (`_name`) or public ones, whose name the package never references as an
+    `ast.Name`, an `ast.Attribute` or an import alias (so a re-export from
+    `__init__.py` counts)."""
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
@@ -47,13 +52,22 @@ def test_no_unreferenced_private_definitions():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    unreferenced = [
+    return [
         f"{name}.{node.name} (line {node.lineno})"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and not node.name.startswith("__")
         and node.name not in referenced
     ]
+
+
+def test_no_unreferenced_private_definitions():
+    unreferenced = unreferenced_definitions(private=True)
     assert not unreferenced, f"private definitions referenced nowhere: {', '.join(unreferenced)}"
+
+
+def test_no_unreferenced_public_definitions():
+    unreferenced = unreferenced_definitions(private=False)
+    assert not unreferenced, f"public definitions referenced nowhere: {', '.join(unreferenced)}"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxsaito.poly import Poly, PolyRing, poly_pairing, product
@@ -107,6 +107,8 @@ def test_division_single(ring):
     assert g.exact_div(x + y) == x * x + 3
     with pytest.raises(ValueError):
         (x * x + y).exact_div(x + y)
+    with pytest.raises(ZeroDivisionError):
+        f.reduce([x, ring.zero()])
 
 
 def test_weighted_degrees():
@@ -172,25 +174,26 @@ MUL_RINGS = (
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 
+def draw_coeff(draw, ring):
+    a = draw(fractions)
+    return a if ring.d is None else Quad(a, draw(fractions), ring.d)
+
+
+def draw_poly(draw, ring):
+    exps = draw(st.sets(st.tuples(*[st.integers(0, 3)] * ring.n), max_size=5))
+    return ring.from_dict({e: draw_coeff(draw, ring) for e in exps})
+
+
 @st.composite
 def mul_operands(draw):
     ring = draw(st.sampled_from(MUL_RINGS))
-
-    def coeff():
-        a = draw(fractions)
-        return a if ring.d is None else Quad(a, draw(fractions), ring.d)
-
-    def poly():
-        exps = draw(st.sets(st.tuples(*[st.integers(0, 3)] * ring.n), max_size=5))
-        return ring.from_dict({e: coeff() for e in exps})
-
-    f, g = poly(), poly()
+    f, g = draw_poly(draw, ring), draw_poly(draw, ring)
     shape = draw(st.sampled_from(("plain", "cancelling", "constant")))
     if shape == "cancelling":
         # (f+g)(f-g): the cross terms cancel
         f, g = f + g, f - g
     elif shape == "constant":
-        g = ring.const(coeff())
+        g = ring.const(draw_coeff(draw, ring))
     return f, g
 
 
@@ -217,3 +220,38 @@ def test_mul_matches_schoolbook(operands):
         else:
             assert type(c) is Quad and c.d == d
             assert type(c.a) is Fraction and type(c.b) is Fraction
+
+
+# -- division by several polynomials -------------------------------------------
+
+DIV_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("p", "q", "r"), weights=(2, 3, 5)),
+)
+
+
+@st.composite
+def reduce_operands(draw):
+    ring = draw(st.sampled_from(DIV_RINGS))
+    f = draw_poly(draw, ring)
+    divisors = [draw_poly(draw, ring) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        # a dividend in the ideal, so that the remainder can vanish
+        f = f * divisors[0] + divisors[-1] * draw_poly(draw, ring)
+    return f, divisors
+
+
+@given(reduce_operands())
+@settings(max_examples=300, deadline=None)
+def test_reduce_division_identity(operands):
+    f, divisors = operands
+    assume(all(divisors))
+    quotients, r = f.reduce(divisors)
+    assert len(quotients) == len(divisors)
+    assert sum((q * g for q, g in zip(quotients, divisors)), r) == f
+    leads = [g.leading()[0] for g in divisors]
+    for e in r.t:
+        assert not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
+    (q,), r1 = f.reduce(divisors[:1])
+    assert f.divmod_single(divisors[0]) == (q, r1)

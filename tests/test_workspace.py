@@ -8,7 +8,7 @@ import pytest
 
 import coxsaito.catalog as cat
 from coxsaito import freediv, rankcond, saito, workspace
-from coxsaito.engine import IdealBasis, krull_dimension
+from coxsaito.engine import groebner, krull_dimension
 from coxsaito.workspace import (
     Workspace,
     check_datum,
@@ -59,8 +59,9 @@ def test_product_suites_run_per_factor(ws):
 def test_discriminant_minor_ideal_dimension(ws):
     # codimension two inside three invariant coordinates
     t = ws.minor_table("B3", "discriminant")
-    dim = krull_dimension(IdealBasis(t.all_minors(), homogeneous=True))
-    assert dim == 1
+    gb = groebner(t.all_minors())
+    assert all(not m.reduce(gb)[1] for m in t.all_minors())
+    assert krull_dimension(t.all_minors()) == 1
 
 
 def test_datum_disk_cache(tmp_path, ws):
@@ -88,6 +89,26 @@ def test_product_builds_each_factor_once(name, factors, monkeypatch):
     for suite in ("datum", "saito", "grc-A"):
         assert all(c.passed for c in w.run_suite(name, suite))
     assert len(built) == len(set(built)) == factors
+
+
+def test_product_under_cache_uses_the_factor_fixtures(tmp_path, monkeypatch):
+    monkeypatch.setattr(cat, "_DATUM_CACHE", {})
+    built_json = json.dumps(cat.datum_to_json(cat.build_datum("B2xA1")), sort_keys=True)
+    Workspace(cache_dir=str(tmp_path)).datum("B2xA1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A1.datum.json", "B2.datum.json"]
+    monkeypatch.setattr(cat, "_DATUM_CACHE", {})
+    built = []
+    real = cat._build_irreducible
+    monkeypatch.setattr(
+        cat, "_build_irreducible", lambda tag, param: built.append((tag, param)) or real(tag, param)
+    )
+    w = Workspace(cache_dir=str(tmp_path))
+    prod = w.datum("B2xA1")
+    for suite in ("datum", "saito", "grc-A"):
+        assert all(c.passed for c in w.run_suite("B2xA1", suite))
+    assert not built
+    assert all(part is w.datum(part.name) for part, _off in prod.factors)
+    assert json.dumps(cat.datum_to_json(prod), sort_keys=True) == built_json
 
 
 def test_report_round_trip(tmp_path, ws):
