@@ -421,6 +421,11 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
     def vanishing_count(pt):
         return sum(1 for f in datum.mirror_forms if not f.eval(pt))
 
+    def point_of(basis):
+        # a random point of the span: one coefficient per basis vector
+        ks = [rng.randint(-9, 9) for _ in basis]
+        return [sum((v[i] * k for v, k in zip(basis, ks)), ring.coeff(0)) for i in range(l)]
+
     # off the arrangement
     while True:
         pt = [rng.randint(-9, 9) for _ in range(l)]
@@ -436,7 +441,7 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
         attempts += 1
         basis = _nullspace([mirror_coeffs(idx % n_mirrors)], l, ring)
         idx += 1
-        pt = [sum((b[i] * rng.randint(-9, 9) for b in basis), ring.coeff(0)) for i in range(l)]
+        pt = point_of(basis)
         if vanishing_count(pt) == 1:
             points.append(("mirror", pt))
     # codimension-two flats
@@ -451,10 +456,7 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
             if not basis:
                 continue
             for _ in range(40):
-                pt = [
-                    sum((v[i] * rng.randint(-9, 9) for v in basis), ring.coeff(0))
-                    for i in range(l)
-                ]
+                pt = point_of(basis)
                 if any(pt) and vanishing_count(pt) >= 2:
                     points.append(("codim2", pt))
                     added += 1

@@ -9,7 +9,9 @@ lexicographic.  Products run over integer numerators, with one common
 denominator per operand, and normalize each output coefficient once.
 `Poly.reduce` (division by a list of polynomials) is the one division
 loop: single division, Groebner normal forms and univariate gcds all run
-through it.
+through it.  It too runs over integer numerators, over one denominator
+that grows only when a leading coefficient does not divide, computes each
+exponent's sort key once, and normalizes each output coefficient once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import add
+from operator import add, ge, sub
 
 from .scalars import Quad, coerce, integer_parts, scalar_from_json, scalar_to_json
 
@@ -34,6 +36,20 @@ def wgrevlex_key(weights):
         return (sum(w * e for w, e in zip(weights, exp)), grevlex_key(exp))
 
     return key
+
+
+class _KeyCache(dict):
+    """Exponent -> sort key, each key computed once on first lookup."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, exp):
+        k = self[exp] = self.key(exp)
+        return k
 
 
 class PolyRing:
@@ -428,41 +444,114 @@ class Poly:
         """Division by a list of polynomials: (quotients, r) with
         self = sum(q_i * g_i) + r.  Each term, leading first, is reduced by
         the first divisor whose leading term divides it, so no term of r is
-        divisible by any leading term."""
-        key = key or self.ring.term_key
+        divisible by any leading term.
+
+        The loop runs over integer numerators.  With self = F/D and each
+        g_i = G_i/D_i (`integer_parts`), it keeps D*self = sum(Q_i*G_i) + R + W
+        for the work W; a step divides W's leading numerator by G_i's leading
+        numerator L, and when that quotient is not integral it first
+        multiplies D, W, R and every Q_i by the least s that makes it so.
+        Over Q(sqrt d), c/L is c*conj(L)/N with N = L*conj(L) in Z."""
+        ring = self.ring
+        d = ring.d
+        keys = _KeyCache(key or ring.term_key)
         leads = []
         for g in divisors:
             if not g:
                 raise ZeroDivisionError("division by the zero polynomial")
             self._check(g)
-            ge, gc = g.leading(key)
-            leads.append((ge, 1 / gc, g))
-        zero = self.ring.coeff(0)
+            dg, nums = integer_parts(g.t, d)
+            lead = max(nums, key=keys.__getitem__)
+            lc = nums.pop(lead)
+            norm = lc if d is None else lc[0] * lc[0] - d * lc[1] * lc[1]
+            leads.append((lead, lc, norm, dg, list(nums.items())))
+        den, work = integer_parts(self.t, d)
+        if d is not None:
+            work = {e: list(x) for e, x in work.items()}
         qs = [{} for _ in divisors]
         r = {}
-        work = dict(self.t)
+        parts = (work, r, *qs)
+
+        def rescale(s):
+            # multiply every numerator and the common denominator by s
+            nonlocal den
+            den *= s
+            for nums in parts:
+                if d is None:
+                    for e, x in nums.items():
+                        nums[e] = x * s
+                else:
+                    for x in nums.values():
+                        x[0] *= s
+                        x[1] *= s
+
+        get = work.get
         while work:
-            e = max(work, key=key)
+            e = max(work, key=keys.__getitem__)
             c = work.pop(e)
-            for (ge, inv, g), q in zip(leads, qs):
-                if all(a >= b for a, b in zip(e, ge)):
+            for (lead, lc, norm, _, rest), q in zip(leads, qs):
+                if all(map(ge, e, lead)):
                     break
             else:
                 r[e] = c
                 continue
             # every exponent leaves the work dict once, so qe is new to q
-            qe = tuple(a - b for a, b in zip(e, ge))
-            qc = c * inv
-            q[qe] = qc
-            for e2, c2 in g.t.items():
-                if e2 != ge:
+            qe = tuple(map(sub, e, lead))
+            if d is None:
+                if c % norm:
+                    s = abs(norm) // gcd(norm, c)
+                    rescale(s)
+                    c *= s
+                qc = c // norm
+                q[qe] = qc
+                for e2, x2 in rest:
                     e3 = tuple(map(add, qe, e2))
-                    s = work.get(e3, zero) - qc * c2
-                    if s:
-                        work[e3] = s
+                    x = get(e3)
+                    if x is None:
+                        work[e3] = -qc * x2
                     else:
-                        work.pop(e3, None)
-        return [Poly(self.ring, q) for q in qs], Poly(self.ring, r)
+                        x -= qc * x2
+                        if x:
+                            work[e3] = x
+                        else:
+                            del work[e3]
+                continue
+            la, lb = lc
+            qa = c[0] * la - d * c[1] * lb
+            qb = c[1] * la - c[0] * lb
+            if qa % norm or qb % norm:
+                s = abs(norm) // gcd(norm, qa, qb)
+                rescale(s)
+                qa *= s
+                qb *= s
+            qa //= norm
+            qb //= norm
+            q[qe] = [qa, qb]
+            dqb = d * qb
+            for e2, (ga, gb) in rest:
+                e3 = tuple(map(add, qe, e2))
+                x = get(e3)
+                if x is None:
+                    work[e3] = [-qa * ga - dqb * gb, -qa * gb - qb * ga]
+                else:
+                    x[0] -= qa * ga + dqb * gb
+                    x[1] -= qa * gb + qb * ga
+                    if not (x[0] or x[1]):
+                        del work[e3]
+
+        def poly(nums, m=1):
+            # the coefficients m*x/den, each built once
+            if d is None:
+                return Poly(ring, {e: Fraction(x * m, den) for e, x in nums.items()})
+            return Poly(
+                ring,
+                {
+                    e: Quad(Fraction(x * m, den), Fraction(y * m, den), d)
+                    for e, (x, y) in nums.items()
+                },
+            )
+
+        return [poly(q, dg) for q, (_, _, _, dg, _) in zip(qs, leads)], poly(r)
 
     def divmod_single(self, g, key=None):
         """Division by one polynomial: self = q*g + r, no term of r divisible

@@ -128,13 +128,21 @@ def test_fiber_certificates():
 
 
 def test_sample_points_have_enough_variety():
-    d, sd, tA, tD = setup("A3")
-    pts = sample_points(d)
-    labels = [lab for lab, _ in pts]
-    assert labels.count("mirror") >= 3
-    assert labels.count("codim2") >= 2
-    assert "origin" in labels and "off" in labels
-    assert len(pts) >= 10
+    for name in ("A3", "B3"):
+        d = build_datum(name)
+        pts = sample_points(d)
+        labels = [lab for lab, _ in pts]
+        assert labels.count("mirror") >= 3
+        assert labels.count("codim2") == 4, name
+        assert "origin" in labels and "off" in labels
+        assert len(pts) >= 10
+        # each point lies on its flat
+        for label, pt in pts:
+            vanishing = sum(1 for f in d.mirror_forms if not f.eval(pt))
+            if label == "mirror":
+                assert vanishing == 1, (name, pt)
+            elif label == "codim2":
+                assert vanishing >= 2, (name, pt)
 
 
 def test_normalization_gap_for_odd_dihedral():

@@ -59,3 +59,14 @@ def test_report_verifies_each_membership_item_once(tmp_path, monkeypatch):
     ok, failures = verify_report_file(str(path))
     assert ok, failures
     assert len(calls) == len(items)
+
+
+@pytest.mark.parametrize("suites", [("datum", "saito", "fibers"), ()])
+def test_write_report_bytes_match_one_dump(tmp_path, suites):
+    ws = Workspace()
+    certs = [c for suite in suites for c in ws.run_suite("B2", suite)]
+    path = tmp_path / "report.json"
+    doc = write_report(str(path), "B2", certs, {"sampling_seed": 7, "invariant_seed": 3})
+    assert len(doc["checks"]) == len(certs)
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_text() == want

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxsaito.poly import Poly, PolyRing, poly_pairing, product
@@ -206,14 +206,10 @@ def schoolbook(f, g):
     return {e: c for e, c in out.items() if c}
 
 
-@given(mul_operands())
-@settings(max_examples=300, deadline=None)
-def test_mul_matches_schoolbook(operands):
-    f, g = operands
-    prod = f * g
-    assert prod.t == schoolbook(f, g)
-    d = f.ring.d
-    for c in prod.t.values():
+def assert_field_coeffs(p):
+    """Every coefficient of p is a nonzero scalar of its ring's field."""
+    d = p.ring.d
+    for c in p.t.values():
         assert c
         if d is None:
             assert type(c) is Fraction
@@ -222,13 +218,41 @@ def test_mul_matches_schoolbook(operands):
             assert type(c.a) is Fraction and type(c.b) is Fraction
 
 
+@given(mul_operands())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook(operands):
+    f, g = operands
+    prod = f * g
+    assert prod.t == schoolbook(f, g)
+    assert_field_coeffs(prod)
+
+
 # -- division by several polynomials -------------------------------------------
 
 DIV_RINGS = (
     PolyRing(("x", "y")),
     PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("u", "v"), d=2),
     PolyRing(("p", "q", "r"), weights=(2, 3, 5)),
 )
+
+
+def _growing_denominators():
+    """Divisions whose leading coefficients do not divide the numerators."""
+    x, y = DIV_RINGS[0].gens()
+    a, b, c = DIV_RINGS[1].gens()
+    lead = Quad(3, 1, 5)  # norm 9 - 5 = 4
+    return [
+        # leading coefficient 3 + sqrt 5 against numerators of norm 1
+        (a**3 + b**3 + c, [a * lead + b]),
+        (a**3 * b + 3 * c**2, [a * b * lead + c, c * Quad(1, 1, 5) + 1]),
+        # rational leading coefficient 2 against odd numerators
+        (x**3 + 3 * x + 5, [2 * x + 1]),
+        (x**2 * y + 3 * y**2 + 7, [2 * x * y + y, 2 * y + 1]),
+        # zero dividend
+        (DIV_RINGS[1].zero(), [a * lead + b]),
+        (DIV_RINGS[0].zero(), [2 * x + 1, y]),
+    ]
 
 
 @st.composite
@@ -242,7 +266,14 @@ def reduce_operands(draw):
     return f, divisors
 
 
+def _with_examples(test):
+    for case in _growing_denominators():
+        test = example(case)(test)
+    return test
+
+
 @given(reduce_operands())
+@_with_examples
 @settings(max_examples=300, deadline=None)
 def test_reduce_division_identity(operands):
     f, divisors = operands
@@ -250,6 +281,8 @@ def test_reduce_division_identity(operands):
     quotients, r = f.reduce(divisors)
     assert len(quotients) == len(divisors)
     assert sum((q * g for q, g in zip(quotients, divisors)), r) == f
+    for p in (*quotients, r):
+        assert_field_coeffs(p)
     leads = [g.leading()[0] for g in divisors]
     for e in r.t:
         assert not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
