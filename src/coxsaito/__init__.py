@@ -11,7 +11,6 @@ from .certs import Certificate, verify_report_file, write_report
 from .engine import (
     NonMembership,
     Witness,
-    distinct_root_count,
     graded_membership,
     groebner,
     krull_dimension,

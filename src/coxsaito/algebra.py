@@ -3,9 +3,9 @@
 The cokernel of J (arrangement side) or K (discriminant side) is realized
 on the fractional generators h_i = m^i_l / m^l_l; structure constants are
 found by graded membership of minor products in the span of the last-row
-minor products, modulo the defining equation.  Fiber point counts from the
-multiplication tables are matched against the independent stabilizer
-decomposition.
+minor products, modulo the defining equation.  Fiber point counts, the
+rank of the trace form of the fiber algebra the multiplication table gives
+at a point, are matched against the independent stabilizer decomposition.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from .certs import (
     run_check,
     zero_combo_payload,
 )
-from .engine import (
-    back_substitute,
-    distinct_root_count,
-    echelon,
-    minimal_polynomial,
-    rank_of_vectors,
-    reduce_row,
-)
-from .poly import PolyRing
+from .engine import back_substitute, echelon, rank_of_vectors, reduce_row
 from .polymatrix import jacobian
 from .rankcond import ARRANGEMENT, MinorTable
 
@@ -54,7 +46,7 @@ class MulTable:
         return self.numerators[self.rank - 1]
 
 
-def fraction_representatives(table, tries=60):
+def fraction_representatives(table):
     """Numerators n_i and denominator n_l = n of the fractions h_i = n_i/n.
 
     The denominator must be a nonzerodivisor modulo the defining equation.
@@ -71,7 +63,7 @@ def fraction_representatives(table, tries=60):
         return [M[i, l - 1] for i in range(l)]
     rng = random.Random(SAMPLING_SEED + 7 * l)
     candidates = [[1 if t == j else 0 for t in range(l)] for j in range(l)]
-    for _ in range(tries):
+    for _ in range(60):
         candidates.append([rng.randint(-4, 4) for _ in range(l)])
     for v in candidates:
         den = datum.ring.zero()
@@ -351,48 +343,35 @@ def _sparse(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
 
-def fiber_point_count(mt, point, tries=5, seed=SAMPLING_SEED):
-    """Number of geometric points of the fiber algebra at the given point:
-    maximal number of distinct eigenvalues of multiplication by a random
-    element, computed on the cokernel of J at the point."""
+def fiber_point_count(mt, point):
+    """Number of geometric points of the fiber algebra at the given point.
+
+    The fiber algebra is the cokernel of J at the point, with the free
+    generator classes as a basis.  By Hermite's theorem, in characteristic
+    zero the rank of its trace form Tr(xy) is its number of points."""
     table = mt.table
-    datum = table.datum
     l = table.rank
-    ring = datum.ring
-    zero = ring.coeff(0)
+    zero = table.datum.ring.coeff(0)
     J = table.saito.J
     # the relations among the generator classes are the columns of J
     cols = [[J[i, j].eval(point) for i in range(l)] for j in range(l)]
     pivots, _ = echelon((_sparse(c), ()) for c in cols)
     free = [i for i in range(l) if i not in pivots]
-    q = len(free)
-    if q == 0:
-        return 0
-    cvals = [
-        [[mt.constants[i][j][k].eval(point) for k in range(l)] for j in range(l)]
-        for i in range(l)
+
+    def product(a, b):
+        # h_a h_b in the basis of free classes
+        red = _sparse([mt.constants[a][b][k].eval(point) for k in range(l)])
+        reduce_row(red, [], pivots)
+        return red
+
+    prods = {(a, b): product(a, b) for a in free for b in free}
+    # trace[k] = Tr(h_k), the trace of multiplication by h_k
+    trace = {k: sum((prods[k, c].get(c, zero) for c in free), zero) for k in free}
+    form = [
+        [sum((v * trace[k] for k, v in prods[a, b].items()), zero) for b in free]
+        for a in free
     ]
-    rng = random.Random(seed)
-    uni = PolyRing(("t",), d=ring.d)
-    best = 0
-    for _ in range(tries):
-        a = [ring.coeff(rng.randint(-5, 5)) for _ in range(l)]
-        # matrix of multiplication by sum(a_i h_i) on the quotient
-        mat = []
-        for col_pos, jq in enumerate(free):
-            img = [zero] * l
-            for i in range(l):
-                if not a[i]:
-                    continue
-                for k in range(l):
-                    img[k] = img[k] + a[i] * cvals[i][jq][k]
-            red = _sparse(img)
-            reduce_row(red, [], pivots)
-            mat.append([red.get(i, zero) for i in free])
-        mat = [[mat[c][r] for c in range(q)] for r in range(q)]
-        mp = minimal_polynomial(mat, uni)
-        best = max(best, distinct_root_count(mp))
-    return best
+    return rank_of_vectors(_sparse(row) for row in form)
 
 
 def _nullspace(rows, n, ring):
@@ -407,12 +386,12 @@ def _nullspace(rows, n, ring):
     return basis
 
 
-def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
+def sample_points(datum):
     """Labeled sample points: off the arrangement, generic mirror points,
     codimension-two flat points, and the origin."""
     ring = datum.ring
     l = datum.rank
-    rng = random.Random(seed + l)
+    rng = random.Random(SAMPLING_SEED + l)
     points = []
 
     def mirror_coeffs(idx):
@@ -434,7 +413,7 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
             break
     # generic mirror points; repeat over the mirrors until enough samples
     n_mirrors = len(datum.mirror_forms)
-    want_mirror = max(3, per_type - (4 if l >= 3 else 2))
+    want_mirror = 6 if l >= 3 else 8
     idx = 0
     attempts = 0
     while len(points) - 1 < want_mirror and attempts < 40 * want_mirror:
@@ -465,14 +444,13 @@ def sample_points(datum, per_type=10, seed=SAMPLING_SEED):
     return points
 
 
-def check_fibers(mt, points=None):
+def check_fibers(mt):
     """Fiber point counts match the stabilizer component counts."""
     datum = mt.table.datum
 
     def body():
-        pts = points if points is not None else sample_points(datum)
         records = []
-        for label, pt in pts:
+        for label, pt in sample_points(datum):
             alg = fiber_point_count(mt, pt)
             stab = len(stabilizer_components(datum, pt))
             records.append(

@@ -217,19 +217,28 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_report(path, ctype, certs, seeds, version="0.1.0"):
-    """Write the report as compact sorted JSON.  Each check is encoded by the
-    C encoder on its own (`json.dump` would run the pure-Python one, and one
-    `dumps` of the whole document would hold all of its text at once)."""
+def write_report(path, ctype, certs, seeds):
+    """Write the report as compact sorted JSON.  The C encoder encodes each
+    witness on its own (`json.dump` would run the pure-Python encoder, and
+    one `dumps` of a whole check or document would hold all of its
+    fragments at once)."""
     checks = [c.to_json() for c in certs]
-    rest = {"version": version, "type": ctype, "seeds": seeds}
+    rest = {"version": "0.1.0", "type": ctype, "seeds": seeds}
     with open(path, "w") as fh:
-        # "checks" sorts before every other key
+        # "checks" sorts before every other key of the document, and
+        # "witnesses" after every other key of a check
         fh.write('{"checks":[')
         for i, check in enumerate(checks):
             if i:
                 fh.write(",")
-            fh.write(_dumps(check))
+            head = {k: v for k, v in check.items() if k != "witnesses"}
+            fh.write(_dumps(head)[:-1])
+            fh.write(',"witnesses":[')
+            for j, item in enumerate(check["witnesses"]):
+                if j:
+                    fh.write(",")
+                fh.write(_dumps(item))
+            fh.write("]}")
         fh.write("],")
         fh.write(_dumps(rest)[1:])
         fh.write("\n")

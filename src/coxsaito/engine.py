@@ -14,13 +14,13 @@ exact scalar elimination (solves, ranks, nullspaces) runs: `echelon`,
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
-gcds of the codimension-two test and of root counting, are all division
-by `Poly.reduce`.
+gcds of the codimension-two test, are all division by `Poly.reduce`.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt
@@ -625,7 +625,7 @@ def groebner(gens, key=None):
 
 
 # ---------------------------------------------------------------------------
-# dimension, reducedness, root counting
+# dimension, reducedness
 
 
 def krull_dimension(gens):
@@ -688,7 +688,7 @@ def _pair_cuts_out_points(f, g):
     return False
 
 
-def codim_at_least_two(gens, seed=1, tries=6):
+def codim_at_least_two(gens):
     """Sound one-sided test that V(gens) has codimension >= 2.
 
     The variety is a (weighted) cone, so cutting with a linear 2-plane
@@ -696,16 +696,14 @@ def codim_at_least_two(gens, seed=1, tries=6):
     finiteness of the section is then certified by a coprime pair among
     the restricted generators (trivial common content plus a constant gcd
     at a point where a leading coefficient survives)."""
-    import random
-
     gens = [g for g in gens if g]
     if not gens:
         return False
     ring = gens[0].ring
     n = ring.n
-    rng = random.Random(seed)
+    rng = random.Random(1)
     plane_ring = PolyRing(("u_", "v_"), d=ring.d)
-    for attempt in range(tries):
+    for attempt in range(6):
         if n > 2:
             images = []
             for _i in range(n):
@@ -754,45 +752,3 @@ def _gcd(a, b):
     while b:
         a, b = b, a.reduce([b])[1]
     return a
-
-
-def distinct_root_count(f):
-    """Number of distinct complex roots of a univariate polynomial:
-    deg f - deg gcd(f, f')."""
-    if not f or f.ring.n != 1:
-        raise EngineError("root count needs a nonzero univariate polynomial")
-    return f.deg() - _gcd(f, f.diff(0)).deg()
-
-
-def minimal_polynomial(mat, ring):
-    """Monic minimal polynomial of a square scalar matrix, as a univariate
-    Poly in the given one-variable ring."""
-    q = len(mat)
-    zero = ring.coeff(0)
-    one = ring.coeff(1)
-    if q == 0:
-        return ring.one()
-
-    def mat_mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(q)), zero) for j in range(q)]
-            for i in range(q)
-        ]
-
-    powers = [[[one if i == j else zero for j in range(q)] for i in range(q)]]
-    while True:
-        k = len(powers)
-        powers.append(mat_mul(powers[-1], mat))
-        # look for the first dependence x^k = sum c_i x^i
-        eqs = []
-        for i in range(q):
-            for j in range(q):
-                row = {t: powers[t][i][j] for t in range(k) if powers[t][i][j]}
-                eqs.append((row, [powers[k][i][j]]))
-        sols = solve_linear(eqs, k, 1)
-        if sols[0] is not None:
-            coeffs = {(k,): one}
-            for t, v in sols[0].items():
-                if v:
-                    coeffs[(t,)] = -v
-            return Poly(ring, coeffs)

@@ -12,11 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-# Discriminants actually used by the catalog.  I2(8) needs sqrt(2) and
-# I2(12) needs sqrt(3) for their root coordinates; everything else is
-# rational or lives in Q(sqrt 5).
-SUPPORTED_DISCRIMINANTS = (2, 3, 5)
-
 
 class Quad:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt d)."""

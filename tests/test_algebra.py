@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsaito.algebra import (
+    _nullspace,
     build_mul_table,
     check_boolean_split,
     check_fibers,
@@ -115,6 +118,27 @@ def test_fiber_counts_reference_points():
     assert fiber_point_count(mA, [0, 0, 0]) == 1
     # off the arrangement the fiber is empty
     assert fiber_point_count(mA, [1, 2, 5]) == 0
+    # B3: two-plane strata of both kinds, a rank-2 wall and the origin
+    d, _, _, _ = setup("B3")
+    mA, _ = mul_tables("B3")
+    for pt, expected in (([0, 1, 1], 2), ([1, 1, 0], 2), ([0, 0, 1], 1), ([0, 0, 0], 1)):
+        assert fiber_point_count(mA, pt) == expected == len(stabilizer_components(d, pt)), pt
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    st.sampled_from(["A3", "B3", "I2(5)"]),
+    st.lists(st.integers(0, 15), max_size=2),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_fiber_counts_match_stabilizers_on_flats(name, mirrors, ks):
+    # an integer point of the flat cut out by up to two mirrors
+    d, _, _, _ = setup(name)
+    mA, _ = mul_tables(name)
+    rows = [d.mirror_forms[m % len(d.mirror_forms)].linear_coeffs() for m in mirrors]
+    basis = _nullspace(rows, d.rank, d.ring)
+    pt = [sum((v[i] * k for v, k in zip(basis, ks)), d.ring.coeff(0)) for i in range(d.rank)]
+    assert fiber_point_count(mA, pt) == len(stabilizer_components(d, pt))
 
 
 def test_fiber_certificates():

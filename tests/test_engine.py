@@ -13,12 +13,10 @@ from coxsaito.engine import (
     NonMembership,
     Witness,
     codim_at_least_two,
-    distinct_root_count,
     graded_membership,
     graded_membership_batch,
     groebner,
     krull_dimension,
-    minimal_polynomial,
     rank_of_vectors,
     solve_linear,
     squarefree_test,
@@ -227,48 +225,6 @@ def test_squarefree(ring):
     assert not squarefree_test(x * x * x + x * x * y)  # x^2 (x + y)
     with pytest.raises(EngineError):
         squarefree_test(ring.zero())
-
-
-def test_distinct_root_count():
-    t_ring = PolyRing(("t",))
-    t = t_ring.gen(0)
-    assert distinct_root_count(t * t * (t - 1)) == 2
-    assert distinct_root_count(t**3 - 1) == 3
-    assert distinct_root_count((t - 2) ** 4) == 1
-    with pytest.raises(EngineError):
-        distinct_root_count(t_ring.zero())
-    x = PolyRing(("x", "y")).gen(0)
-    with pytest.raises(EngineError):
-        distinct_root_count(x * x - 1)
-
-
-_ROOTS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), 7])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.dictionaries(_ROOTS, st.integers(1, 4), max_size=4),
-    st.sampled_from([None, 5]),
-    st.integers(1, 3),
-)
-def test_distinct_root_count_of_products(multiplicities, d, lead):
-    # prod (t - a_i)^m_i, scaled, has exactly as many distinct roots as a_i
-    t_ring = PolyRing(("t",), d=d)
-    t = t_ring.gen(0)
-    f = t_ring.const(lead)
-    for a, m in multiplicities.items():
-        f = f * (t - a) ** m
-    assert distinct_root_count(f) == len(multiplicities)
-
-
-def test_minimal_polynomial():
-    t_ring = PolyRing(("t",))
-    m = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
-    mp = minimal_polynomial(m, t_ring)
-    t = t_ring.gen(0)
-    assert mp == t - 2
-    nil = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-    assert minimal_polynomial(nil, t_ring) == t * t
 
 
 def test_solve_linear_and_rank():

@@ -3,10 +3,10 @@ unused-import rule).  A name counts as used when it appears as an
 `ast.Name`, which covers the base of an attribute access (`np.zeros`);
 `__init__.py` is skipped, since it imports to re-export.
 
-Every module-level function or class, private (`_name`) or public, is
-referenced somewhere in the package, so that a helper whose last caller is
-gone does not stay behind; a public name the package only re-exports from
-`__init__.py` counts as referenced."""
+Every module-level function, class or constant, private (`_name`) or
+public, is referenced somewhere in the package, so that a helper whose last
+caller is gone does not stay behind; a public name the package only
+re-exports from `__init__.py` counts as referenced."""
 
 import ast
 from pathlib import Path
@@ -37,29 +37,42 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+def defined_names(tree):
+    """(name, line) for every module-level function, class and constant (an
+    assignment to a plain name), dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
 def unreferenced_definitions(private):
-    """Module-level functions and classes of the package, private ones
-    (`_name`) or public ones, whose name the package never references as an
-    `ast.Name`, an `ast.Attribute` or an import alias (so a re-export from
-    `__init__.py` counts)."""
+    """Module-level functions, classes and constants of the package,
+    private ones (`_name`) or public ones, whose name the package never
+    loads as an `ast.Name`, references as an `ast.Attribute` or imports
+    (so a re-export from `__init__.py` counts).  A constant's own
+    definition stores to its name, so a stored name is no reference."""
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     return [
-        f"{name}.{node.name} (line {node.lineno})"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") == private
-        and not node.name.startswith("__")
-        and node.name not in referenced
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in defined_names(tree)
+        if name.startswith("_") == private
+        and not name.startswith("__")
+        and name not in referenced
     ]
 
 
