@@ -23,6 +23,7 @@ from .certs import (
     zero_combo_payload,
 )
 from .engine import back_substitute, echelon, rank_of_vectors, reduce_row
+from .poly import dot
 from .polymatrix import jacobian
 from .rankcond import ARRANGEMENT, MinorTable
 
@@ -188,14 +189,13 @@ def _pulled_back_constants(table, nums, mtD, cache):
     is reported as such."""
     l = table.rank
     delta = table.defining
+    ring = delta.ring
     den = nums[l - 1]
+    neg = [-(nums[k] * den) for k in range(l)]
     for i in range(l - 1):
         for j in range(i, l - 1):
             cs = [cache.pullback(mtD.constants[i][j][k]) for k in range(l)]
-            rem = nums[i] * nums[j]
-            for k in range(l):
-                if cs[k]:
-                    rem = rem - cs[k] * (nums[k] * den)
+            rem = dot([(nums[i], nums[j]), *zip(cs, neg)], ring)
             q = quotient(
                 rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})"
             )
@@ -212,19 +212,9 @@ def check_mul_table(mt):
 
     def mul_elem(coeffs_a, coeffs_b):
         # product of two elements given in the h-basis with poly coefficients
-        out = [ring.zero()] * l
-        for i in range(l):
-            if not coeffs_a[i]:
-                continue
-            for j in range(l):
-                if not coeffs_b[j]:
-                    continue
-                c = coeffs_a[i] * coeffs_b[j]
-                for k in range(l):
-                    s = mt.constants[i][j][k]
-                    if s:
-                        out[k] = out[k] + c * s
-        return out
+        prods = [(i, j, a * b) for i, a in enumerate(coeffs_a) if a
+                 for j, b in enumerate(coeffs_b) if b]
+        return [dot([(c, mt.constants[i][j][k]) for i, j, c in prods], ring) for k in range(l)]
 
     def body():
         payload = []
@@ -236,11 +226,7 @@ def check_mul_table(mt):
                     e_k = [ring.one() if t == k else ring.zero() for t in range(l)]
                     lhs = mul_elem(mul_elem(e_i, e_j), e_k)
                     rhs = mul_elem(e_i, mul_elem(e_j, e_k))
-                    acc = ring.zero()
-                    for n in range(l):
-                        diff = lhs[n] - rhs[n]
-                        if diff:
-                            acc = acc + diff * nums[n]
+                    acc = dot([(lhs[n] - rhs[n], nums[n]) for n in range(l)], ring)
                     quotient(acc, defining, f"associativity fails on ({i+1},{j+1},{k+1})")
         # grading: c^k_ij is homogeneous of degree D_i + D_j - D_k - D_l
         degs = _gen_degrees(mt)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .engine import solve_linear
-from .poly import Poly, PolyRing, product
+from .poly import Poly, PolyRing, dot, product
 from .polymatrix import jacobian
 from .scalars import Quad, invert, scalar_from_json, scalar_to_json
 
@@ -307,12 +307,7 @@ def _invariants_for(tag, param, ring, datum_stub):
     x = ring.gens()
 
     def quadratic():
-        acc = ring.zero()
-        for i in range(l):
-            for j in range(l):
-                if gram[i][j]:
-                    acc = acc + (x[i] * x[j]).scale(gram[i][j])
-        return acc
+        return dot([(x[i].scale(gram[i][j]), x[j]) for i in range(l) for j in range(l)], ring)
 
     if tag == "A":
         ys = list(x) + [-sum(x[1:], x[0])]

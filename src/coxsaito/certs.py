@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .engine import EngineError, NonMembership, Witness, graded_membership_batch
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, dot
 from .polymatrix import PolyMatrix
 from .scalars import scalar_from_json, scalar_to_json
 
@@ -198,10 +198,8 @@ def verify_payload_item(item):
         if not item["terms"]:
             return True
         ring = _ring_of(item["terms"][0][0])
-        acc = ring.zero()
-        for a, b in item["terms"]:
-            acc = acc + Poly.from_json(a, ring) * Poly.from_json(b, ring)
-        return not acc
+        pairs = [(Poly.from_json(a, ring), Poly.from_json(b, ring)) for a, b in item["terms"]]
+        return not dot(pairs, ring)
     if kind == "det_eq":
         ring = _ring_of(item["matrix"]["entries"][0][0])
         mat = PolyMatrix.from_json(item["matrix"], ring)

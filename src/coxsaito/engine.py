@@ -1,16 +1,18 @@
 """Exact ideal membership with witnesses, Groebner bases, dimension.
 
 The cofactors of a homogeneous membership live in one graded piece, so
-membership is one sparse linear system over the coefficient field.  Every
-such system, over Q or Q(sqrt d), is solved first by elimination modulo
-word-size primes with rational reconstruction; a target it finds
-inconsistent gets its separating functional the same way, from the
-transposed system.  Modular answers are only candidates: a witness or a
-functional is accepted only once it verifies exactly, and non-membership
-is only ever reported together with such a functional.  Targets the
-modular run leaves unsettled go to the exact kernel, through which all
-exact scalar elimination (solves, ranks, nullspaces) runs: `echelon`,
-`reduce_row` and `back_substitute`.
+membership is one sparse linear system over the coefficient field.  Its
+rows, one per monomial of the support, are numbered in the ring's term
+order, so a separating functional does not depend on the order in which
+terms were stored.  Every such system, over Q or Q(sqrt d), is solved
+first by elimination modulo word-size primes with rational
+reconstruction; a target it finds inconsistent gets its separating
+functional the same way, from the transposed system.  Modular answers
+are only candidates: a witness or a functional is accepted only once it
+verifies exactly, and non-membership is only ever reported together with
+such a functional.  Targets the modular run leaves unsettled go to the
+exact kernel, through which all exact scalar elimination (solves, ranks,
+nullspaces) runs: `echelon`, `reduce_row` and `back_substitute`.
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
@@ -24,10 +26,11 @@ import random
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add
 
 import numpy as np
 
-from .poly import Poly, PolyRing, poly_pairing
+from .poly import Poly, PolyRing, dot, poly_pairing
 from .scalars import Quad, integer_parts
 
 
@@ -52,11 +55,7 @@ class Witness:
             raise EngineError("witness identity failed to verify")
 
     def verify(self):
-        acc = self.target.ring.zero()
-        for g, c in zip(self.gens, self.cofactors):
-            if c:
-                acc = acc + c * g
-        return acc == self.target
+        return dot(zip(self.cofactors, self.gens), self.target.ring) == self.target
 
     def to_json(self):
         return {
@@ -426,21 +425,18 @@ def graded_membership_batch(targets, gens):
         one = ring.coeff(1)
         return [NonMembership(t, [], ring.from_dict({t.leading()[0]: one})) for t in targets]
 
-    # one row per monomial of degree dt, the targets' first; one column
-    # (unknown) per generator times cofactor monomial
-    row_index = {}
-    for t in targets:
-        for e in t.t:
-            row_index.setdefault(e, len(row_index))
+    # one column (unknown) per generator times cofactor monomial; one row
+    # per monomial of degree dt in the support, numbered in term order so
+    # that the system does not depend on the order terms were stored in
+    cols = [(i, mu) for i, dg in enumerate(gdegs) for mu in ring.monomials(dt - dg)]
+    support = set().union(*(t.t for t in targets))
+    for i, mu in cols:
+        support.update(tuple(map(add, e, mu)) for e in gens[i].t)
+    monos = sorted(support, key=ring.term_key, reverse=True)
+    row_index = {e: r for r, e in enumerate(monos)}
     target_vecs = [{row_index[e]: c for e, c in t.t.items()} for t in targets]
-    cols = []  # (gen index, cofactor monomial)
-    col_vecs = []
-    for i, (g, dg) in enumerate(zip(gens, gdegs)):
-        for mu in ring.monomials(dt - dg):
-            cols.append((i, mu))
-            col_vecs.append({row_index.setdefault(e, len(row_index)): c
-                             for e, c in _shift_poly(g, mu).t.items()})
-    monos = list(row_index)
+    col_vecs = [{row_index[tuple(map(add, e, mu))]: c for e, c in gens[i].t.items()}
+                for i, mu in cols]
 
     def witness(t, sol):
         cof_terms = [dict() for _ in gens]
@@ -518,9 +514,9 @@ def _nonmember_functional(target, gens, col_vecs, tvec, monos):
 # Buchberger
 
 
-def _spair(f, g, key):
-    fe, fc = f.leading(key)
-    ge, gc = g.leading(key)
+def _spair(f, g):
+    fe, fc = f.leading()
+    ge, gc = g.leading()
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
     mf = tuple(a - b for a, b in zip(lcm, fe))
     mg = tuple(a - b for a, b in zip(lcm, ge))
@@ -529,21 +525,21 @@ def _spair(f, g, key):
     return tf - tg
 
 
-def groebner(gens, key=None):
+def groebner(gens):
     """Reduced Groebner basis via Buchberger with sugar selection and the
     coprimality and chain criteria."""
     gens = [g for g in gens if g]
     if not gens:
         return []
     ring = gens[0].ring
-    key = key or ring.term_key
+    key = ring.term_key
 
     G = []
     sugars = []
-    for g in sorted(gens, key=lambda h: key(h.leading(key)[0])):
-        r = g.reduce(G, key)[1]
+    for g in sorted(gens, key=lambda h: key(h.leading()[0])):
+        r = g.reduce(G)[1]
         if r:
-            G.append(r.monic(key))
+            G.append(r.monic())
             sugars.append(r.deg())
 
     heap = []
@@ -551,15 +547,15 @@ def groebner(gens, key=None):
     done_pairs = set()
 
     def lcm_exp(i, j):
-        ei = G[i].leading(key)[0]
-        ej = G[j].leading(key)[0]
+        ei = G[i].leading()[0]
+        ej = G[j].leading()[0]
         return tuple(max(a, b) for a, b in zip(ei, ej))
 
     def push_pairs(j):
         nonlocal counter
-        ej = G[j].leading(key)[0]
+        ej = G[j].leading()[0]
         for i in range(j):
-            ei = G[i].leading(key)[0]
+            ei = G[i].leading()[0]
             lcm = tuple(max(a, b) for a, b in zip(ei, ej))
             if all(a + b == c for a, b, c in zip(ei, ej, lcm)):
                 # coprime leading terms: s-pair reduces to zero
@@ -586,7 +582,7 @@ def groebner(gens, key=None):
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            ek = G[k].leading(key)[0]
+            ek = G[k].leading()[0]
             if all(a >= b for a, b in zip(lcm, ek)):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -595,10 +591,10 @@ def groebner(gens, key=None):
                     break
         if skip:
             continue
-        s = _spair(G[i], G[j], key)
-        r = s.reduce(G, key)[1]
+        s = _spair(G[i], G[j])
+        r = s.reduce(G)[1]
         if r:
-            G.append(r.monic(key))
+            G.append(r.monic())
             sugars.append(max(sugars[i], sugars[j], r.deg()))
             push_pairs(len(G) - 1)
 
@@ -606,9 +602,9 @@ def groebner(gens, key=None):
     reduced = []
     for i, g in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
-        r = g.reduce(others, key)[1]
+        r = g.reduce(others)[1]
         if r:
-            reduced.append(r.monic(key))
+            reduced.append(r.monic())
     # removing redundant members can create duplicates; dedupe and sort
     seen = []
     for g in reduced:
@@ -617,10 +613,10 @@ def groebner(gens, key=None):
     final = []
     for i, g in enumerate(seen):
         others = [h for j, h in enumerate(seen) if j != i]
-        r = g.reduce(others, key)[1]
+        r = g.reduce(others)[1]
         if r:
-            final.append(r.monic(key))
-    final.sort(key=lambda h: key(h.leading(key)[0]), reverse=True)
+            final.append(r.monic())
+    final.sort(key=lambda h: key(h.leading()[0]), reverse=True)
     return final
 
 
@@ -636,8 +632,7 @@ def krull_dimension(gens):
         raise EngineError("dimension of the zero ideal: provide a ring explicitly")
     ring = gb[0].ring
     n = ring.n
-    key = ring.term_key
-    lts = [g.leading(key)[0] for g in gb]
+    lts = [g.leading()[0] for g in gb]
     if any(sum(e) == 0 for e in lts):
         return -1
     supports = [frozenset(i for i, k in enumerate(e) if k) for e in lts]

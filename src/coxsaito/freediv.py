@@ -285,7 +285,6 @@ def check_b3_fixture(table_d):
     if sd.datum.name != "B3":
         raise ValueError("fixture check only applies to B3")
     p_ring = sd.p_ring
-    l = 3
 
     def body():
         A = published_b3_matrix(p_ring)
@@ -295,18 +294,10 @@ def check_b3_fixture(table_d):
         payload = [det_payload("published-det", A, c, [sd.disc])]
         # column operations over the invariant ring: B0 = K^{-1} A must have
         # polynomial entries and constant determinant
-        adK = table_d.minors
         scale = sd.disc.scale(table_d.det_const)
-        b0 = [[None] * l for _ in range(l)]
-        for i in range(l):
-            for j in range(l):
-                acc = p_ring.zero()
-                for k in range(l):
-                    acc = acc + adK[i, k] * A[k, j]
-                b0[i][j] = quotient(
-                    acc, scale, "published columns are not combinations of ours"
-                )
-        B0 = PolyMatrix(p_ring, b0)
+        B0 = (table_d.minors * A).map(
+            lambda p: quotient(p, scale, "published columns are not combinations of ours")
+        )
         detB0 = B0.det()
         if not detB0.is_constant() or not detB0:
             raise CheckFailure("published basis change is not invertible")

@@ -5,13 +5,15 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients
 optional quadratic discriminant d, and a weight vector used for weighted
 gradings (invariant rings have weights deg p_i; coordinate rings use all
 ones).  Zero is the empty dict; canonical term order is graded reverse
-lexicographic.  Products run over integer numerators, with one common
-denominator per operand, and normalize each output coefficient once.
-`Poly.reduce` (division by a list of polynomials) is the one division
-loop: single division, Groebner normal forms and univariate gcds all run
-through it.  It too runs over integer numerators, over one denominator
-that grows only when a leading coefficient does not divide, computes each
-exponent's sort key once, and normalizes each output coefficient once.
+lexicographic.  Every sum of products, a single product included, is one
+`dot`: it runs over integer numerators, brings every pair to one common
+denominator, accumulates all products into one dict and normalizes each
+output coefficient once.  `Poly.reduce` (division by a list of
+polynomials) is the one division loop: single division, Groebner normal
+forms and univariate gcds all run through it.  It too runs over integer
+numerators, over one denominator that grows only when a leading
+coefficient does not divide, computes each exponent's sort key once, and
+normalizes each output coefficient once.
 """
 
 from __future__ import annotations
@@ -218,39 +220,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        self._check(other)
-        d = self.ring.d
-        da, a = integer_parts(self.t, d)
-        db, b = integer_parts(other.t, d)
-        if len(a) > len(b):
-            a, b = b, a
-        den = da * db
-        out = {}
-        get = out.get
-        if d is None:
-            for e1, x1 in a.items():
-                for e2, x2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + x1 * x2
-            return Poly(self.ring, {e: Fraction(x, den) for e, x in out.items() if x})
-        for e1, (a1, b1) in a.items():
-            db1 = d * b1
-            for e2, (a2, b2) in b.items():
-                e = tuple(map(add, e1, e2))
-                s = get(e)
-                if s is None:
-                    out[e] = [a1 * a2 + db1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    s[0] += a1 * a2 + db1 * b2
-                    s[1] += a1 * b2 + b1 * a2
-        return Poly(
-            self.ring,
-            {
-                e: Quad(Fraction(x, den), Fraction(y, den), d)
-                for e, (x, y) in out.items()
-                if x or y
-            },
-        )
+        return dot([(self, other)], self.ring)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -334,16 +304,15 @@ class Poly:
                 out[i] = c
         return out
 
-    def leading(self, key=None):
+    def leading(self):
         """(exponent, coefficient) of the leading term."""
         if not self.t:
             raise ValueError("zero polynomial has no leading term")
-        key = key or self.ring.term_key
-        e = max(self.t, key=key)
+        e = max(self.t, key=self.ring.term_key)
         return e, self.t[e]
 
-    def monic(self, key=None):
-        _, c = self.leading(key)
+    def monic(self):
+        _, c = self.leading()
         return self.scale(1 / c) if c != 1 else self
 
     def primitive(self):
@@ -440,7 +409,7 @@ class Poly:
 
     # -- division ----------------------------------------------------------
 
-    def reduce(self, divisors, key=None):
+    def reduce(self, divisors):
         """Division by a list of polynomials: (quotients, r) with
         self = sum(q_i * g_i) + r.  Each term, leading first, is reduced by
         the first divisor whose leading term divides it, so no term of r is
@@ -454,7 +423,7 @@ class Poly:
         Over Q(sqrt d), c/L is c*conj(L)/N with N = L*conj(L) in Z."""
         ring = self.ring
         d = ring.d
-        keys = _KeyCache(key or ring.term_key)
+        keys = _KeyCache(ring.term_key)
         leads = []
         for g in divisors:
             if not g:
@@ -553,10 +522,10 @@ class Poly:
 
         return [poly(q, dg) for q, (_, _, _, dg, _) in zip(qs, leads)], poly(r)
 
-    def divmod_single(self, g, key=None):
+    def divmod_single(self, g):
         """Division by one polynomial: self = q*g + r, no term of r divisible
         by the leading term of g."""
-        (q,), r = self.reduce([g], key)
+        (q,), r = self.reduce([g])
         return q, r
 
     def exact_div(self, g):
@@ -588,10 +557,12 @@ class Poly:
         d = obj.get("field", {}).get("d")
         if ring is None:
             ring = PolyRing(obj["vars"], d=d, weights=obj.get("weights"))
-        terms = {
-            tuple(t["exp"]): scalar_from_json(t["coeff"], d=ring.d)
-            for t in obj["terms"]
-        }
+        terms = {}
+        for t in obj["terms"]:
+            exp = tuple(t["exp"])
+            if len(exp) != ring.n or not all(type(k) is int and k >= 0 for k in exp):
+                raise ValueError(f"malformed exponent {t['exp']!r}")
+            terms[exp] = scalar_from_json(t["coeff"], d=ring.d)
         return ring.from_dict(terms)
 
     def __repr__(self):
@@ -613,6 +584,71 @@ class Poly:
 
 def _is_one(c):
     return c == 1
+
+
+def dot(pairs, ring):
+    """Sum of a*b over the pairs (a, b) of polynomials of ring, the one
+    product loop.  Every product is added into one dict of integer
+    numerators (pairs (A, B) over Q(sqrt d)) over one common denominator,
+    the lcm of the products of the operands' denominators (`integer_parts`),
+    widened pair by pair so that no pair's numerators are held beyond its
+    turn; each output coefficient is normalized once.  Pairs with a zero
+    operand are skipped; an operand from another ring raises ValueError."""
+    d = ring.d
+    den = 1
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        for p in (a, b):
+            if p.ring is not ring and p.ring != ring:
+                raise ValueError("polynomial context mismatch")
+        if not (a.t and b.t):
+            continue
+        da, na = integer_parts(a.t, d)
+        db, nb = integer_parts(b.t, d)
+        if len(na) > len(nb):
+            na, nb = nb, na
+        s = da * db
+        r = s // gcd(den, s)
+        if r > 1:
+            # widen the common denominator to lcm(den, s)
+            den *= r
+            for e, x in out.items():
+                if d is None:
+                    out[e] = x * r
+                else:
+                    x[0] *= r
+                    x[1] *= r
+        m = den // s
+        if d is None:
+            for e1, x1 in na.items():
+                x1 *= m
+                for e2, x2 in nb.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + x1 * x2
+            continue
+        for e1, (a1, b1) in na.items():
+            a1 *= m
+            b1 *= m
+            db1 = d * b1
+            for e2, (a2, b2) in nb.items():
+                e = tuple(map(add, e1, e2))
+                x = get(e)
+                if x is None:
+                    out[e] = [a1 * a2 + db1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    x[0] += a1 * a2 + db1 * b2
+                    x[1] += a1 * b2 + b1 * a2
+    if d is None:
+        return Poly(ring, {e: Fraction(x, den) for e, x in out.items() if x})
+    return Poly(
+        ring,
+        {
+            e: Quad(Fraction(x, den), Fraction(y, den), d)
+            for e, (x, y) in out.items()
+            if x or y
+        },
+    )
 
 
 def product(polys, ring=None):

@@ -1,11 +1,13 @@
 """Rectangular matrices of polynomials: products, determinants, adjugates.
 
-Determinants use memoized cofactor expansion, which adjugates share.
+Determinants use memoized cofactor expansion, which adjugates share.  Every
+entry of a product and every cofactor expansion is one `dot`, the sum of
+products over integer numerators.
 """
 
 from __future__ import annotations
 
-from .poly import Poly
+from .poly import Poly, dot
 
 
 class PolyMatrix:
@@ -63,20 +65,11 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.n != other.m:
                 raise ValueError("matrix shape mismatch")
-            z = self.ring.zero()
-            out = []
-            for i in range(self.m):
-                row = []
-                for j in range(other.n):
-                    acc = z
-                    for k in range(self.n):
-                        a = self.e[i][k]
-                        b = other.e[k][j]
-                        if a and b:
-                            acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(self.ring, out)
+            cols = [other.col(j) for j in range(other.n)]
+            return PolyMatrix(
+                self.ring,
+                [[dot(zip(row, col), self.ring) for col in cols] for row in self.e],
+            )
         return self.scale(other)
 
     def scale(self, c):
@@ -85,17 +78,7 @@ class PolyMatrix:
     def mul_vec(self, vec):
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        z = self.ring.zero()
-        out = []
-        for i in range(self.m):
-            acc = z
-            for k in range(self.n):
-                a = self.e[i][k]
-                b = vec[k]
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
+        return [dot(zip(row, vec), self.ring) for row in self.e]
 
     def __eq__(self, other):
         return (
@@ -132,16 +115,16 @@ class PolyMatrix:
             if len(rows) == 1:
                 val = self.e[rows[0]][cols[0]]
             else:
-                r0 = rows[0]
+                r0 = self.e[rows[0]]
                 rest = rows[1:]
-                val = self.ring.zero()
-                for k, c in enumerate(cols):
-                    a = self.e[r0][c]
-                    if not a:
-                        continue
-                    sub = det_sub(rest, cols[:k] + cols[k + 1 :])
-                    term = a * sub
-                    val = val + term if k % 2 == 0 else val - term
+                val = dot(
+                    (
+                        (r0[c] if k % 2 == 0 else -r0[c], det_sub(rest, cols[:k] + cols[k + 1 :]))
+                        for k, c in enumerate(cols)
+                        if r0[c]
+                    ),
+                    self.ring,
+                )
             memo[key] = val
             return val
 

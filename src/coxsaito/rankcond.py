@@ -18,7 +18,7 @@ from .engine import (
     graded_membership_batch,
     rank_of_vectors,
 )
-from .poly import Poly
+from .poly import Poly, dot
 from .polymatrix import PolyMatrix, hessian
 from .saito import SaitoData
 
@@ -140,11 +140,8 @@ def _gradient_row(table):
     q1 = qs[0].constant_value()
     ad_gamma = PolyMatrix.from_scalars(ring, datum.gram_dual).adjugate()
     adB = table.minors * ad_gamma  # adjugate of (Gamma J^t)
-    row = [adB[0, j] for j in range(l)]
-    for i in range(1, l):
-        c = qs[i].scale(1 / q1)
-        if c:
-            row = [r + c * adB[i, j] for j, r in enumerate(row)]
+    cs = [ring.one()] + [qs[i].scale(1 / q1) for i in range(1, l)]
+    row = [dot(zip(cs, adB.col(j)), ring) for j in range(l)]
     const = None
     for j in range(l):
         c = constant_ratio(

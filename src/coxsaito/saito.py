@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .catalog import CoxeterDatum
 from .certs import CheckFailure, constant_ratio, members, quotient
 from .engine import EngineError
-from .poly import Poly
+from .poly import Poly, dot
 from .polymatrix import PolyMatrix, jacobian
 
 
@@ -68,10 +68,8 @@ class PullbackCache:
 
     def pullback(self, g):
         """Substitute the basic invariants into a p-polynomial."""
-        acc = self.datum.ring.zero()
-        for e, c in g.t.items():
-            acc = acc + self.monomial(e).scale(c)
-        return acc
+        ring = self.datum.ring
+        return dot(((ring.const(c), self.monomial(e)) for e, c in g.t.items()), ring)
 
 
 def express_in_invariants(f, datum, cache=None):
@@ -288,14 +286,7 @@ def normalize_linear_part(sd):
 
 def field_apply(K, j, g):
     """Apply the j-th column of K, read as a vector field, to g."""
-    acc = g.ring.zero()
-    for i in range(K.m):
-        ki = K[i, j]
-        if ki:
-            gi = g.diff(i)
-            if gi:
-                acc = acc + ki * gi
-    return acc
+    return dot(((K[i, j], g.diff(i)) for i in range(K.m) if K[i, j]), g.ring)
 
 
 def logarithmic_quotients(sd):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from coxsaito import catalog
 from coxsaito.cli import main, required_tier
+from coxsaito.engine import Witness
+from coxsaito.poly import PolyRing
 
 
 def test_required_tiers():
@@ -90,10 +92,20 @@ def _without_gram(path):
     path.write_text(json.dumps(doc))
 
 
+def _negative_exponent(path):
+    doc = json.loads(path.read_text())
+    doc["invariants"][0]["terms"][0]["exp"][0] = -1
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "corrupt, detail",
-    [(_truncated, "JSONDecodeError: "), (_without_gram, "KeyError: 'gram'")],
-    ids=["truncated", "no-gram"],
+    [
+        (_truncated, "JSONDecodeError: "),
+        (_without_gram, "KeyError: 'gram'"),
+        (_negative_exponent, "ValueError: malformed exponent"),
+    ],
+    ids=["truncated", "no-gram", "negative-exponent"],
 )
 def test_corrupt_fixture_gives_error_verdicts(corrupt, detail, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
@@ -208,6 +220,10 @@ def _cofactor(doc):
     return _item(doc, "witness")["cofactors"][0]
 
 
+def _first_exp(doc):
+    return _cofactor(doc)["terms"][0]["exp"]
+
+
 # each mutation edits the report in place, or returns a replacement
 _MUTATIONS = {
     "checks-int": lambda doc: doc.update(checks=5),
@@ -219,6 +235,8 @@ _MUTATIONS = {
     "zero-denominator": lambda doc: _cofactor(doc)["terms"][0]["coeff"].update(a=["1", "0"]),
     "empty-det-matrix": lambda doc: _item(doc, "det_eq")["matrix"].update(entries=[]),
     "empty-zero-combo-pair": lambda doc: _item(doc, "zero_combo")["terms"].__setitem__(0, []),
+    "negative-exponent": lambda doc: _first_exp(doc).__setitem__(0, -1),
+    "short-exponent": lambda doc: _first_exp(doc).__delitem__(-1),
 }
 
 
@@ -250,6 +268,21 @@ def test_verify_wrong_field_types_exit_2(mutation, a2_report, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(bad)]) == 2
     assert "malformed report" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_exponent_forgery(tmp_path, capsys):
+    # y^2 is not in (x), yet x^-1 y^2 * x == y^2 would verify the witness
+    ring = PolyRing(("x", "y", "z"))
+    x, y, _ = ring.gens()
+    item = Witness(y**2, [x], [y**2], check=False).to_json()
+    item["cofactors"][0]["terms"][0]["exp"] = [-1, 2, 0]
+    check = {"check": "grc-A", "type": "A3", "verdict": "pass", "constants": {},
+             "witnesses": [item], "wall_time": 0.0, "detail": ""}
+    doc = {"version": "0.1.0", "type": "A3", "seeds": {}, "checks": [check]}
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    assert main(["verify", str(forged)]) == 2
+    assert "malformed exponent" in capsys.readouterr().err
 
 
 def _leaf_paths(obj, path=()):

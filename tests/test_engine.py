@@ -21,7 +21,10 @@ from coxsaito.engine import (
     solve_linear,
     squarefree_test,
 )
-from coxsaito.poly import PolyRing
+from coxsaito.catalog import build_datum
+from coxsaito.poly import Poly, PolyRing
+from coxsaito.polymatrix import hessian
+from coxsaito.saito import build_saito
 from coxsaito.scalars import Quad
 
 
@@ -151,7 +154,7 @@ def test_groebner_buchberger_closure_oracle(ring):
         gb = groebner([f, g])
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                assert not normal_form(_spair(gb[i], gb[j], ring.term_key), gb)
+                assert not normal_form(_spair(gb[i], gb[j]), gb)
 
 
 def test_graded_and_groebner_agree(ring):
@@ -438,3 +441,30 @@ def test_membership_with_coefficients_past_every_prime():
     assert len(target.t) == 10
     res = graded_membership(target, [x, y, z])
     assert isinstance(res, Witness) and res.verify()
+
+
+def test_functionals_do_not_depend_on_term_order():
+    # the Hessian rank condition's targets on A3, for every pair (i, j),
+    # each batch solved once as built and once with every polynomial's
+    # terms stored in reverse
+    datum = build_datum("A3")
+    sd = build_saito(datum)
+    gens = [p for p in datum.invariants if p.whomog_degree() < datum.coxeter_number]
+
+    def reversed_terms(p):
+        return Poly(p.ring, dict(reversed(p.t.items())))
+
+    functionals = 0
+    for j in range(datum.rank):
+        for i in range(datum.rank):
+            targets = [v for v in hessian(datum.invariants[i]).mul_vec(sd.eta.col(j)) if v]
+            built = graded_membership_batch(targets, gens)
+            stored = graded_membership_batch(
+                [reversed_terms(t) for t in targets], [reversed_terms(g) for g in gens]
+            )
+            for a, b in zip(built, stored):
+                assert type(a) is type(b)
+                if isinstance(a, NonMembership):
+                    functionals += 1
+                    assert a.functional == b.functional
+    assert functionals == 21

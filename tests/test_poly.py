@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxsaito.poly import Poly, PolyRing, poly_pairing, product
+from coxsaito.poly import Poly, PolyRing, dot, poly_pairing, product
 from coxsaito.scalars import Quad
 
 
@@ -225,6 +225,49 @@ def test_mul_matches_schoolbook(operands):
     prod = f * g
     assert prod.t == schoolbook(f, g)
     assert_field_coeffs(prod)
+
+
+# -- sums of products ----------------------------------------------------------
+
+DOT_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("u", "v"), d=2),
+)
+
+
+@st.composite
+def dot_operands(draw):
+    ring = draw(st.sampled_from(DOT_RINGS))
+    pairs = [(draw_poly(draw, ring), draw_poly(draw, ring)) for _ in range(draw(st.integers(0, 4)))]
+    if len(pairs) >= 2 and draw(st.booleans()):
+        # the last pair cancels the first one
+        f, g = pairs[0]
+        pairs[-1] = (-f, g) if draw(st.booleans()) else (g, -f)
+    return ring, pairs
+
+
+@given(dot_operands())
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_schoolbook_sum(operands):
+    ring, pairs = operands
+    expected = {}
+    for f, g in pairs:
+        for e, c in schoolbook(f, g).items():
+            expected[e] = expected.get(e, 0) + c
+    total = dot(pairs, ring)
+    assert total.ring == ring
+    assert total.t == {e: c for e, c in expected.items() if c}
+    assert_field_coeffs(total)
+
+
+def test_dot_rejects_another_ring(ring):
+    x, y = ring.gens()
+    other = PolyRing(("x", "y"), d=5)
+    u, v = other.gens()
+    for pairs in ([(x, y), (x, u)], [(u, x)], [(u, v)], [(x, other.zero())]):
+        with pytest.raises(ValueError):
+            dot(pairs, ring)
 
 
 # -- division by several polynomials -------------------------------------------
