@@ -23,7 +23,7 @@ from .certs import (
     zero_combo_payload,
 )
 from .engine import back_substitute, echelon, rank_of_vectors, reduce_row
-from .poly import dot
+from .poly import Substitution, dot
 from .polymatrix import jacobian
 from .rankcond import ARRANGEMENT, MinorTable
 
@@ -111,12 +111,13 @@ def verify_generators(table):
         # invariance of the defining congruences under the simple reflections
         datum = table.datum
         if table.side == ARRANGEMENT and datum.irreducible:
-            for g_idx, g in enumerate(datum.generators()):
+            den = table.minors[l - 1, l - 1]
+            for g_idx, s in enumerate(datum.reflections()):
+                s_den = s(den)
                 for i in range(l - 1):
-                    num = datum.act(table.minors[i, l - 1], g)
-                    den = datum.act(table.minors[l - 1, l - 1], g)
+                    num = table.minors[i, l - 1]
                     quotient(
-                        num * table.minors[l - 1, l - 1] - table.minors[i, l - 1] * den,
+                        s(num) * den - num * s_den,
                         defining,
                         f"generator {i+1} not invariant under reflection {g_idx+1}",
                     )
@@ -194,7 +195,7 @@ def _pulled_back_constants(table, nums, mtD, cache):
     neg = [-(nums[k] * den) for k in range(l)]
     for i in range(l - 1):
         for j in range(i, l - 1):
-            cs = [cache.pullback(mtD.constants[i][j][k]) for k in range(l)]
+            cs = [cache(mtD.constants[i][j][k]) for k in range(l)]
             rem = dot([(nums[i], nums[j]), *zip(cs, neg)], ring)
             q = quotient(
                 rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})"
@@ -270,9 +271,9 @@ def check_quotient_rule(sd, table_a, cache):
 
     def body():
         payload = []
-        dl = cache.pullback(sd.disc.diff(l - 1))
+        dl = cache(sd.disc.diff(l - 1))
         for i in range(l):
-            di = cache.pullback(sd.disc.diff(i))
+            di = cache(sd.disc.diff(i))
             for j in range(l):
                 lhs = di * table_a.minors[l - 1, j]
                 rhs = dl * table_a.minors[i, j]
@@ -303,10 +304,10 @@ def check_generator_match(sd, table_a, table_d, cache):
         payload = []
         # ad(K_S) is the entrywise pullback of ad(K_R): determinants and
         # adjugates commute with the verified coordinate change
-        M_ll = cache.pullback(table_d.minors[l - 1, l - 1])
+        M_ll = cache(table_d.minors[l - 1, l - 1])
         den = table_a.minors[l - 1, l - 1]
         for i in range(l):
-            M_il = cache.pullback(table_d.minors[i, l - 1])
+            M_il = cache(table_d.minors[i, l - 1])
             lhs = M_il * den
             rhs = table_a.minors[i, l - 1] * M_ll
             q = quotient(lhs - rhs, delta, f"generator match fails at i={i+1}")
@@ -339,14 +340,15 @@ def fiber_point_count(mt, point):
     l = table.rank
     zero = table.datum.ring.coeff(0)
     J = table.saito.J
+    at = Substitution(point, None)
     # the relations among the generator classes are the columns of J
-    cols = [[J[i, j].eval(point) for i in range(l)] for j in range(l)]
+    cols = [[at(J[i, j]) for i in range(l)] for j in range(l)]
     pivots, _ = echelon((_sparse(c), ()) for c in cols)
     free = [i for i in range(l) if i not in pivots]
 
     def product(a, b):
         # h_a h_b in the basis of free classes
-        red = _sparse([mt.constants[a][b][k].eval(point) for k in range(l)])
+        red = _sparse([at(mt.constants[a][b][k]) for k in range(l)])
         reduce_row(red, [], pivots)
         return red
 
@@ -384,7 +386,8 @@ def sample_points(datum):
         return datum.mirror_forms[idx].linear_coeffs()
 
     def vanishing_count(pt):
-        return sum(1 for f in datum.mirror_forms if not f.eval(pt))
+        at = Substitution(pt, None)
+        return sum(1 for f in datum.mirror_forms if not at(f))
 
     def point_of(basis):
         # a random point of the span: one coefficient per basis vector

@@ -6,10 +6,13 @@ hyperplane (so its Gram matrix is not the identity), B/D/F4 in standard
 orthonormal coordinates, and the dihedral and H types in the basis of
 simple roots.  The group order is the orbit size of a point on no mirror;
 the arrangement polynomial is the product of one linear form per mirror;
-the basic invariants are built from classical formulas or orbit sums and
-certified by det(Jacobian) being a nonzero constant multiple of the
-arrangement polynomial.  A product is assembled from its factor datums
-(`build_product`), memoized ones under `build_datum`.
+the basic invariants are built from classical formulas or orbit sums,
+checked invariant under each simple reflection (one `Substitution`
+x -> M x per reflection, shared by every invariant) and certified by
+det(Jacobian) being a nonzero constant multiple of the arrangement
+polynomial.  A product is assembled from its factor datums
+(`build_product`, which moves each factor's invariants to its own
+variables by substitution), memoized ones under `build_datum`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .engine import solve_linear
-from .poly import Poly, PolyRing, dot, product
+from .poly import Poly, PolyRing, Substitution, dot, product
 from .polymatrix import jacobian
 from .scalars import Quad, invert, scalar_from_json, scalar_to_json
 
@@ -36,7 +39,7 @@ INVARIANT_SEED = 41351
 SAMPLING_SEED = 97003
 
 
-def _phi(d=5):
+def _phi():
     # golden ratio, the basic irrationality of the H types
     return Quad(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -85,12 +88,12 @@ class CoxeterDatum:
     def mirror_count(self):
         return len(self.mirror_forms)
 
-    def generators(self):
-        return [_reflection_matrix(self.gram, a, self.ring.d) for a in self.simple_roots]
-
-    def act(self, f, mat):
-        """Substitute x -> M x into a polynomial on V."""
-        return _act(f, mat)
+    def reflections(self):
+        """The simple reflections, each as the substitution x -> M x."""
+        return [
+            _linear_map(self.ring, _reflection_matrix(self.gram, a, self.ring.d))
+            for a in self.simple_roots
+        ]
 
     def inner(self, u, v):
         acc = self.ring.coeff(0)
@@ -162,7 +165,8 @@ def _group_order(gens, forms, ring):
     k = 2
     while True:
         point = [ring.coeff(k**i) for i in range(ring.n)]
-        if all(f.eval(point) for f in forms):
+        at = Substitution(point, None)
+        if all(at(f) for f in forms):
             return len(_orbit([point], gens, ring.coeff(0)))
         k += 1
 
@@ -179,9 +183,9 @@ def _mirror_forms(ring, gram, roots):
     return [ring.linear_form(_normalize_direction(_mat_vec(gram, list(r), zero))) for r in roots]
 
 
-def _act(f, mat):
-    """Substitute x -> M x into a polynomial on V."""
-    return f.subst([f.ring.linear_form(row) for row in mat])
+def _linear_map(ring, mat):
+    """The substitution x -> M x on polynomials on V."""
+    return Substitution([ring.linear_form(row) for row in mat], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +468,17 @@ def _build_irreducible(tag, param):
         "generators": gens,
     }
     invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]
+    reflections = [_linear_map(ring, g) for g in gens]
     for p, w in zip(invariants, degrees):
         if p.whomog_degree() != w:
             raise RuntimeError(f"{tag}{param}: invariant has wrong degree")
-        if any(_act(p, g) != p for g in gens):
+        if any(s(p) != p for s in reflections):
             raise RuntimeError(f"{tag}{param}: candidate invariant not invariant")
 
     return _assemble(
         canonical_name([(tag, param)]), ring, gram, simple_roots, mirror_roots,
         forms, degrees, order, invariants,
     )
-
-
-def _embed_poly(p, big_ring, offset):
-    terms = {}
-    n = big_ring.n
-    for e, c in p.t.items():
-        big = [0] * n
-        for i, k in enumerate(e):
-            big[offset + i] = k
-        terms[tuple(big)] = c
-    return big_ring.from_dict(terms)
 
 
 def build_product(parts):
@@ -514,7 +508,8 @@ def build_product(parts):
         gram += embed(p.gram)  # block diagonal
         simple_roots += embed(p.simple_roots)
         mirror_roots += embed(p.roots)
-        invariants += [_embed_poly(q, ring, offset) for q in p.invariants]
+        images = ring.gens()[offset : offset + p.rank]  # x_i -> x_(offset+i)
+        invariants += [q.subst(images) for q in p.invariants]
         degrees += p.degrees
         order *= p.group_order
         factor_list.append((p, offset))
@@ -580,11 +575,8 @@ def build_datum(name):
 def stabilizer_components(datum, point):
     """Mirrors through the point, grouped into components of the graph with
     edges where the roots are not orthogonal."""
-    point = [datum.ring.coeff(v) for v in point]
-    vanishing = []
-    for idx, form in enumerate(datum.mirror_forms):
-        if form.eval(point) == 0:
-            vanishing.append(idx)
+    at = Substitution([datum.ring.coeff(v) for v in point], None)
+    vanishing = [idx for idx, form in enumerate(datum.mirror_forms) if not at(form)]
     parent = {i: i for i in vanishing}
 
     def find(i):

@@ -32,10 +32,6 @@ class Certificate:
     wall_time: float = 0.0
     detail: str = ""
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
     def to_json(self):
         return {
             "check": self.name,

@@ -30,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from .poly import Poly, PolyRing, dot, poly_pairing
+from .poly import Poly, PolyRing, Substitution, dot, poly_pairing
 from .scalars import Quad, integer_parts
 
 
@@ -43,15 +43,20 @@ class EngineError(ValueError):
 
 
 class Witness:
-    """Cofactors c_i with sum(c_i * g_i) == target, verified on construction."""
+    """Cofactors c_i, one per generator g_i, with sum(c_i * g_i) == target,
+    verified on construction."""
 
     __slots__ = ("target", "gens", "cofactors")
 
-    def __init__(self, target, gens, cofactors, check=True):
+    def __init__(self, target, gens, cofactors):
         self.target = target
         self.gens = list(gens)
         self.cofactors = list(cofactors)
-        if check and not self.verify():
+        if len(self.cofactors) != len(self.gens):
+            raise ValueError(
+                f"witness has {len(self.cofactors)} cofactors for {len(self.gens)} generators"
+            )
+        if not self.verify():
             raise EngineError("witness identity failed to verify")
 
     def verify(self):
@@ -80,11 +85,11 @@ class NonMembership:
 
     __slots__ = ("target", "gens", "functional")
 
-    def __init__(self, target, gens, functional, check=True):
+    def __init__(self, target, gens, functional):
         self.target = target
         self.gens = list(gens)
         self.functional = functional
-        if check and not self.verify():
+        if not self.verify():
             raise EngineError("non-membership functional failed to verify")
 
     def verify(self):
@@ -672,8 +677,9 @@ def _pair_cuts_out_points(f, g):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
+        at = Substitution((u0,), None)
         fs, gs = (
-            uni.from_dict({(j,): row.eval((u0,)) for j, row in enumerate(rows)})
+            uni.from_dict({(j,): at(row) for j, row in enumerate(rows)})
             for rows in (fc, gc)
         )
         if fs.deg() < len(fc) - 1 and gs.deg() < len(gc) - 1:

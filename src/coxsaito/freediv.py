@@ -196,8 +196,8 @@ def check_lift(table_d, cache):
 
     def body():
         B, detB, _ = basis_change(table_d)
-        W = sd.eta * (B * _kpp(sd)).map(cache.pullback)
-        mll_x = cache.pullback(mll)
+        W = sd.eta * (B * _kpp(sd)).map(cache)
+        mll_x = cache(mll)
         c, payload = _saito_criterion(
             W, datum.delta, mll_x, "lift-criterion", "lift-log-column"
         )

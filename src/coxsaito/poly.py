@@ -8,10 +8,13 @@ ones).  Zero is the empty dict; canonical term order is graded reverse
 lexicographic.  Every sum of products, a single product included, is one
 `dot`: it runs over integer numerators, brings every pair to one common
 denominator, accumulates all products into one dict and normalizes each
-output coefficient once.  `Poly.reduce` (division by a list of
-polynomials) is the one division loop: single division, Groebner normal
-forms and univariate gcds all run through it.  It too runs over integer
-numerators, over one denominator that grows only when a leading
+output coefficient once.  `Substitution` (the map x_i -> images[i]) is
+the one substitution loop: it builds each monomial's image once and keeps
+it for later polynomials, and every pullback, reflection action,
+embedding and evaluation runs through it.  `Poly.reduce` (division by a
+list of polynomials) is the one division loop: single division, Groebner
+normal forms and univariate gcds all run through it.  It too runs over
+integer numerators, over one denominator that grows only when a leading
 coefficient does not divide, computes each exponent's sort key once, and
 normalizes each output coefficient once.
 """
@@ -335,7 +338,7 @@ class Poly:
         key = self.ring.term_key
         return sorted(self.t.items(), key=lambda it: key(it[0]), reverse=True)
 
-    # -- calculus and evaluation -------------------------------------------
+    # -- calculus and substitution -----------------------------------------
 
     def diff(self, i):
         if not 0 <= i < self.ring.n:
@@ -355,57 +358,7 @@ class Poly:
 
     def subst(self, images):
         """Ring homomorphism sending x_i to images[i] (all in one target ring)."""
-        if len(images) != self.ring.n:
-            raise ValueError("substitution image count mismatch")
-        if not self.t:
-            if images:
-                return images[0].ring.zero()
-            return self.ring.zero()
-        target = images[0].ring if images else self.ring
-        pows = [{0: target.one()} for _ in images]
-
-        def power(i, k):
-            cache = pows[i]
-            got = cache.get(k)
-            if got is None:
-                got = power(i, k - 1) * images[i]
-                cache[k] = got
-            return got
-
-        acc = target.zero()
-        for e, c in self.t.items():
-            term = target.const(coerce(c, target.d))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
-
-    def eval(self, point):
-        """Exact evaluation at a tuple of scalars."""
-        if len(point) != self.ring.n:
-            raise ValueError("evaluation point length mismatch")
-        # rational coordinates stay plain numbers: their powers and their
-        # products with a coefficient cost less than products of two Quads
-        point = [v if isinstance(v, (int, Fraction)) else self.ring.coeff(v) for v in point]
-        pows = [{0: 1} for _ in point]
-
-        def power(i, k):
-            cache = pows[i]
-            got = cache.get(k)
-            if got is None:
-                got = power(i, k - 1) * point[i]
-                cache[k] = got
-            return got
-
-        acc = self.ring.coeff(0)
-        for e, c in self.t.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * power(i, k)
-            acc = acc + v
-        return acc
+        return Substitution(images, images[0].ring if images else self.ring)(self)
 
     # -- division ----------------------------------------------------------
 
@@ -580,6 +533,49 @@ class Poly:
             else:
                 bits.append(f"({c})")
         return " + ".join(bits)
+
+
+class Substitution:
+    """The map x_i -> images[i], the one substitution loop: pullbacks,
+    reflection actions, embeddings and evaluations all run through it.
+
+    The image of each monomial is built once, from the image of the
+    monomial with its last exponent lowered, and kept for every later
+    polynomial.  Into a target ring, a polynomial's image is one `dot` of
+    (coefficient, monomial image) pairs.  With target None the images are
+    scalars and the map evaluates: the value is the sum of coefficient
+    times monomial value, so rational coordinates stay plain `int` or
+    `Fraction`, whose products with a coefficient cost less than products
+    of two Quads."""
+
+    __slots__ = ("images", "target", "_mons")
+
+    def __init__(self, images, target):
+        self.images = tuple(images)
+        self.target = target
+        self._mons = {}
+
+    def monomial(self, e):
+        """The image of the monomial with exponent e."""
+        got = self._mons.get(e)
+        if got is None:
+            last = max((i for i, k in enumerate(e) if k), default=None)
+            if last is None:
+                got = 1 if self.target is None else self.target.one()
+            else:
+                lower = e[:last] + (e[last] - 1,) + e[last + 1 :]
+                got = self.monomial(lower) * self.images[last]
+            self._mons[e] = got
+        return got
+
+    def __call__(self, f):
+        if f.ring.n != len(self.images):
+            raise ValueError("substitution image count mismatch")
+        mon = self.monomial
+        if self.target is None:
+            return sum((c * mon(e) for e, c in f.t.items()), f.ring.coeff(0))
+        const = self.target.const
+        return dot(((const(c), mon(e)) for e, c in f.t.items()), self.target)
 
 
 def _is_one(c):

@@ -26,13 +26,6 @@ class PolyMatrix:
                     raise ValueError("matrix entry in a different ring")
 
     @staticmethod
-    def identity(ring, n):
-        return PolyMatrix(
-            ring,
-            [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)],
-        )
-
-    @staticmethod
     def from_scalars(ring, rows):
         return PolyMatrix(ring, [[ring.const(c) for c in row] for row in rows])
 

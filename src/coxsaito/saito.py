@@ -6,6 +6,9 @@ and, entry by entry, as polynomials in the invariant coordinates.  The
 discriminant polynomial is det K in invariant coordinates; its pullback
 identity with the square of the arrangement polynomial follows exactly
 from the verified entrywise pullbacks, so no large expansion is needed.
+Every pullback f o p of a type runs through its one `Substitution`
+(p_i -> the basic invariant p_i as an x-polynomial), which builds the
+pullback of each p-monomial once and keeps it for later polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from .catalog import CoxeterDatum
 from .certs import CheckFailure, constant_ratio, members, quotient
 from .engine import EngineError
-from .poly import Poly, dot
+from .poly import Poly, Substitution, dot
 from .polymatrix import PolyMatrix, jacobian
 
 
@@ -46,42 +49,17 @@ class SaitoData:
         return self.datum.p_ring
 
 
-class PullbackCache:
-    """The pullback of each p-monomial through the basic invariants, each
-    built once from the monomial with its last exponent lowered."""
-
-    def __init__(self, datum):
-        self.datum = datum
-        self._mons = {}
-
-    def monomial(self, mu):
-        got = self._mons.get(mu)
-        if got is None:
-            last = max((i for i, k in enumerate(mu) if k), default=None)
-            if last is None:
-                got = self.datum.ring.one()
-            else:
-                lower = mu[:last] + (mu[last] - 1,) + mu[last + 1 :]
-                got = self.monomial(lower) * self.datum.invariants[last]
-            self._mons[mu] = got
-        return got
-
-    def pullback(self, g):
-        """Substitute the basic invariants into a p-polynomial."""
-        ring = self.datum.ring
-        return dot(((ring.const(c), self.monomial(e)) for e, c in g.t.items()), ring)
-
-
 def express_in_invariants(f, datum, cache=None):
     """Write a W-invariant x-polynomial exactly in invariant coordinates.
 
     Each homogeneous part is a graded member of the span of the pullbacks
-    of the p-monomials of its degree: the witness's constant cofactors are
+    of the p-monomials of its degree (the monomial images of cache, the
+    pullback `Substitution`): the witness's constant cofactors are
     the coefficients and its identity is the pullback identity.  A part
     that is not invariant is a non-member, so a CheckFailure.
     """
     if cache is None:
-        cache = PullbackCache(datum)
+        cache = Substitution(datum.invariants, datum.ring)
     p_ring = datum.p_ring
     parts = {}
     for e, c in f.t.items():
@@ -119,7 +97,7 @@ def build_saito(datum, cache=None):
     """Assemble and internally verify the full matrix apparatus."""
     if not datum.irreducible:
         raise EngineError("saito data is built per irreducible factor")
-    cache = cache or PullbackCache(datum)
+    cache = cache or Substitution(datum.invariants, datum.ring)
     ring = datum.ring
     p_ring = datum.p_ring
     l = datum.rank

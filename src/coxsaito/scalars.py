@@ -18,11 +18,7 @@ class Quad:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0, d=5):
-        if isinstance(a, Quad):
-            if b:
-                raise ValueError("cannot combine a Quad with a surd part")
-            a, b, d = a.a, a.b, a.d
+    def __init__(self, a, b, d):
         self.a = a if type(a) is Fraction else Fraction(a)
         self.b = b if type(b) is Fraction else Fraction(b)
         self.d = d

@@ -27,6 +27,7 @@ from .freediv import (
     check_free_divisor_sum,
     check_lift,
 )
+from .poly import Substitution
 from .polymatrix import jacobian
 from .rankcond import (
     ARRANGEMENT,
@@ -37,7 +38,7 @@ from .rankcond import (
     check_hrc,
     equivalence_probe,
 )
-from .saito import PullbackCache, build_saito, normalize_linear_part
+from .saito import build_saito, normalize_linear_part
 
 ALL_SUITES = (
     "datum",
@@ -231,7 +232,8 @@ class Workspace:
         )
 
     def pullback_cache(self, name):
-        return self._once(("pull", name), lambda: PullbackCache(self.datum(name)))
+        datum = self.datum(name)
+        return self._once(("pull", name), lambda: Substitution(datum.invariants, datum.ring))
 
     def minor_table(self, name, side):
         return self._once(

@@ -3,4 +3,4 @@
 
 def is_invariant(datum, f):
     """Invariance under the simple reflections (hence under the group)."""
-    return all(datum.act(f, g) == f for g in datum.generators())
+    return all(s(f) == f for s in datum.reflections())

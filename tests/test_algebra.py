@@ -17,8 +17,9 @@ from coxsaito.algebra import (
     verify_generators,
 )
 from coxsaito.catalog import build_datum, stabilizer_components
+from coxsaito.poly import Substitution
 from coxsaito.rankcond import ARRANGEMENT, DISCRIMINANT, build_minor_table
-from coxsaito.saito import PullbackCache, build_saito
+from coxsaito.saito import build_saito
 
 
 _WS = {}
@@ -40,7 +41,7 @@ def mul_tables(name):
     if key not in _WS:
         # the arrangement table is pulled back, as the workspace builds it
         mD = build_mul_table(tD)
-        _WS[key] = (build_mul_table(tA, mD, PullbackCache(d)), mD)
+        _WS[key] = (build_mul_table(tA, mD, Substitution(d.invariants, d.ring)), mD)
     return _WS[key]
 
 
@@ -49,7 +50,7 @@ def test_cross_identities_all_columns():
         d, sd, tA, tD = setup(name)
         for t in (tA, tD):
             cert = verify_generators(t)
-            assert cert.passed, cert.detail
+            assert cert.verdict == "pass", cert.detail
 
 
 def test_unit_generator():
@@ -78,7 +79,7 @@ def test_mul_tables_commutative_associative_unital():
         mA, mD = mul_tables(name)
         for mt in (mA, mD):
             cert = check_mul_table(mt)
-            assert cert.passed, (name, mt.side, cert.detail)
+            assert cert.verdict == "pass", (name, mt.side, cert.detail)
             l = mt.rank
             for i in range(l):
                 for j in range(l):
@@ -100,9 +101,9 @@ def test_dihedral_discriminant_square_entry():
 def test_quotient_rule_and_generator_match():
     for name in ("A2", "B2", "A3", "B3", "I2(5)"):
         d, sd, tA, tD = setup(name)
-        cache = PullbackCache(d)
-        assert check_quotient_rule(sd, tA, cache).passed
-        assert check_generator_match(sd, tA, tD, cache).passed
+        cache = Substitution(d.invariants, d.ring)
+        assert check_quotient_rule(sd, tA, cache).verdict == "pass"
+        assert check_generator_match(sd, tA, tD, cache).verdict == "pass"
 
 
 def test_fiber_counts_reference_points():
@@ -145,7 +146,7 @@ def test_fiber_certificates():
     for name in ("A2", "B2", "A3", "B3", "I2(5)", "I2(6)"):
         mA, _ = mul_tables(name)
         cert = check_fibers(mA)
-        assert cert.passed, (name, cert.detail)
+        assert cert.verdict == "pass", (name, cert.detail)
         recs = cert.constants["points"]
         assert len(recs) >= 10 or mul_tables(name)[0].rank == 2
         assert any(r["label"] == "origin" for r in recs)
@@ -162,7 +163,8 @@ def test_sample_points_have_enough_variety():
         assert len(pts) >= 10
         # each point lies on its flat
         for label, pt in pts:
-            vanishing = sum(1 for f in d.mirror_forms if not f.eval(pt))
+            at = Substitution(pt, None)
+            vanishing = sum(1 for f in d.mirror_forms if not at(f))
             if label == "mirror":
                 assert vanishing == 1, (name, pt)
             elif label == "codim2":
@@ -172,7 +174,7 @@ def test_sample_points_have_enough_variety():
 def test_normalization_gap_for_odd_dihedral():
     d, sd, tA, tD = setup("I2(5)")
     cert = check_normalization_gap(sd, tD)
-    assert cert.passed, cert.detail
+    assert cert.verdict == "pass", cert.detail
     assert cert.constants["gaps"][0] == 1
     assert cert.constants["dims"]["1"] == 0
     assert cert.constants["dims"]["2"] == 1
@@ -188,7 +190,7 @@ def test_normalization_gap_rejects_even_types():
 def test_boolean_split():
     d = build_datum("A1xA1xA1")
     cert = check_boolean_split(d)
-    assert cert.passed, cert.detail
+    assert cert.verdict == "pass", cert.detail
     assert cert.constants["factors"] == 3
 
 

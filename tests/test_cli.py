@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coxsaito import catalog
 from coxsaito.cli import main, required_tier
-from coxsaito.engine import Witness
 from coxsaito.poly import PolyRing
 
 
@@ -237,6 +236,9 @@ _MUTATIONS = {
     "empty-zero-combo-pair": lambda doc: _item(doc, "zero_combo")["terms"].__setitem__(0, []),
     "negative-exponent": lambda doc: _first_exp(doc).__setitem__(0, -1),
     "short-exponent": lambda doc: _first_exp(doc).__delitem__(-1),
+    # the identity still holds on the first cofactors, but a witness has one
+    # cofactor per generator
+    "extra-cofactor": lambda doc: _item(doc, "witness")["cofactors"].append(_cofactor(doc)),
 }
 
 
@@ -274,7 +276,8 @@ def test_verify_rejects_negative_exponent_forgery(tmp_path, capsys):
     # y^2 is not in (x), yet x^-1 y^2 * x == y^2 would verify the witness
     ring = PolyRing(("x", "y", "z"))
     x, y, _ = ring.gens()
-    item = Witness(y**2, [x], [y**2], check=False).to_json()
+    item = {"kind": "witness", "target": (y**2).to_json(), "gens": [x.to_json()],
+            "cofactors": [(y**2).to_json()]}
     item["cofactors"][0]["terms"][0]["exp"] = [-1, 2, 0]
     check = {"check": "grc-A", "type": "A3", "verdict": "pass", "constants": {},
              "witnesses": [item], "wall_time": 0.0, "detail": ""}

@@ -3,10 +3,12 @@ unused-import rule).  A name counts as used when it appears as an
 `ast.Name`, which covers the base of an attribute access (`np.zeros`);
 `__init__.py` is skipped, since it imports to re-export.
 
-Every module-level function, class or constant, private (`_name`) or
+Every module-level function, class or constant, and every function in a
+class body (methods, properties and static methods), private (`_name`) or
 public, is referenced somewhere in the package, so that a helper whose last
 caller is gone does not stay behind; a public name the package only
-re-exports from `__init__.py` counts as referenced."""
+re-exports from `__init__.py` counts as referenced.  Dunders are exempt:
+the language calls them."""
 
 import ast
 from pathlib import Path
@@ -39,10 +41,15 @@ def test_no_unused_imports(path):
 
 def defined_names(tree):
     """(name, line) for every module-level function, class and constant (an
-    assignment to a plain name), dunders excluded."""
+    assignment to a plain name) and every function in a module-level class
+    body."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -51,11 +58,12 @@ def defined_names(tree):
 
 
 def unreferenced_definitions(private):
-    """Module-level functions, classes and constants of the package,
-    private ones (`_name`) or public ones, whose name the package never
-    loads as an `ast.Name`, references as an `ast.Attribute` or imports
-    (so a re-export from `__init__.py` counts).  A constant's own
-    definition stores to its name, so a stored name is no reference."""
+    """Module-level functions, classes and constants and class-body
+    functions of the package, private ones (`_name`) or public ones, other
+    than dunders, whose name the package never loads as an `ast.Name`,
+    references as an `ast.Attribute` or imports (so a re-export from
+    `__init__.py` counts).  A constant's own definition stores to its name,
+    so a stored name is no reference."""
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     referenced = set()
     for tree in trees.values():

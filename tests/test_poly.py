@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxsaito.poly import Poly, PolyRing, dot, poly_pairing, product
+from coxsaito.poly import Poly, PolyRing, Substitution, dot, poly_pairing, product
 from coxsaito.scalars import Quad
 
 
@@ -84,9 +84,9 @@ def test_substitute_shape(ring):
 def test_evaluate(ring):
     x, y = ring.gens()
     f = x * x - y
-    assert f.eval([2, 3]) == 1
+    assert Substitution([2, 3], None)(f) == 1
     with pytest.raises(ValueError):
-        f.eval([1])
+        Substitution([1], None)(f)
 
 
 def test_evaluate_agrees_with_constant_substitution(ring):
@@ -95,7 +95,7 @@ def test_evaluate_agrees_with_constant_substitution(ring):
         f = rand_poly(ring, rng)
         pt = [Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))]
         images = [ring.const(v) for v in pt]
-        assert ring.const(f.eval(pt)) == f.subst(images)
+        assert ring.const(Substitution(pt, None)(f)) == f.subst(images)
 
 
 def test_division_single(ring):
@@ -268,6 +268,77 @@ def test_dot_rejects_another_ring(ring):
     for pairs in ([(x, y), (x, u)], [(u, x)], [(u, v)], [(x, other.zero())]):
         with pytest.raises(ValueError):
             dot(pairs, ring)
+
+
+# -- one substitution map over many polynomials --------------------------------
+
+SUBST_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("u", "v"), d=2),
+)
+
+
+def term_by_term(f, images, const):
+    """The sum of c * prod images[i]**k over the terms c*x^k of f, one term at
+    a time, each coefficient c taken into the target by const."""
+    acc = const(0)
+    for e, c in f.t.items():
+        term = const(c)
+        for v, k in zip(images, e):
+            term = term * v**k
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def substitution_operands(draw):
+    source = draw(st.sampled_from(SUBST_RINGS))
+    # into a ring over the same field with another number of variables
+    target = draw(st.sampled_from([r for r in SUBST_RINGS if r.d == source.d] + [
+        PolyRing(("s", "t", "w", "q")[: 5 - source.n], d=source.d)]))
+    images = [draw_poly(draw, target) for _ in range(source.n)]
+    polys = [draw_poly(draw, source) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        # a later polynomial made of the first one's monomials
+        polys.append(polys[0].scale(draw_coeff(draw, source)) + polys[-1])
+    return source, target, images, polys
+
+
+@given(substitution_operands())
+@settings(max_examples=200, deadline=None)
+def test_substitution_matches_term_by_term(operands):
+    source, target, images, polys = operands
+    at = Substitution(images, target)
+    for f in polys:
+        image = at(f)
+        assert image.ring == target
+        assert image == term_by_term(f, images, target.const)
+        assert_field_coeffs(image)
+
+
+coordinates = st.one_of(st.integers(-6, 6), fractions)
+
+
+@st.composite
+def evaluation_operands(draw):
+    ring = draw(st.sampled_from(SUBST_RINGS))
+    point = [draw(coordinates) for _ in range(ring.n)]
+    if ring.d is not None and draw(st.booleans()):
+        point[0] = Quad(draw(fractions), draw(fractions), ring.d)
+    polys = [draw_poly(draw, ring) for _ in range(draw(st.integers(1, 4)))]
+    return ring, point, polys
+
+
+@given(evaluation_operands())
+@settings(max_examples=200, deadline=None)
+def test_evaluation_matches_term_by_term(operands):
+    ring, point, polys = operands
+    at = Substitution(point, None)
+    for f in polys:
+        value = at(f)
+        assert type(value) is (Fraction if ring.d is None else Quad)
+        assert value == term_by_term(f, point, ring.coeff)
 
 
 # -- division by several polynomials -------------------------------------------

@@ -82,7 +82,7 @@ def test_grc_pass_and_witness_payloads():
     for name in ("A2", "B2", "I2(5)"):
         for side in (ARRANGEMENT, DISCRIMINANT):
             cert = check_grc(table(name, side))
-            assert cert.passed, cert.detail
+            assert cert.verdict == "pass", cert.detail
             assert len(cert.payload) == table(name, side).rank ** 2
             from coxsaito.certs import verify_payload_item
 
@@ -93,12 +93,12 @@ def test_grc_discriminant_side_runs_over_invariant_ring():
     t = table("A3", DISCRIMINANT)
     assert t.matrix.ring.weights == tuple(t.datum.degrees)
     cert = check_grc(t)
-    assert cert.passed
+    assert cert.verdict == "pass"
 
 
 def test_rank_two_types_pass_trivially():
     cert = check_grc(table("I2(6)", ARRANGEMENT))
-    assert cert.passed
+    assert cert.verdict == "pass"
 
 
 def test_drc():
@@ -106,7 +106,7 @@ def test_drc():
         d = build_datum(name)
         sd = _CACHE.get(name) or build_saito(d)
         cert = check_drc(d, sd)
-        assert cert.passed, cert.detail
+        assert cert.verdict == "pass", cert.detail
         # one witness per (j < l, partial)
         assert len(cert.payload) == (d.rank - 1) * d.rank
 
@@ -125,7 +125,7 @@ def test_hrc_yields_pairs_and_functionals():
     d = build_datum("B3")
     sd = _CACHE.get("B3") or build_saito(d)
     cert = check_hrc(d, sd)
-    assert cert.passed, cert.detail
+    assert cert.verdict == "pass", cert.detail
     pairs = cert.constants["witness_pairs"]
     assert len(pairs) == 3
     # exponent complementarity m_i + m_j = h for every recorded pair
@@ -142,7 +142,7 @@ def test_hrc_d4_searches_repeated_exponents():
     d = build_datum("D4")
     sd = _CACHE.get("D4") or build_saito(d)
     cert = check_hrc(d, sd)
-    assert cert.passed
+    assert cert.verdict == "pass"
     pairs = cert.constants["witness_pairs"]
     js = {j for _i, j, _e in pairs}
     assert js == {1, 2, 3, 4}
@@ -156,7 +156,7 @@ def test_equivalence_probe():
     drc = check_drc(d, sd)
     grc = check_grc(tA)
     probe = equivalence_probe(hrc, drc, grc, "A2")
-    assert probe.passed
+    assert probe.verdict == "pass"
     # a fabricated violation is reported as failure
     from coxsaito.certs import Certificate
 

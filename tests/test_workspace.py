@@ -25,7 +25,7 @@ def ws():
 def test_check_datum(ws):
     for name in ("A2", "B3", "I2(8)"):
         cert = check_datum(ws.datum(name))
-        assert cert.passed, cert.detail
+        assert cert.verdict == "pass", cert.detail
         assert cert.constants["order"] == ws.datum(name).group_order
         from coxsaito.certs import verify_payload_item
 
@@ -34,7 +34,7 @@ def test_check_datum(ws):
 
 def test_check_datum_product(ws):
     cert = check_datum(ws.datum("B2xA1"))
-    assert cert.passed, cert.detail
+    assert cert.verdict == "pass", cert.detail
     assert cert.constants["order"] == 16
 
 
@@ -42,17 +42,17 @@ def test_saito_shape_and_monic(ws):
     for name in ("A3", "B3", "I2(6)"):
         shape = check_saito_shape(ws.saito(name))
         monic = check_discriminant_monic(ws.saito(name))
-        assert shape.passed, shape.detail
-        assert monic.passed, monic.detail
+        assert shape.verdict == "pass", shape.detail
+        assert monic.verdict == "pass", monic.detail
     d4 = check_saito_shape(ws.saito("D4"))
-    assert d4.passed
+    assert d4.verdict == "pass"
     assert "shape_obstruction" in d4.constants
 
 
 def test_product_suites_run_per_factor(ws):
     certs = ws.run_suite("A1xA1", "saito")
     assert len(certs) == 4  # two factors, two certificates each
-    assert all(c.passed for c in certs)
+    assert all(c.verdict == "pass" for c in certs)
     assert {c.ctype for c in certs} == {"A1"}
 
 
@@ -87,7 +87,7 @@ def test_product_builds_each_factor_once(name, factors, monkeypatch):
     )
     w = Workspace()
     for suite in ("datum", "saito", "grc-A"):
-        assert all(c.passed for c in w.run_suite(name, suite))
+        assert all(c.verdict == "pass" for c in w.run_suite(name, suite))
     assert len(built) == len(set(built)) == factors
 
 
@@ -105,7 +105,7 @@ def test_product_under_cache_uses_the_factor_fixtures(tmp_path, monkeypatch):
     w = Workspace(cache_dir=str(tmp_path))
     prod = w.datum("B2xA1")
     for suite in ("datum", "saito", "grc-A"):
-        assert all(c.passed for c in w.run_suite("B2xA1", suite))
+        assert all(c.verdict == "pass" for c in w.run_suite("B2xA1", suite))
     assert not built
     assert all(part is w.datum(part.name) for part, _off in prod.factors)
     assert json.dumps(cat.datum_to_json(prod), sort_keys=True) == built_json
@@ -150,7 +150,7 @@ def test_hrc_reuses_grc_and_drc_certificates(monkeypatch):
     drc_calls = _count_calls(monkeypatch, rankcond, "check_drc")
     hrc, probe = ws.run_suite("A2", "hrc")
     assert grc_calls == [] and drc_calls == []
-    assert probe.passed
+    assert probe.verdict == "pass"
     assert probe.constants == {"hrc": "pass", "drc": "pass", "grc": "pass"}
 
 
@@ -167,7 +167,7 @@ def test_repeated_factor_suites_run_once(monkeypatch):
     }
     for suite in ("saito", "grc-A", "drc", "hrc"):
         certs = ws.run_suite("A2xA2", suite)
-        assert all(c.passed and c.ctype == "A2" for c in certs)
+        assert all(c.verdict == "pass" and c.ctype == "A2" for c in certs)
     assert {attr: len(calls) for attr, calls in counts.items()} == dict.fromkeys(counts, 1)
 
 
@@ -176,7 +176,7 @@ def test_shared_objects_built_once_per_type(monkeypatch):
     quotients = _count_calls(monkeypatch, saito, "logarithmic_quotients")
     solves = _count_calls(monkeypatch, freediv, "solve_basis_change")
     for suite in ("saito", "grc-A", "freediv", "lift"):
-        assert all(c.passed for c in ws.run_suite("B2", suite))
+        assert all(c.verdict == "pass" for c in ws.run_suite("B2", suite))
     assert len(quotients) == 1
     assert len(solves) == 1
 
