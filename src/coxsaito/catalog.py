@@ -4,15 +4,20 @@ Each type is realized by explicit simple roots and a Gram matrix over Q or
 a real quadratic field: A(l) in the l coordinates x_1..x_l of the sum-zero
 hyperplane (so its Gram matrix is not the identity), B/D/F4 in standard
 orthonormal coordinates, and the dihedral and H types in the basis of
-simple roots.  The group order is the orbit size of a point on no mirror;
-the arrangement polynomial is the product of one linear form per mirror;
-the basic invariants are built from classical formulas or orbit sums,
-checked invariant under each simple reflection (one `Substitution`
-x -> M x per reflection, shared by every invariant) and certified by
-det(Jacobian) being a nonzero constant multiple of the arrangement
-polynomial.  A product is assembled from its factor datums
-(`build_product`, which moves each factor's invariants to its own
-variables by substitution), memoized ones under `build_datum`.
+simple roots.  The roots are the orbit of the simple roots under the
+simple reflections, and the group order is the orbit size of a point on
+no mirror; both orbits are searched over integer numerators, each vector
+keyed by its numerators over its least common denominator, so that equal
+vectors have equal keys.  The arrangement polynomial is the product of
+one linear form per mirror.  The basic invariants are built from
+classical formulas, from power sums over the mirrors (F, H and the even
+dihedral types) or from orbit sums (the odd dihedral types), checked
+invariant under each simple reflection (one `Substitution` x -> M x per
+reflection, shared by every invariant) and certified by det(Jacobian)
+being a nonzero constant multiple of the arrangement polynomial.  A
+product is assembled from its factor datums (`build_product`, which moves
+each factor's invariants to its own variables by substitution), memoized
+ones under `build_datum`.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 
 from .engine import solve_linear
 from .poly import Poly, PolyRing, Substitution, dot, product
 from .polymatrix import jacobian
-from .scalars import Quad, invert, scalar_from_json, scalar_to_json
+from .scalars import Quad, integer_parts, invert, scalar_from_json, scalar_to_json
 
 
 class UnsupportedTypeError(ValueError):
@@ -139,21 +145,59 @@ def _reflection_matrix(gram, alpha, d):
     )
 
 
+def _integer_rows(mat, d):
+    """(E, rows): the matrix as integer numerators over one denominator E,
+    acting on the integer keys of `_orbit`.  Over Q(sqrt d) an entry
+    (a + b sqrt d)/E acts on a coordinate (A + B sqrt d)/D as the block
+    [[a, d b], [b, a]] on (A, B).  A row lists (key index, numerator) for
+    its nonzero entries."""
+    n = len(mat)
+    den, nums = integer_parts({(i, j): c for i, row in enumerate(mat) for j, c in enumerate(row)}, d)
+    if d is None:
+        rows = [[(j + 1, nums[i, j]) for j in range(n)] for i in range(n)]
+    else:
+        rows = []
+        for i in range(n):
+            rows.append([(2 * j + 1, nums[i, j][0]) for j in range(n)]
+                        + [(2 * j + 2, d * nums[i, j][1]) for j in range(n)])
+            rows.append([(2 * j + 1, nums[i, j][1]) for j in range(n)]
+                        + [(2 * j + 2, nums[i, j][0]) for j in range(n)])
+    return den, [[(k, c) for k, c in row if c] for row in rows]
+
+
 def _orbit(seeds, gens, zero):
     """The seed vectors and every image under repeated v -> g v, g in gens,
-    in breadth-first order of discovery."""
-    seen = dict.fromkeys(tuple(v) for v in seeds)
+    in breadth-first order of discovery, as tuples of scalars like zero.
+    The search runs on integer keys, in which equal vectors are equal: over
+    Q (D, n_1, ..., n_r) for (n_1, ..., n_r)/D, over Q(sqrt d)
+    (D, A_1, B_1, ..., A_r, B_r) for ((A_i + B_i sqrt d)/D)_i, D the least
+    positive common denominator."""
+    d = zero.d if isinstance(zero, Quad) else None
+    maps = [_integer_rows(g, d) for g in gens]
+    seen = {}
+    for v in seeds:
+        # over the least common denominator, the key is already reduced
+        den, nums = integer_parts(dict(enumerate(v)), d)
+        seen[(den, *(nums.values() if d is None else chain.from_iterable(nums.values())))] = None
     frontier = list(seen)
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = tuple(_mat_vec(g, x, zero))
+            for den, rows in maps:
+                nums = [sum(c * x[k] for k, c in row) for row in rows]
+                den *= x[0]
+                g = gcd(den, *nums)
+                y = (den // g, *(n // g for n in nums))
                 if y not in seen:
                     seen[y] = None
                     new.append(y)
         frontier = new
-    return list(seen)
+    if d is None:
+        return [tuple(Fraction(n, k[0]) for n in k[1:]) for k in seen]
+    return [
+        tuple(Quad(Fraction(k[i], k[0]), Fraction(k[i + 1], k[0]), d) for i in range(1, len(k), 2))
+        for k in seen
+    ]
 
 
 def _group_order(gens, forms, ring):
@@ -333,27 +377,22 @@ def _invariants_for(tag, param, ring, datum_stub):
             [(p.deg(), 1, p) for p in ps[1:]] + [(l, 0, prod)], key=lambda t: (t[0], t[1])
         )
         return out + [p for _, _, p in mids]
+    zero = ring.coeff(0)
+    forms = [ring.linear_form(_mat_vec(gram, list(r), zero)) for r in datum_stub["mirror_roots"]]
+
+    def power_sum(k):
+        # the sum over every root of its form to the even power k: r and -r
+        # give the same term, so it is twice one sum over the mirrors, a
+        # factor that .primitive() removes
+        halves = [f ** (k // 2) for f in forms]
+        return dot([(h, h) for h in halves], ring)
+
     if tag in ("F", "H"):
-        roots_all = datum_stub["all_roots"]
-        forms = []
-        for a in roots_all:
-            coeffs = _mat_vec(gram, list(a), ring.coeff(0))
-            forms.append(ring.linear_form(coeffs))
-        out = [quadratic()]
-        for dgr in degrees[1:]:
-            acc = ring.zero()
-            for f in forms:
-                acc = acc + f**dgr
-            out.append(acc)
-        return out
+        return [quadratic()] + [power_sum(k) for k in degrees[1:]]
     if tag == "I2":
         k = param
         if k % 2 == 0:
-            # root orbit sum; an even power kills the sign ambiguity
-            acc = ring.zero()
-            for a in datum_stub["all_roots"]:
-                coeffs = _mat_vec(gram, list(a), ring.coeff(0))
-                acc = acc + ring.linear_form(coeffs) ** k
+            acc = power_sum(k)
             if acc:
                 return [quadratic(), acc]
         import random
@@ -464,7 +503,7 @@ def _build_irreducible(tag, param):
         "rank": rank,
         "degrees": degrees,
         "gram": gram,
-        "all_roots": all_roots,
+        "mirror_roots": mirror_roots,
         "generators": gens,
     }
     invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import isqrt
 from dataclasses import dataclass, field
 
 from .engine import EngineError, NonMembership, Witness, graded_membership_batch
@@ -169,7 +170,11 @@ def det_payload(label, matrix, constant, factors):
 
 
 def _ring_of(poly_json):
+    """The ring a payload item's first polynomial declares; every other
+    polynomial of the item must declare the same one (`Poly.from_json`)."""
     d = poly_json.get("field", {}).get("d")
+    if d is not None and not (type(d) is int and d > 1 and isqrt(d) ** 2 != d):
+        raise ValueError(f"field d = {d!r} is not a non-square integer > 1")
     return PolyRing(poly_json["vars"], d=d, weights=poly_json.get("weights"))
 
 
@@ -239,14 +244,24 @@ def write_report(path, ctype, certs, seeds):
     return dict(rest, checks=checks)
 
 
+_VERDICTS = ("pass", "fail", "error")
+
+
 def verify_report_file(path):
-    """Re-verify every embedded payload; returns (ok, list of failures)."""
+    """Re-verify every embedded payload; returns (ok, list of failures).
+    A report whose checks are not a nonempty list of objects, each with a
+    verdict of pass, fail or error, raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    checks = doc.get("checks") if isinstance(doc, dict) else None
+    if not (isinstance(checks, list) and checks):
+        raise ValueError("a report holds a nonempty list of checks")
+    if not all(isinstance(cj, dict) and cj.get("verdict") in _VERDICTS for cj in checks):
+        raise ValueError(f"every check is an object with a verdict of {', '.join(_VERDICTS)}")
     failures = []
-    for cj in doc.get("checks", []):
+    for cj in checks:
         cert = Certificate.from_json(cj)
         for idx, item in enumerate(cert.payload):
-            if cert.verdict == "pass" and not verify_payload_item(item):
+            if not verify_payload_item(item):
                 failures.append(f"{cert.name}[{idx}]:{item.get('label', item.get('kind'))}")
     return not failures, failures

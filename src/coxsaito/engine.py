@@ -223,23 +223,16 @@ _PRIME_COUNT = 48
 
 def _gen_primes():
     # word-size primes, 3 mod 4 so square roots are single powers;
-    # products of two residues stay inside int64
+    # products of two residues stay inside int64.  For p = 3 mod 4,
+    # p - 1 = 2 * odd, so the strong probable-prime test to base a is
+    # a^((p-1)/2) = +-1 mod p; bases 2, 3, 5 and 7 make it exact below
+    # 3.2e9 (deterministic Miller-Rabin)
     primes = []
     cand = (1 << 25) - 1
     while len(primes) < _PRIME_COUNT:
-        cand += 2
-        p = cand
-        if p % 4 != 3 or p % 3 == 0 or p % 5 == 0 or p % 7 == 0:
-            continue
-        is_p = True
-        f = 11
-        while f * f <= p:
-            if p % f == 0:
-                is_p = False
-                break
-            f += 2
-        if is_p:
-            primes.append(p)
+        cand += 4
+        if all(pow(a, cand >> 1, cand) in (1, cand - 1) for a in (2, 3, 5, 7)):
+            primes.append(cand)
     return primes
 
 

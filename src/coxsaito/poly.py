@@ -507,9 +507,18 @@ class Poly:
 
     @staticmethod
     def from_json(obj, ring=None):
+        """The polynomial obj records, in the ring it declares; a ring given
+        must be that ring (ValueError otherwise)."""
         d = obj.get("field", {}).get("d")
+        weights = obj.get("weights")
         if ring is None:
-            ring = PolyRing(obj["vars"], d=d, weights=obj.get("weights"))
+            ring = PolyRing(obj["vars"], d=d, weights=weights)
+        elif (
+            tuple(obj["vars"]) != ring.names
+            or d != ring.d
+            or (tuple(weights) if weights else (1,) * ring.n) != ring.weights
+        ):
+            raise ValueError(f"polynomial declares a ring other than {ring!r}")
         terms = {}
         for t in obj["terms"]:
             exp = tuple(t["exp"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from coxsaito import catalog
@@ -9,8 +11,10 @@ from coxsaito.catalog import (
     parse_type,
     stabilizer_components,
 )
+from coxsaito.poly import PolyRing
 from coxsaito.polymatrix import jacobian
-from oracles import is_invariant
+from coxsaito.scalars import Quad
+from oracles import is_invariant, reference_orbit
 
 
 def test_parse_and_canonical_names():
@@ -158,3 +162,54 @@ def test_fixture_json_shape():
     assert doc["degrees"] == [2, 3]
     assert len(doc["roots"]) == 3
     assert "jac_const" in doc
+
+
+ORBIT_TYPES = [
+    pytest.param(tag, param, id=canonical_name([(tag, param)]))
+    for tag, param in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                       ("D", 4), ("F", 4), ("H", 3), ("H", 4)]
+    + [("I2", k) for k in (3, 4, 5, 6, 8, 10, 12)]
+]
+
+
+def _generators(tag, param):
+    """(ring, gram, simple roots, simple reflection matrices) as
+    `_build_irreducible` builds them."""
+    rank, d, gram, simple_roots, _ = catalog._type_data(tag, param)
+    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
+    gram = [[ring.coeff(c) for c in row] for row in gram]
+    simple_roots = [[ring.coeff(c) for c in r] for r in simple_roots]
+    return ring, gram, simple_roots, [catalog._reflection_matrix(gram, a, d) for a in simple_roots]
+
+
+def _generic_point(ring):
+    # denominators and, over Q(sqrt d), irrational parts in every coordinate
+    coords = [Fraction(1, 2), Fraction(3), Fraction(-5, 3), Fraction(7, 4)][: ring.n]
+    if ring.d is None:
+        return coords
+    return [Quad(c, Fraction(i + 1, 3), ring.d) for i, c in enumerate(coords)]
+
+
+@pytest.mark.parametrize("tag,param", ORBIT_TYPES)
+def test_orbit_matches_the_reference_search(tag, param):
+    ring, _gram, simple_roots, gens = _generators(tag, param)
+    zero = ring.coeff(0)
+    roots = catalog._orbit(simple_roots, gens, zero)
+    assert roots == reference_orbit(simple_roots, gens, zero)
+    assert all(type(c) is type(zero) for r in roots for c in r)
+    # the reference takes about 10 s on H4's 14400 chambers, so H4 searches
+    # a generic point's orbit under its parabolic H3 here and its full one
+    # by size in test_group_order_is_the_expected_order
+    sub = gens if tag != "H" or param != 4 else gens[:3]
+    point = [_generic_point(ring)]
+    assert catalog._orbit(point, sub, zero) == reference_orbit(point, sub, zero)
+
+
+@pytest.mark.parametrize("tag,param", ORBIT_TYPES)
+def test_group_order_is_the_expected_order(tag, param):
+    ring, gram, simple_roots, gens = _generators(tag, param)
+    roots = catalog._orbit(simple_roots, gens, ring.coeff(0))
+    forms = catalog._mirror_forms(ring, gram, roots)
+    assert catalog._group_order(gens, forms, ring) == catalog.EXPECTED_ORDER[tag](param)
+    point = [_generic_point(ring)]
+    assert len(catalog._orbit(point, gens, ring.coeff(0))) == catalog.EXPECTED_ORDER[tag](param)

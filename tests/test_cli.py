@@ -223,6 +223,17 @@ def _first_exp(doc):
     return _cofactor(doc)["terms"][0]["exp"]
 
 
+def _det_factor(doc):
+    return _item(doc, "det_eq")["factors"][0]
+
+
+def _tampered_under_uppercase_verdict(doc):
+    # the check holding the first witness, which gets one cofactor changed
+    check = next(c for c in doc["checks"] if any(w["kind"] == "witness" for w in c["witnesses"]))
+    check["verdict"] = "PASS"
+    _cofactor(doc)["terms"][0]["coeff"]["a"] = ["123", "1"]
+
+
 # each mutation edits the report in place, or returns a replacement
 _MUTATIONS = {
     "checks-int": lambda doc: doc.update(checks=5),
@@ -239,6 +250,20 @@ _MUTATIONS = {
     # the identity still holds on the first cofactors, but a witness has one
     # cofactor per generator
     "extra-cofactor": lambda doc: _item(doc, "witness")["cofactors"].append(_cofactor(doc)),
+    # a polynomial declaring a ring other than its item's, or an item ring
+    # over no real quadratic field: these verified while every polynomial of
+    # an item was parsed in the ring of its first one
+    "factor-vars-cut": lambda doc: _det_factor(doc).update(vars=["x1"]),
+    "factor-field-square": lambda doc: _det_factor(doc).update(field={"d": 4}),
+    "factor-field-zero": lambda doc: _det_factor(doc).update(field={"d": 0}),
+    "factor-weights": lambda doc: _det_factor(doc).update(weights=[2, 3]),
+    "item-field-square": lambda doc: _item(doc, "det_eq")["matrix"]["entries"][0][0].update(field={"d": 4}),
+    # no checks, or a verdict other than pass, fail and error, whose payload
+    # went unchecked: these verified with exit 0
+    "checks-missing": lambda doc: doc.__delitem__("checks"),
+    "checks-empty-object": lambda doc: doc.update(checks={}),
+    "checks-empty-list": lambda doc: doc.update(checks=[]),
+    "verdict-uppercase-tampered": _tampered_under_uppercase_verdict,
 }
 
 

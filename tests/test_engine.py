@@ -468,3 +468,14 @@ def test_functionals_do_not_depend_on_term_order():
                     functionals += 1
                     assert a.functional == b.functional
     assert functionals == 21
+
+
+def test_modular_primes_are_the_trial_division_list():
+    # the first primes above 2^25 that are 3 mod 4, found by trial division
+    primes = []
+    p = (1 << 25) - 1
+    while len(primes) < len(eng._PRIMES):
+        p += 4
+        if all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
+            primes.append(p)
+    assert eng._PRIMES == primes
