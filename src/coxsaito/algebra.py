@@ -10,10 +10,10 @@ at a point, are matched against the independent stabilizer decomposition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import combinations, islice
 
-from .catalog import SAMPLING_SEED, stabilizer_components
+from .catalog import moment_points, stabilizer_components
 from .certs import (
     CheckFailure,
     constant_ratio,
@@ -52,37 +52,29 @@ def fraction_representatives(table):
 
     The denominator must be a nonzerodivisor modulo the defining equation.
     On the arrangement side single columns of the adjugate can land inside
-    mirror hyperplanes, so a small-integer combination of columns is chosen
-    whose last entry is divisible by no mirror form.  On the discriminant
-    side the corner minor generates the conductor and is already safe; it
-    is also the only homogeneous choice since column degrees vary.
+    mirror hyperplanes, so the columns are combined by the first point c of
+    the moment curve at which the last entry is nonzero and divisible by no
+    mirror form.  Each of these N + 1 conditions (N mirrors) fails on a
+    linear subspace, so (N + 1)(l - 1) + 1 points suffice unless one fails
+    for every c, as when a mirror form divides the whole last row: then it
+    raises RuntimeError.  On the discriminant side the corner minor
+    generates the conductor and is already safe; it is also the only
+    homogeneous choice since column degrees vary.
     """
     l = table.rank
     datum = table.datum
     M = table.minors
     if table.side != ARRANGEMENT:
         return [M[i, l - 1] for i in range(l)]
-    rng = random.Random(SAMPLING_SEED + 7 * l)
-    candidates = [[1 if t == j else 0 for t in range(l)] for j in range(l)]
-    for _ in range(60):
-        candidates.append([rng.randint(-4, 4) for _ in range(l)])
-    for v in candidates:
-        den = datum.ring.zero()
-        for j, c in enumerate(v):
-            if c:
-                den = den + M[l - 1, j].scale(c)
-        if not den:
-            continue
-        if any(den.divisible_by(f) for f in datum.mirror_forms):
-            continue
-        return [
-            sum(
-                (M[i, j].scale(c) for j, c in enumerate(v) if c),
-                datum.ring.zero(),
-            )
-            for i in range(l)
-        ]
-    raise CheckFailure("no nonzerodivisor fraction representative found")
+
+    def combine(i, c):
+        return sum((M[i, j].scale(k) for j, k in enumerate(c)), datum.ring.zero())
+
+    for c in islice(moment_points(l), (datum.mirror_count + 1) * (l - 1) + 1):
+        den = combine(l - 1, c)
+        if den and not any(den.divisible_by(f) for f in datum.mirror_forms):
+            return [combine(i, c) for i in range(l - 1)] + [den]
+    raise RuntimeError("no nonzerodivisor fraction representative: a mirror divides the last row")
 
 
 def verify_generators(table):
@@ -374,61 +366,57 @@ def _nullspace(rows, n, ring):
     return basis
 
 
+def _form_at(row, v, zero):
+    """The linear form with coefficients row at the vector v."""
+    return sum((c * x for c, x in zip(row, v) if c and x), zero)
+
+
+def _flat_points(rows, basis, count, zero):
+    """The first count points of the moment curve, in the coordinates of
+    basis, that lie on none of the mirrors (with form coefficients rows)
+    but those containing span(basis).  Each other mirror meets the span in
+    a hyperplane of it, which holds at most len(basis) - 1 of the points."""
+    # the forms in the coordinates of basis; those of the mirrors
+    # containing span(basis) vanish
+    restricted = [[_form_at(row, v, zero) for v in basis] for row in rows]
+    others = [r for r in restricted if any(r)]
+    found = []
+    for ks in islice(moment_points(len(basis)), count + len(others) * (len(basis) - 1)):
+        if all(_form_at(r, ks, zero) for r in others):
+            found.append(
+                [sum((v[i] * k for v, k in zip(basis, ks)), zero) for i in range(len(rows[0]))]
+            )
+            if len(found) == count:
+                return found
+    raise RuntimeError("a mirror form vanishes on a flat it does not contain")
+
+
 def sample_points(datum):
     """Labeled sample points: off the arrangement, generic mirror points,
-    codimension-two flat points, and the origin."""
+    codimension-two flat points, and the origin.  Each point but the origin
+    is a point of the moment curve in the coordinates of a basis of its
+    flat, on the mirrors containing the flat and on no other, so the points
+    are pairwise distinct and each has its flat's stabilizer."""
     ring = datum.ring
     l = datum.rank
-    rng = random.Random(SAMPLING_SEED + l)
-    points = []
-
-    def mirror_coeffs(idx):
-        return datum.mirror_forms[idx].linear_coeffs()
-
-    def vanishing_count(pt):
-        at = Substitution(pt, None)
-        return sum(1 for f in datum.mirror_forms if not at(f))
-
-    def point_of(basis):
-        # a random point of the span: one coefficient per basis vector
-        ks = [rng.randint(-9, 9) for _ in basis]
-        return [sum((v[i] * k for v, k in zip(basis, ks)), ring.coeff(0)) for i in range(l)]
-
-    # off the arrangement
-    while True:
-        pt = [rng.randint(-9, 9) for _ in range(l)]
-        if vanishing_count(pt) == 0:
-            points.append(("off", pt))
-            break
-    # generic mirror points; repeat over the mirrors until enough samples
-    n_mirrors = len(datum.mirror_forms)
-    want_mirror = 6 if l >= 3 else 8
-    idx = 0
-    attempts = 0
-    while len(points) - 1 < want_mirror and attempts < 40 * want_mirror:
-        attempts += 1
-        basis = _nullspace([mirror_coeffs(idx % n_mirrors)], l, ring)
-        idx += 1
-        pt = point_of(basis)
-        if vanishing_count(pt) == 1:
-            points.append(("mirror", pt))
-    # codimension-two flats
+    zero = ring.coeff(0)
+    rows = [f.linear_coeffs() for f in datum.mirror_forms]
+    identity = [[ring.coeff(int(i == j)) for j in range(l)] for i in range(l)]
+    points = [("off", pt) for pt in _flat_points(rows, identity, 1, zero)]
+    # generic mirror points, taken over the mirrors in turn until enough
+    for j in range(6 if l >= 3 else 8):
+        basis = _nullspace([rows[j % len(rows)]], l, ring)
+        points.append(("mirror", _flat_points(rows, basis, j // len(rows) + 1, zero)[-1]))
+    # the flats of the mirror pairs in index order, one point on each of the
+    # first four; a sampled point on both mirrors of a pair is on its flat
     if l >= 3:
-        pairs = [(a, b) for a in range(n_mirrors) for b in range(a + 1, n_mirrors)]
-        rng.shuffle(pairs)
-        added = 0
-        for a, b in pairs:
-            if added >= 4:
+        codim2 = []
+        for a, b in combinations(range(len(rows)), 2):
+            if len(codim2) == 4:
                 break
-            basis = _nullspace([mirror_coeffs(a), mirror_coeffs(b)], l, ring)
-            if not basis:
-                continue
-            for _ in range(40):
-                pt = point_of(basis)
-                if any(pt) and vanishing_count(pt) >= 2:
-                    points.append(("codim2", pt))
-                    added += 1
-                    break
+            if all(_form_at(rows[a], pt, zero) or _form_at(rows[b], pt, zero) for pt in codim2):
+                codim2 += _flat_points(rows, _nullspace([rows[a], rows[b]], l, ring), 1, zero)
+        points += [("codim2", pt) for pt in codim2]
     points.append(("origin", [0] * l))
     return points
 

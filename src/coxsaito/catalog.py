@@ -8,16 +8,19 @@ simple roots.  The roots are the orbit of the simple roots under the
 simple reflections, and the group order is the orbit size of a point on
 no mirror; both orbits are searched over integer numerators, each vector
 keyed by its numerators over its least common denominator, so that equal
-vectors have equal keys.  The arrangement polynomial is the product of
-one linear form per mirror.  The basic invariants are built from
-classical formulas, from power sums over the mirrors (F, H and the even
-dihedral types) or from orbit sums (the odd dihedral types), checked
-invariant under each simple reflection (one `Substitution` x -> M x per
-reflection, shared by every invariant) and certified by det(Jacobian)
-being a nonzero constant multiple of the arrangement polynomial.  A
-product is assembled from its factor datums (`build_product`, which moves
-each factor's invariants to its own variables by substitution), memoized
-ones under `build_datum`.
+vectors have equal keys, and raise once they outgrow the group order.
+Points off finitely many hyperplanes are searched on the moment curve
+(`moment_points`), as far as a bound set by the hyperplane count.  The
+arrangement polynomial is the product of one linear form per mirror.  The
+basic invariants are built from classical formulas, from power sums over
+the mirrors (F, H and the even dihedral types) or from orbit sums at
+points of the moment curve (the odd dihedral types), checked invariant
+under each simple reflection (one `Substitution` x -> M x per reflection,
+shared by every invariant) and certified by det(Jacobian) being a nonzero
+constant multiple of the arrangement polynomial.  A product is assembled
+from its factor datums (`build_product`, which moves each factor's
+invariants to its own variables by substitution), memoized ones under
+`build_datum`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
 from math import factorial, gcd
 
 from .engine import solve_linear
@@ -37,12 +40,6 @@ from .scalars import Quad, integer_parts, invert, scalar_from_json, scalar_to_js
 
 class UnsupportedTypeError(ValueError):
     pass
-
-
-# seeds for the pseudo-random linear forms used in invariant construction;
-# fixed so certificates are reproducible
-INVARIANT_SEED = 41351
-SAMPLING_SEED = 97003
 
 
 def _phi():
@@ -165,13 +162,14 @@ def _integer_rows(mat, d):
     return den, [[(k, c) for k, c in row if c] for row in rows]
 
 
-def _orbit(seeds, gens, zero):
+def _orbit(seeds, gens, zero, order):
     """The seed vectors and every image under repeated v -> g v, g in gens,
     in breadth-first order of discovery, as tuples of scalars like zero.
     The search runs on integer keys, in which equal vectors are equal: over
     Q (D, n_1, ..., n_r) for (n_1, ..., n_r)/D, over Q(sqrt d)
     (D, A_1, B_1, ..., A_r, B_r) for ((A_i + B_i sqrt d)/D)_i, D the least
-    positive common denominator."""
+    positive common denominator.  Past len(seeds) * order vectors, more than
+    the seeds' orbits under a group of that order hold, it raises."""
     d = zero.d if isinstance(zero, Quad) else None
     maps = [_integer_rows(g, d) for g in gens]
     seen = {}
@@ -179,8 +177,11 @@ def _orbit(seeds, gens, zero):
         # over the least common denominator, the key is already reduced
         den, nums = integer_parts(dict(enumerate(v)), d)
         seen[(den, *(nums.values() if d is None else chain.from_iterable(nums.values())))] = None
+    limit = len(seeds) * order
     frontier = list(seen)
     while frontier:
+        if len(seen) > limit:
+            raise RuntimeError(f"orbit exceeds {limit} vectors")
         new = []
         for x in frontier:
             for den, rows in maps:
@@ -200,19 +201,26 @@ def _orbit(seeds, gens, zero):
     ]
 
 
-def _group_order(gens, forms, ring):
+def moment_points(n):
+    """The points (k, k^2, ..., k^n), k = 1, 2, ..., of the moment curve.
+    A hyperplane through the origin holds at most n - 1 of them: its form
+    at the k-th point is k times a nonzero polynomial in k of degree below
+    n.  So among the first m(n - 1) + 1 points one lies on none of m
+    hyperplanes."""
+    return ([k**i for i in range(1, n + 1)] for k in count(1))
+
+
+def _group_order(gens, forms, ring, order):
     """|W| as the orbit size of a point on no mirror: such a point lies in
     an open chamber, and W acts simply transitively on the chambers, so its
-    stabilizer is trivial.  The point is the first (1, k, k^2, ...),
-    k = 2, 3, ..., off every mirror; a hyperplane meets that curve in at
-    most rank - 1 points, so the search ends."""
-    k = 2
-    while True:
-        point = [ring.coeff(k**i) for i in range(ring.n)]
+    stabilizer is trivial.  The point is the first point of the moment
+    curve off every mirror; order bounds the orbit search."""
+    for c in islice(moment_points(ring.n), len(forms) * (ring.n - 1) + 1):
+        point = [ring.coeff(k) for k in c]
         at = Substitution(point, None)
         if all(at(f) for f in forms):
-            return len(_orbit([point], gens, ring.coeff(0)))
-        k += 1
+            return len(_orbit([point], gens, ring.coeff(0), order))
+    raise RuntimeError("a mirror form vanishes on the whole space")
 
 
 def _normalize_direction(vec):
@@ -395,21 +403,19 @@ def _invariants_for(tag, param, ring, datum_stub):
             acc = power_sum(k)
             if acc:
                 return [quadratic(), acc]
-        import random
-
-        rng = random.Random(INVARIANT_SEED + k)
         # lambda o w has coefficient vector w^t c, so the orbit of c under the
         # transposed generators gives the group sum of lambda^k divided by
-        # |Stab(c)|, a factor that .primitive() removes
+        # |Stab(c)|, a factor that .primitive() removes.  As c varies the
+        # sum is a nonzero form of degree k in c, so it vanishes at no more
+        # than k points of the moment curve
         transposed = [tuple(zip(*g)) for g in datum_stub["generators"]]
-        for _try in range(8):
-            c = [ring.coeff(rng.randint(1, 3)), ring.coeff(rng.randint(1, 3))]
+        for c in islice(moment_points(2), k + 1):
             acc = ring.zero()
-            for v in _orbit([c], transposed, ring.coeff(0)):
+            for v in _orbit([[ring.coeff(t) for t in c]], transposed, ring.coeff(0), 2 * k):
                 acc = acc + ring.linear_form(v) ** k
             if acc:
                 return [quadratic(), acc]
-        raise RuntimeError("failed to build a dihedral invariant from seeds")
+        raise RuntimeError(f"I2({k}): no orbit sum of degree {k} is nonzero")
     raise UnsupportedTypeError(tag)
 
 
@@ -469,8 +475,9 @@ def _build_irreducible(tag, param):
     gram = [[ring.coeff(c) for c in row] for row in gram]
     simple_roots = [[ring.coeff(c) for c in r] for r in simple_roots]
     gens = [_reflection_matrix(gram, a, d) for a in simple_roots]
+    expected = EXPECTED_ORDER[tag](param)
 
-    all_roots = _orbit(simple_roots, gens, ring.coeff(0))
+    all_roots = _orbit(simple_roots, gens, ring.coeff(0), expected)
     mirrors = {}
     for r in all_roots:
         mirrors.setdefault(_normalize_direction(r), r)
@@ -487,8 +494,7 @@ def _build_irreducible(tag, param):
             raise RuntimeError(f"{tag}{param}: exponent symmetry broken")
 
     forms = _mirror_forms(ring, gram, mirror_roots)
-    order = _group_order(gens, forms, ring)
-    expected = EXPECTED_ORDER[tag](param)
+    order = _group_order(gens, forms, ring, expected)
     if order != expected:
         raise RuntimeError(
             f"{tag}{param}: group has order {order}, expected {expected}"

@@ -216,13 +216,13 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_report(path, ctype, certs, seeds):
+def write_report(path, ctype, certs):
     """Write the report as compact sorted JSON.  The C encoder encodes each
     witness on its own (`json.dump` would run the pure-Python encoder, and
     one `dumps` of a whole check or document would hold all of its
     fragments at once)."""
     checks = [c.to_json() for c in certs]
-    rest = {"version": "0.1.0", "type": ctype, "seeds": seeds}
+    rest = {"version": "0.1.0", "type": ctype}
     with open(path, "w") as fh:
         # "checks" sorts before every other key of the document, and
         # "witnesses" after every other key of a check

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import INVARIANT_SEED, SAMPLING_SEED, UnsupportedTypeError, canonical_name, parse_type
+from .catalog import UnsupportedTypeError, canonical_name, parse_type
 from .certs import verify_report_file, write_report
 from .workspace import ALL_SUITES, Workspace
 
@@ -58,10 +58,6 @@ def required_tier(name, suite):
     return "fast"
 
 
-def _seeds():
-    return {"invariant_seed": INVARIANT_SEED, "sampling_seed": SAMPLING_SEED}
-
-
 def cmd_run(args):
     try:
         factors = parse_type(args.type)
@@ -89,7 +85,7 @@ def cmd_run(args):
     for s in suites:
         certs.extend(ws.run_suite(name, s))
     out = args.out or f"report-{name.replace('(', '').replace(')', '')}.json"
-    write_report(out, name, certs, _seeds())
+    write_report(out, name, certs)
     failed = [c for c in certs if c.verdict == "fail"]
     errors = [c for c in certs if c.verdict == "error"]
     for c in certs:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,11 @@ from coxsaito.algebra import (
     verify_generators,
 )
 from coxsaito.catalog import build_datum, stabilizer_components
+from coxsaito.engine import rank_of_vectors
 from coxsaito.poly import Substitution
 from coxsaito.rankcond import ARRANGEMENT, DISCRIMINANT, build_minor_table
 from coxsaito.saito import build_saito
+from coxsaito.workspace import Workspace
 
 
 _WS = {}
@@ -67,11 +71,25 @@ def test_unit_generator():
 
 
 def test_denominator_avoids_mirrors():
-    for name in ("A2", "A3", "B3"):
+    for name in ("A2", "A3", "B3", "F4"):
         d, sd, tA, tD = setup(name)
         nums = fraction_representatives(tA)
         den = nums[-1]
         assert not any(den.divisible_by(f) for f in d.mirror_forms)
+
+
+def test_common_mirror_factor_is_an_error_not_a_failure():
+    # no combination of a last row sharing a mirror factor is a
+    # nonzerodivisor: that refutes nothing, so the suite ends in error
+    ws = Workspace()
+    table = ws.minor_table("A2", ARRANGEMENT)
+    f = table.datum.mirror_forms[0]
+    table.minors.e[-1] = [m * f for m in table.minors.e[-1]]
+    start = time.monotonic()
+    (cert,) = ws.run_suite("A2", "algebra")
+    assert time.monotonic() - start < 5
+    assert cert.verdict == "error", cert.detail
+    assert "no nonzerodivisor fraction representative" in cert.detail
 
 
 def test_mul_tables_commutative_associative_unital():
@@ -153,7 +171,7 @@ def test_fiber_certificates():
 
 
 def test_sample_points_have_enough_variety():
-    for name in ("A3", "B3"):
+    for name in ("A3", "B3", "F4"):
         d = build_datum(name)
         pts = sample_points(d)
         labels = [lab for lab, _ in pts]
@@ -161,14 +179,20 @@ def test_sample_points_have_enough_variety():
         assert labels.count("codim2") == 4, name
         assert "origin" in labels and "off" in labels
         assert len(pts) >= 10
-        # each point lies on its flat
+        assert len({tuple(pt) for _, pt in pts}) == len(pts), name
+        shapes = set()
+        # each point lies on its flat, and a codim2 point on no other mirror:
+        # the mirrors through it meet in a flat of codimension two
         for label, pt in pts:
             at = Substitution(pt, None)
-            vanishing = sum(1 for f in d.mirror_forms if not at(f))
+            on = [f.linear_coeffs() for f in d.mirror_forms if not at(f)]
             if label == "mirror":
-                assert vanishing == 1, (name, pt)
+                assert len(on) == 1, (name, pt)
             elif label == "codim2":
-                assert vanishing >= 2, (name, pt)
+                rank = rank_of_vectors({i: c for i, c in enumerate(row) if c} for row in on)
+                assert rank == 2, (name, pt)
+                shapes.add(tuple(len(c) for c in stabilizer_components(d, pt)))
+        assert len(shapes) >= 2, (name, shapes)
 
 
 def test_normalization_gap_for_odd_dihedral():

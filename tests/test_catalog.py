@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,7 +195,8 @@ def _generic_point(ring):
 def test_orbit_matches_the_reference_search(tag, param):
     ring, _gram, simple_roots, gens = _generators(tag, param)
     zero = ring.coeff(0)
-    roots = catalog._orbit(simple_roots, gens, zero)
+    order = catalog.EXPECTED_ORDER[tag](param)
+    roots = catalog._orbit(simple_roots, gens, zero, order)
     assert roots == reference_orbit(simple_roots, gens, zero)
     assert all(type(c) is type(zero) for r in roots for c in r)
     # the reference takes about 10 s on H4's 14400 chambers, so H4 searches
@@ -202,14 +204,24 @@ def test_orbit_matches_the_reference_search(tag, param):
     # by size in test_group_order_is_the_expected_order
     sub = gens if tag != "H" or param != 4 else gens[:3]
     point = [_generic_point(ring)]
-    assert catalog._orbit(point, sub, zero) == reference_orbit(point, sub, zero)
+    assert catalog._orbit(point, sub, zero, order) == reference_orbit(point, sub, zero)
 
 
 @pytest.mark.parametrize("tag,param", ORBIT_TYPES)
 def test_group_order_is_the_expected_order(tag, param):
     ring, gram, simple_roots, gens = _generators(tag, param)
-    roots = catalog._orbit(simple_roots, gens, ring.coeff(0))
+    order = catalog.EXPECTED_ORDER[tag](param)
+    roots = catalog._orbit(simple_roots, gens, ring.coeff(0), order)
     forms = catalog._mirror_forms(ring, gram, roots)
-    assert catalog._group_order(gens, forms, ring) == catalog.EXPECTED_ORDER[tag](param)
+    assert catalog._group_order(gens, forms, ring, order) == order
     point = [_generic_point(ring)]
-    assert len(catalog._orbit(point, gens, ring.coeff(0))) == catalog.EXPECTED_ORDER[tag](param)
+    assert len(catalog._orbit(point, gens, ring.coeff(0), order)) == order
+
+
+def test_orbit_of_an_infinite_group_raises():
+    # x1 -> 2 x1 has infinite order: every image of the seed is new
+    gens = [[[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="orbit exceeds 1152 vectors"):
+        catalog._orbit([[Fraction(1), Fraction(1)]], gens, Fraction(0), 1152)
+    assert time.monotonic() - start < 1

@@ -44,7 +44,7 @@ def test_report_verifies_each_membership_item_once(tmp_path, monkeypatch):
     ws = Workspace()
     certs = [c for suite in ("grc-A", "drc", "hrc") for c in ws.run_suite("A2", suite)]
     path = tmp_path / "report.json"
-    write_report(str(path), "A2", certs, {})
+    write_report(str(path), "A2", certs)
     items = [
         item
         for check in json.loads(path.read_text())["checks"]
@@ -66,7 +66,7 @@ def test_write_report_bytes_match_one_dump(tmp_path, suites):
     ws = Workspace()
     certs = [c for suite in suites for c in ws.run_suite("B2", suite)]
     path = tmp_path / "report.json"
-    doc = write_report(str(path), "B2", certs, {"sampling_seed": 7, "invariant_seed": 3})
+    doc = write_report(str(path), "B2", certs)
     assert len(doc["checks"]) == len(certs)
     want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_text() == want

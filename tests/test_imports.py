@@ -1,7 +1,9 @@
 """Every name a module imports is used in it (a stand-in for a linter's
 unused-import rule).  A name counts as used when it appears as an
 `ast.Name`, which covers the base of an attribute access (`np.zeros`);
-`__init__.py` is skipped, since it imports to re-export.
+`__init__.py` is skipped, since it imports to re-export.  Only `engine.py`
+imports `random`, for the random planes of its codimension-two test: every
+other search for a point walks the moment curve, with no seed to keep.
 
 Every module-level function, class or constant, and every function in a
 class body (methods, properties and static methods), private (`_name`) or
@@ -37,6 +39,18 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_engine_imports_random(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert path.name == "engine.py" or "random" not in modules, f"{path.name} imports random"
 
 
 def defined_names(tree):

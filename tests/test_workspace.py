@@ -116,7 +116,7 @@ def test_report_round_trip(tmp_path, ws):
 
     certs = ws.run_suite("A2", "grc-A") + ws.run_suite("A2", "hrc")
     path = tmp_path / "report.json"
-    write_report(str(path), "A2", certs, {"seed": 1})
+    write_report(str(path), "A2", certs)
     ok, failures = verify_report_file(str(path))
     assert ok, failures
     doc = json.loads(path.read_text())
