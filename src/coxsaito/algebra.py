@@ -332,7 +332,7 @@ def fiber_point_count(mt, point):
     l = table.rank
     zero = table.datum.ring.coeff(0)
     J = table.saito.J
-    at = Substitution(point, None)
+    at = Substitution(table.datum.ring, point, None)
     # the relations among the generator classes are the columns of J
     cols = [[at(J[i, j]) for i in range(l)] for j in range(l)]
     pivots, _ = echelon((_sparse(c), ()) for c in cols)
@@ -392,19 +392,21 @@ def _flat_points(rows, basis, count, zero):
 
 
 def sample_points(datum):
-    """Labeled sample points: off the arrangement, generic mirror points,
-    codimension-two flat points, and the origin.  Each point but the origin
-    is a point of the moment curve in the coordinates of a basis of its
-    flat, on the mirrors containing the flat and on no other, so the points
-    are pairwise distinct and each has its flat's stabilizer."""
+    """Labeled sample points: off the arrangement, generic mirror points
+    (none at rank 1, where the mirror is the origin), codimension-two flat
+    points, and the origin.  Each point but the origin is a point of the
+    moment curve in the coordinates of a basis of its flat, on the mirrors
+    containing the flat and on no other, so the points are pairwise
+    distinct and each has its flat's stabilizer."""
     ring = datum.ring
     l = datum.rank
     zero = ring.coeff(0)
     rows = [f.linear_coeffs() for f in datum.mirror_forms]
     identity = [[ring.coeff(int(i == j)) for j in range(l)] for i in range(l)]
     points = [("off", pt) for pt in _flat_points(rows, identity, 1, zero)]
-    # generic mirror points, taken over the mirrors in turn until enough
-    for j in range(6 if l >= 3 else 8):
+    # generic mirror points, taken over the mirrors in turn until enough; at
+    # rank 1 the mirror is the origin, sampled once below
+    for j in range(0 if l == 1 else 6 if l >= 3 else 8):
         basis = _nullspace([rows[j % len(rows)]], l, ring)
         points.append(("mirror", _flat_points(rows, basis, j // len(rows) + 1, zero)[-1]))
     # the flats of the mirror pairs in index order, one point on each of the

@@ -217,7 +217,7 @@ def _group_order(gens, forms, ring, order):
     curve off every mirror; order bounds the orbit search."""
     for c in islice(moment_points(ring.n), len(forms) * (ring.n - 1) + 1):
         point = [ring.coeff(k) for k in c]
-        at = Substitution(point, None)
+        at = Substitution(ring, point, None)
         if all(at(f) for f in forms):
             return len(_orbit([point], gens, ring.coeff(0), order))
     raise RuntimeError("a mirror form vanishes on the whole space")
@@ -237,7 +237,7 @@ def _mirror_forms(ring, gram, roots):
 
 def _linear_map(ring, mat):
     """The substitution x -> M x on polynomials on V."""
-    return Substitution([ring.linear_form(row) for row in mat], ring)
+    return Substitution(ring, [ring.linear_form(row) for row in mat], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +620,7 @@ def build_datum(name):
 def stabilizer_components(datum, point):
     """Mirrors through the point, grouped into components of the graph with
     edges where the roots are not orthogonal."""
-    at = Substitution([datum.ring.coeff(v) for v in point], None)
+    at = Substitution(datum.ring, [datum.ring.coeff(v) for v in point], None)
     vanishing = [idx for idx, form in enumerate(datum.mirror_forms) if not at(form)]
     parent = {i: i for i in vanishing}
 

@@ -3,16 +3,21 @@
 The cofactors of a homogeneous membership live in one graded piece, so
 membership is one sparse linear system over the coefficient field.  Its
 rows, one per monomial of the support, are numbered in the ring's term
-order, so a separating functional does not depend on the order in which
-terms were stored.  Every such system, over Q or Q(sqrt d), is solved
+order (the order of the packed keys), so a separating functional does not
+depend on the order in which terms were stored.  Each column is a
+generator times a cofactor monomial, read straight off the generator's
+integer form: its numerators, under keys shifted by the monomial's key,
+over its denominator.  Every such system, over Q or Q(sqrt d), is solved
 first by elimination modulo word-size primes with rational
 reconstruction; a target it finds inconsistent gets its separating
-functional the same way, from the transposed system.  Modular answers
+functional the same way, from the transposed system, whose equations are
+the columns times their denominators.  Modular answers
 are only candidates: a witness or a functional is accepted only once it
 verifies exactly, and non-membership is only ever reported together with
 such a functional.  Targets the modular run leaves unsettled go to the
 exact kernel, through which all exact scalar elimination (solves, ranks,
-nullspaces) runs: `echelon`, `reduce_row` and `back_substitute`.
+nullspaces) runs: `echelon`, `reduce_row` and `back_substitute`; only
+there are the columns turned into scalars (`_scalars`).
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
@@ -26,12 +31,11 @@ import random
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import add
 
 import numpy as np
 
 from .poly import Poly, PolyRing, Substitution, dot, poly_pairing
-from .scalars import Quad, integer_parts
+from .scalars import Quad
 
 
 class EngineError(ValueError):
@@ -296,14 +300,15 @@ def _rref_mod(M, p, nun):
 def _modular_solve(cols, targets, nrows, d, accept):
     """Solve for several right-hand sides modulo word-size primes.
 
-    cols (one per unknown) and targets are sparse vectors, dicts row ->
-    scalar.  After every prime, each unsettled target whose residues
-    reconstruct to a candidate (dict unknown -> scalar, free unknowns zero)
-    is passed to accept(t, candidate), which returns the answer built from
-    it once that checks exactly and raises EngineError otherwise; a
-    rejected candidate makes the run go on to further primes.  Returns
-    (answers, inconsistent): the accepted answers, None where there was
-    none, and the targets some prime found inconsistent, which are left
+    cols (one per unknown) and targets are integer sparse vectors (D,
+    {row: numerator}), each entry the numerator over D (an int over Q, the
+    pair (A, B) over Q(sqrt d)).  After every prime, each unsettled target
+    whose residues reconstruct to a candidate (dict unknown -> scalar, free
+    unknowns zero) is passed to accept(t, candidate), which returns the
+    answer built from it once that checks exactly and raises EngineError
+    otherwise; a rejected candidate makes the run go on to further primes.
+    Returns (answers, inconsistent): the accepted answers, None where there
+    was none, and the targets some prime found inconsistent, which are left
     unsettled.
 
     A prime whose pivot columns are fewer or later than the best seen is
@@ -312,14 +317,14 @@ def _modular_solve(cols, targets, nrows, d, accept):
     the half sum and half difference of the two solves recover the rational
     and surd parts."""
     nun, nrhs = len(cols), len(targets)
-    # clear denominators column by column: (row, column, rational part,
-    # surd part) integers, and the integer scale of each column
+    # (row, column, rational part, surd part) integers, and the scale D of
+    # each column
     entries, scales = [], []
-    for j, col in enumerate(cols + targets):
-        den, nums = integer_parts(col, d)
+    for j, (den, vec) in enumerate(cols + targets):
         if d is None:
-            nums = {r: (x, 0) for r, x in nums.items()}
-        entries += [(r, j, a, b) for r, (a, b) in nums.items()]
+            entries += [(r, j, a, 0) for r, a in vec.items()]
+        else:
+            entries += [(r, j, a, b) for r, (a, b) in vec.items()]
         scales.append(den)
     index = (np.array([e[0] for e in entries], dtype=np.intp),
              np.array([e[1] for e in entries], dtype=np.intp))
@@ -385,7 +390,8 @@ def _modular_solve(cols, targets, nrows, d, accept):
 
 def _shift_poly(g, mu):
     """g times the monomial with exponent mu."""
-    return Poly(g.ring, {tuple(a + b for a, b in zip(mu, e)): c for e, c in g.t.items()})
+    s = g.ring.pack(mu)
+    return Poly(g.ring, g.den, {k + s: x for k, x in g.num.items()})
 
 
 def graded_membership(target, gens):
@@ -425,16 +431,18 @@ def graded_membership_batch(targets, gens):
 
     # one column (unknown) per generator times cofactor monomial; one row
     # per monomial of degree dt in the support, numbered in term order so
-    # that the system does not depend on the order terms were stored in
+    # that the system does not depend on the order terms were stored in.
+    # Each column is its generator's integer form, shifted.
     cols = [(i, mu) for i, dg in enumerate(gdegs) for mu in ring.monomials(dt - dg)]
-    support = set().union(*(t.t for t in targets))
-    for i, mu in cols:
-        support.update(tuple(map(add, e, mu)) for e in gens[i].t)
-    monos = sorted(support, key=ring.term_key, reverse=True)
-    row_index = {e: r for r, e in enumerate(monos)}
-    target_vecs = [{row_index[e]: c for e, c in t.t.items()} for t in targets]
-    col_vecs = [{row_index[tuple(map(add, e, mu))]: c for e, c in gens[i].t.items()}
-                for i, mu in cols]
+    shifts = [ring.pack(mu) for _, mu in cols]
+    support = set().union(*(t.num for t in targets))
+    for (i, _), s in zip(cols, shifts):
+        support.update(k + s for k in gens[i].num)
+    monos = sorted(support, reverse=True)
+    row_index = {k: r for r, k in enumerate(monos)}
+    target_vecs = [(t.den, {row_index[k]: x for k, x in t.num.items()}) for t in targets]
+    col_vecs = [(gens[i].den, {row_index[k + s]: x for k, x in gens[i].num.items()})
+                for (i, _), s in zip(cols, shifts)]
 
     def witness(t, sol):
         cof_terms = [dict() for _ in gens]
@@ -443,9 +451,8 @@ def graded_membership_batch(targets, gens):
             cof_terms[i][mu] = v
         return Witness(targets[t], gens, [ring.from_dict(tm) for tm in cof_terms])
 
-    results, inconsistent = _modular_solve(
-        col_vecs, target_vecs, len(monos), ring.d, witness
-    )
+    d = ring.d
+    results, inconsistent = _modular_solve(col_vecs, target_vecs, len(monos), d, witness)
     for t in sorted(inconsistent):
         results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos)
 
@@ -453,19 +460,27 @@ def graded_membership_batch(targets, gens):
     if pending:
         # exact path: one equation per monomial of degree dt
         zero = ring.coeff(0)
+        col_scalars = [_scalars(vec, d) for vec in col_vecs]
+        target_scalars = [_scalars(target_vecs[t], d) for t in pending]
         eq_list = [
-            (row, [target_vecs[t].get(r, zero) for t in pending])
-            for r, row in enumerate(_transpose(col_vecs, len(monos)))
+            (row, [tvec.get(r, zero) for tvec in target_scalars])
+            for r, row in enumerate(_transpose(col_scalars, len(monos)))
         ]
         solutions = solve_linear(eq_list, len(cols), len(pending))
-        for t, sol in zip(pending, solutions):
+        for t, tvec, sol in zip(pending, target_scalars, solutions):
             if sol is None:
-                results[t] = _nonmember_functional(
-                    targets[t], gens, col_vecs, target_vecs[t], monos
-                )
+                results[t] = _nonmember_functional(targets[t], gens, col_scalars, tvec, monos)
             else:
                 results[t] = witness(t, sol)
     return results
+
+
+def _scalars(vec, d):
+    """The scalar entries of an integer sparse vector (D, {row: numerator})."""
+    den, nums = vec
+    if d is None:
+        return {r: Fraction(x, den) for r, x in nums.items()}
+    return {r: Quad(Fraction(a, den), Fraction(b, den), d) for r, (a, b) in nums.items()}
 
 
 def _transpose(vecs, nrows):
@@ -479,19 +494,25 @@ def _transpose(vecs, nrows):
 
 def _functional(target, gens, monos, sol):
     ring = target.ring
-    return NonMembership(target, gens, ring.from_dict({monos[u]: v for u, v in sol.items()}))
+    return NonMembership(target, gens, ring.from_packed({monos[u]: v for u, v in sol.items()}))
 
 
 def _modular_functional(target, gens, col_vecs, tvec, monos):
     """A separating functional found modulo primes, or None.  The system is
     the transpose of the membership one: one unknown per monomial, every
-    column paired to 0 and the target paired to 1."""
+    column paired to 0 and the target paired to 1.  Each of its equations
+    is a column of the membership system times that column's denominator,
+    so its entries are the numerators and the target's equation asks for
+    its denominator."""
     m = len(col_vecs)
+    den, _ = tvec
+    d = target.ring.d
+    rows = _transpose([vec for _, vec in col_vecs + [tvec]], len(monos))
     return _modular_solve(
-        _transpose(col_vecs + [tvec], len(monos)),
-        [{m: target.ring.coeff(1)}],
+        [(1, row) for row in rows],
+        [(1, {m: den if d is None else (den, 0)})],
         m + 1,
-        target.ring.d,
+        d,
         lambda _, sol: _functional(target, gens, monos, sol),
     )[0][0]
 
@@ -652,7 +673,7 @@ def _pair_cuts_out_points(f, g):
     # coefficient rows in the second variable, polynomials in the first
     uni = PolyRing(("t",), d=f.ring.d)
     fc, gc = (
-        [Poly(uni, {(e[0],): c for e, c in h.t.items() if e[1] == j})
+        [uni.from_dict({(e[0],): c for e, c in h.t.items() if e[1] == j})
          for j in range(max(e[1] for e in h.t) + 1)]
         for h in (f, g)
     )
@@ -670,7 +691,7 @@ def _pair_cuts_out_points(f, g):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
-        at = Substitution((u0,), None)
+        at = Substitution(uni, (u0,), None)
         fs, gs = (
             uni.from_dict({(j,): at(row) for j, row in enumerate(rows)})
             for rows in (fc, gc)
@@ -710,7 +731,7 @@ def codim_at_least_two(gens):
                 break
             cut = [g.primitive() for g in gens]
         cut = [g for g in cut if g]
-        cut.sort(key=lambda h: len(h.t))
+        cut.sort(key=lambda h: len(h.num))
         for i in range(len(cut)):
             for j in range(i + 1, min(len(cut), i + 4)):
                 if _pair_cuts_out_points(cut[i], cut[j]):

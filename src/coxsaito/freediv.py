@@ -209,7 +209,7 @@ def check_lift(table_d, cache):
                 raise CheckFailure("a mirror hyperplane lies in the lifted adjoint")
         if not squarefree_test(mll):
             raise CheckFailure("adjoint equation is not reduced")
-        return {"det_const": str(c), "adjoint_pullback_terms": len(mll_x.t)}, payload
+        return {"det_const": str(c), "adjoint_pullback_terms": len(mll_x.num)}, payload
 
     return run_check("arrangement-lift", datum.name, body)
 

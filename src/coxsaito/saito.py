@@ -59,7 +59,7 @@ def express_in_invariants(f, datum, cache=None):
     that is not invariant is a non-member, so a CheckFailure.
     """
     if cache is None:
-        cache = Substitution(datum.invariants, datum.ring)
+        cache = Substitution(datum.p_ring, datum.invariants, datum.ring)
     p_ring = datum.p_ring
     parts = {}
     for e, c in f.t.items():
@@ -68,7 +68,7 @@ def express_in_invariants(f, datum, cache=None):
     for d, terms in sorted(parts.items()):
         mons = p_ring.monomials(d)
         ((_, w),) = members(
-            [Poly(datum.ring, terms)],
+            [datum.ring.from_dict(terms)],
             [cache.monomial(mu) for mu in mons],
             lambda _: f"the degree-{d} part is not a polynomial in the basic invariants",
         )
@@ -84,7 +84,7 @@ def _linear_part(g):
     for e, c in g.t.items():
         if sum(e) == 1:
             out[e] = c
-    return Poly(ring, out)
+    return ring.from_dict(out)
 
 
 def _coeff_of_var(g, i):
@@ -97,7 +97,7 @@ def build_saito(datum, cache=None):
     """Assemble and internally verify the full matrix apparatus."""
     if not datum.irreducible:
         raise EngineError("saito data is built per irreducible factor")
-    cache = cache or Substitution(datum.invariants, datum.ring)
+    cache = cache or Substitution(datum.p_ring, datum.invariants, datum.ring)
     ring = datum.ring
     p_ring = datum.p_ring
     l = datum.rank
@@ -188,7 +188,7 @@ def _dihedral_shape(sd):
             raise CheckFailure("odd Coxeter number admits no mixed term")
         bexp = (h // 2 - 1, 1)
         b_p2 = rest.coeff_of(bexp)
-        if rest != Poly(p_ring, {bexp: b_p2}):
+        if rest != p_ring.from_dict({bexp: b_p2}):
             raise CheckFailure("rank-2 Saito matrix has an unexpected term")
         b = b_p2 / c2
     return {"lambda": lam, "p2_scale": c2, "a": a, "b": b, "h": h}

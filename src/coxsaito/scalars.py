@@ -180,6 +180,33 @@ def scalar_to_json(x):
     return {"a": _frac_to_json(Fraction(x))}
 
 
+def _ints_from_json(pair):
+    num, den = int(pair[0]), int(pair[1])
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def parts_from_json(obj, d=None):
+    """(D, x): the scalar obj records, taken into the field tagged by d with
+    the checks of `coerce`, as the numerator x over D (an int over Q, the
+    pair (A, B) for (A + B*sqrt(d))/D over Q(sqrt d)), with no Fraction
+    built."""
+    a, da = _ints_from_json(obj["a"])
+    if "b" not in obj:
+        return da, (a if d is None else (a, 0))
+    b, db = _ints_from_json(obj["b"])
+    field = obj["d"]
+    if d is None:
+        if b:
+            raise ValueError("quadratic scalar in a rational context")
+        return da, a
+    if field != d:
+        raise ValueError("mixed quadratic fields")
+    den = lcm(da, db)
+    return den, (a * (den // da), b * (den // db))
+
+
 def scalar_from_json(obj, d=None):
     a = _frac_from_json(obj["a"])
     if "b" in obj:

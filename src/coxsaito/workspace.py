@@ -233,7 +233,9 @@ class Workspace:
 
     def pullback_cache(self, name):
         datum = self.datum(name)
-        return self._once(("pull", name), lambda: Substitution(datum.invariants, datum.ring))
+        return self._once(
+            ("pull", name), lambda: Substitution(datum.p_ring, datum.invariants, datum.ring)
+        )
 
     def minor_table(self, name, side):
         return self._once(

@@ -45,7 +45,7 @@ def mul_tables(name):
     if key not in _WS:
         # the arrangement table is pulled back, as the workspace builds it
         mD = build_mul_table(tD)
-        _WS[key] = (build_mul_table(tA, mD, Substitution(d.invariants, d.ring)), mD)
+        _WS[key] = (build_mul_table(tA, mD, Substitution(d.p_ring, d.invariants, d.ring)), mD)
     return _WS[key]
 
 
@@ -119,7 +119,7 @@ def test_dihedral_discriminant_square_entry():
 def test_quotient_rule_and_generator_match():
     for name in ("A2", "B2", "A3", "B3", "I2(5)"):
         d, sd, tA, tD = setup(name)
-        cache = Substitution(d.invariants, d.ring)
+        cache = Substitution(d.p_ring, d.invariants, d.ring)
         assert check_quotient_rule(sd, tA, cache).verdict == "pass"
         assert check_generator_match(sd, tA, tD, cache).verdict == "pass"
 
@@ -171,28 +171,30 @@ def test_fiber_certificates():
 
 
 def test_sample_points_have_enough_variety():
-    for name in ("A3", "B3", "F4"):
+    for name in ("A1", "A1xA1", "A3", "B3", "F4"):
         d = build_datum(name)
         pts = sample_points(d)
         labels = [lab for lab, _ in pts]
-        assert labels.count("mirror") >= 3
-        assert labels.count("codim2") == 4, name
         assert "origin" in labels and "off" in labels
-        assert len(pts) >= 10
         assert len({tuple(pt) for _, pt in pts}) == len(pts), name
+        if d.rank >= 3:
+            assert labels.count("mirror") >= 3
+            assert labels.count("codim2") == 4, name
+            assert len(pts) >= 10
         shapes = set()
         # each point lies on its flat, and a codim2 point on no other mirror:
-        # the mirrors through it meet in a flat of codimension two
+        # the mirrors through it meet in a flat of codimension two; a mirror
+        # point is on exactly one mirror, whose flat is not the origin
         for label, pt in pts:
-            at = Substitution(pt, None)
+            at = Substitution(d.ring, pt, None)
             on = [f.linear_coeffs() for f in d.mirror_forms if not at(f)]
             if label == "mirror":
-                assert len(on) == 1, (name, pt)
+                assert len(on) == 1 and any(pt), (name, pt)
             elif label == "codim2":
                 rank = rank_of_vectors({i: c for i, c in enumerate(row) if c} for row in on)
                 assert rank == 2, (name, pt)
                 shapes.add(tuple(len(c) for c in stabilizer_components(d, pt)))
-        assert len(shapes) >= 2, (name, shapes)
+        assert len(shapes) >= 2 or d.rank < 3, (name, shapes)
 
 
 def test_normalization_gap_for_odd_dihedral():

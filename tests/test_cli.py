@@ -247,6 +247,8 @@ _MUTATIONS = {
     "empty-zero-combo-pair": lambda doc: _item(doc, "zero_combo")["terms"].__setitem__(0, []),
     "negative-exponent": lambda doc: _first_exp(doc).__setitem__(0, -1),
     "short-exponent": lambda doc: _first_exp(doc).__delitem__(-1),
+    # past the width of a packed key field
+    "huge-exponent": lambda doc: _first_exp(doc).__setitem__(0, 1 << 16),
     # the identity still holds on the first cofactors, but a witness has one
     # cofactor per generator
     "extra-cofactor": lambda doc: _item(doc, "witness")["cofactors"].append(_cofactor(doc)),

@@ -22,10 +22,10 @@ from coxsaito.engine import (
     squarefree_test,
 )
 from coxsaito.catalog import build_datum
-from coxsaito.poly import Poly, PolyRing
+from coxsaito.poly import PolyRing
 from coxsaito.polymatrix import hessian
 from coxsaito.saito import build_saito
-from coxsaito.scalars import Quad
+from coxsaito.scalars import Quad, integer_parts
 
 
 @pytest.fixture
@@ -316,6 +316,8 @@ def test_elimination_kernel_properties(system):
                 raise EngineError("not a solution")
         return cand
 
+    cols = [integer_parts(v, d) for v in cols]
+    tvecs = [integer_parts(v, d) for v in tvecs]
     answers, _ = eng._modular_solve(cols, tvecs, len(A), d, accept)
     assert answers == solutions
 
@@ -411,7 +413,9 @@ def test_modular_solve_skips_unlucky_prime():
                 raise EngineError("not a solution")
         return sol
 
-    answers, inconsistent = eng._modular_solve(cols, targets, 2, None, accept)
+    int_cols = [integer_parts(v, None) for v in cols]
+    int_targets = [integer_parts(v, None) for v in targets]
+    answers, inconsistent = eng._modular_solve(int_cols, int_targets, 2, None, accept)
     assert answers == [{0: one, 1: one}]
     assert not inconsistent
 
@@ -452,7 +456,7 @@ def test_functionals_do_not_depend_on_term_order():
     gens = [p for p in datum.invariants if p.whomog_degree() < datum.coxeter_number]
 
     def reversed_terms(p):
-        return Poly(p.ring, dict(reversed(p.t.items())))
+        return p.ring.from_dict(dict(reversed(p.t.items())))
 
     functionals = 0
     for j in range(datum.rank):

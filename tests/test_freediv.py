@@ -29,7 +29,7 @@ def setup(name):
         d = build_datum(name)
         sd = build_saito(d)
         tD = build_minor_table(sd, DISCRIMINANT)
-        _WS[name] = (d, sd, tD, Substitution(d.invariants, d.ring))
+        _WS[name] = (d, sd, tD, Substitution(d.p_ring, d.invariants, d.ring))
     return _WS[name]
 
 

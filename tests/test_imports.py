@@ -10,7 +10,11 @@ class body (methods, properties and static methods), private (`_name`) or
 public, is referenced somewhere in the package, so that a helper whose last
 caller is gone does not stay behind; a public name the package only
 re-exports from `__init__.py` counts as referenced.  Dunders are exempt:
-the language calls them."""
+the language calls them.
+
+No module writes into a polynomial's term view `.t`: it is built from the
+integer form on first read, so a write there would leave the two out of
+step."""
 
 import ast
 from pathlib import Path
@@ -106,3 +110,51 @@ def test_no_unreferenced_private_definitions():
 def test_no_unreferenced_public_definitions():
     unreferenced = unreferenced_definitions(private=False)
     assert not unreferenced, f"public definitions referenced nowhere: {', '.join(unreferenced)}"
+
+
+# methods that change a dict in place
+DICT_MUTATORS = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def term_view_writes(tree):
+    """Lines that store into, delete from, mutate or rebind an attribute
+    named `t`: `p.t[e] = c`, `p.t[e] += c`, `del p.t[e]`, `p.t.pop(e)`,
+    `p.t.update(...)`, `p.t.setdefault(...)`, `p.t = ...`."""
+
+    def is_view(node):
+        return isinstance(node, ast.Attribute) and node.attr == "t"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if is_view(node.value):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in DICT_MUTATORS and is_view(node.func.value):
+                yield node.lineno
+        elif is_view(node) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_writes_into_the_term_view(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(set(term_view_writes(tree)))
+    assert not lines, f"{path.name} writes into a polynomial's term view on lines {lines}"
+
+
+def test_term_view_lint_sees_every_kind_of_write():
+    writes = [
+        "p.t[e] = c",
+        "p.t[e] += c",
+        "del p.t[e]",
+        "p.t.pop(e)",
+        "p.t.update(other)",
+        "p.t.setdefault(e, c)",
+        "p.t = {}",
+        "f(x).t[e] = c",
+    ]
+    for src in writes:
+        assert list(term_view_writes(ast.parse(src))) == [1], src
+    reads = ["c = p.t[e]", "c = p.t.get(e)", "n = len(p.t)", "d = dict(p.t)", "q.num[e] = c"]
+    for src in reads:
+        assert not list(term_view_writes(ast.parse(src))), src

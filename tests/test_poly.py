@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxsaito.poly import Poly, PolyRing, Substitution, dot, poly_pairing, product
+from coxsaito.engine import EngineError, Witness
+from coxsaito.poly import FIELD_BITS, Poly, PolyRing, Substitution, dot, poly_pairing, product
 from coxsaito.scalars import Quad
 
 
@@ -84,9 +85,9 @@ def test_substitute_shape(ring):
 def test_evaluate(ring):
     x, y = ring.gens()
     f = x * x - y
-    assert Substitution([2, 3], None)(f) == 1
+    assert Substitution(ring, [2, 3], None)(f) == 1
     with pytest.raises(ValueError):
-        Substitution([1], None)(f)
+        Substitution(ring, [1], None)(f)
 
 
 def test_evaluate_agrees_with_constant_substitution(ring):
@@ -95,7 +96,7 @@ def test_evaluate_agrees_with_constant_substitution(ring):
         f = rand_poly(ring, rng)
         pt = [Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))]
         images = [ring.const(v) for v in pt]
-        assert ring.const(Substitution(pt, None)(f)) == f.subst(images)
+        assert ring.const(Substitution(ring, pt, None)(f)) == f.subst(images)
 
 
 def test_division_single(ring):
@@ -118,6 +119,9 @@ def test_weighted_degrees():
     assert f.whomog_degree() == 10
     assert (p1 + p2).whomog_degree() is None
     assert pring.monomials(10) == ((5, 0), (0, 2))
+    for weights in ((0, 5), (2, -1), (2, 1.5)):
+        with pytest.raises(ValueError):
+            PolyRing(("p1", "p2"), weights=weights)
 
 
 def test_monomial_enumeration_ordering(ring):
@@ -309,7 +313,7 @@ def substitution_operands(draw):
 @settings(max_examples=200, deadline=None)
 def test_substitution_matches_term_by_term(operands):
     source, target, images, polys = operands
-    at = Substitution(images, target)
+    at = Substitution(source, images, target)
     for f in polys:
         image = at(f)
         assert image.ring == target
@@ -334,7 +338,7 @@ def evaluation_operands(draw):
 @settings(max_examples=200, deadline=None)
 def test_evaluation_matches_term_by_term(operands):
     ring, point, polys = operands
-    at = Substitution(point, None)
+    at = Substitution(ring, point, None)
     for f in polys:
         value = at(f)
         assert type(value) is (Fraction if ring.d is None else Quad)
@@ -402,3 +406,157 @@ def test_reduce_division_identity(operands):
         assert not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
     (q,), r1 = f.reduce(divisors[:1])
     assert f.divmod_single(divisors[0]) == (q, r1)
+
+
+# -- the integer form: packed keys, one denominator, the view on read ----------
+
+FORM_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y", "z"), d=5),
+    PolyRing(("p", "q", "r"), weights=(2, 3, 5)),
+    PolyRing(("p", "q"), d=3, weights=(2, 7)),
+)
+
+
+@st.composite
+def form_exponents(draw):
+    ring = draw(st.sampled_from(FORM_RINGS))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 60)] * ring.n), min_size=1, max_size=8))
+    return ring, exps
+
+
+@given(form_exponents())
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_order_like_the_term_key(case):
+    ring, exps = case
+    exps = list(set(exps))
+    assert sorted(exps, key=ring.pack) == sorted(exps, key=ring.term_key)
+
+
+@given(form_exponents())
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_add_like_monomials_and_unpack(case):
+    ring, exps = case
+    for e1 in exps:
+        assert ring.unpack(ring.pack(e1)) == e1
+        for e2 in exps:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            assert ring.pack(e1) + ring.pack(e2) == ring.pack(e)
+
+
+@pytest.mark.parametrize("ring", FORM_RINGS, ids=repr)
+def test_exponent_past_the_field_width_raises(ring):
+    top = 1 << FIELD_BITS
+    w = ring.weights[0]
+    rest = (0,) * (ring.n - 1)
+    # the largest first exponent whose key fits, and the next one
+    last = ((top - 1) // w,) + rest
+    assert ring.unpack(ring.pack(last)) == last
+    for e in (((top - 1) // w + 1,) + rest, (top,) + rest):
+        with pytest.raises(ValueError):
+            ring.pack(e)
+        with pytest.raises(ValueError):
+            ring.from_dict({e: 1})
+    # a product whose key sum carries out of the weighted-degree field
+    half = ring.from_dict({(-(-top // (2 * w)),) + rest: 1})
+    with pytest.raises(ValueError):
+        half * half
+
+
+def with_denominator(p, m):
+    """p over the denominator m times its own, which is not the least one."""
+    if p.ring.d is None:
+        return Poly(p.ring, p.den * m, {k: x * m for k, x in p.num.items()})
+    return Poly(p.ring, p.den * m, {k: (a * m, b * m) for k, (a, b) in p.num.items()})
+
+
+def with_numerator_changed(p, k):
+    """p with the numerator of key k raised by one."""
+    num = dict(p.num)
+    x = num.get(k, 0 if p.ring.d is None else (0, 0))
+    num[k] = x + 1 if p.ring.d is None else (x[0], x[1] + 1)
+    return Poly(p.ring, p.den, num)
+
+
+def reference_reduce(f, divisors):
+    """Division by divisors over the coefficients of the view, term by term."""
+    key = f.ring.term_key
+    leads = [max(g.t, key=key) for g in divisors]
+    work, qs, r = dict(f.t), [{} for _ in divisors], {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for g, lead, q in zip(divisors, leads, qs):
+            if all(a >= b for a, b in zip(e, lead)):
+                qe = tuple(a - b for a, b in zip(e, lead))
+                q[qe] = qc = c / g.t[lead]
+                for e2, c2 in g.t.items():
+                    if e2 != lead:
+                        e3 = tuple(a + b for a, b in zip(qe, e2))
+                        v = work.get(e3, 0) - qc * c2
+                        if v:
+                            work[e3] = v
+                        else:
+                            work.pop(e3, None)
+                break
+        else:
+            r[e] = c
+    return qs, r
+
+
+@st.composite
+def lazy_results(draw):
+    """(ring, result of dot, Substitution or reduce, its terms by reference)."""
+    ring = draw(st.sampled_from(FORM_RINGS))
+    kind = draw(st.sampled_from(("dot", "substitution", "reduce")))
+    if kind == "dot":
+        count = draw(st.integers(1, 3))
+        pairs = [(draw_poly(draw, ring), draw_poly(draw, ring)) for _ in range(count)]
+        expected = {}
+        for f, g in pairs:
+            for e, c in schoolbook(f, g).items():
+                expected[e] = expected.get(e, 0) + c
+        return [(ring, dot(pairs, ring), expected)]
+    f = draw_poly(draw, ring)
+    if kind == "substitution":
+        source = PolyRing(("s", "t"), d=ring.d, weights=draw(st.sampled_from([None, (2, 3)])))
+        images = [draw_poly(draw, ring) for _ in range(source.n)]
+        f = draw_poly(draw, source)
+        expected = term_by_term(f, images, ring.const).t
+        return [(ring, Substitution(source, images, ring)(f), expected)]
+    divisors = [draw_poly(draw, ring) for _ in range(draw(st.integers(1, 2)))]
+    assume(all(divisors))
+    quotients, r = f.reduce(divisors)
+    qs, rr = reference_reduce(f, divisors)
+    return [(ring, p, t) for p, t in zip((*quotients, r), (*qs, rr))]
+
+
+@given(lazy_results(), st.integers(2, 30))
+@settings(max_examples=300, deadline=None)
+def test_lazy_results_compare_with_eager_polynomials(cases, m):
+    for ring, lazy, expected in cases:
+        eager = ring.from_dict({e: c for e, c in expected.items() if c})
+        assert lazy == eager and eager == lazy
+        assert with_denominator(lazy, m) == eager and lazy == with_denominator(eager, m)
+        for k in list(eager.num)[:2] + [ring.pack((1,) * ring.n)]:
+            changed = with_numerator_changed(eager, k)
+            assert lazy != changed and changed != lazy
+            assert with_denominator(changed, m) != lazy
+            assert lazy != with_denominator(changed, m)
+        assert lazy.t == eager.t
+        assert_field_coeffs(lazy)
+
+
+@pytest.mark.parametrize("ring", FORM_RINGS[:2], ids=repr)
+def test_witness_rejects_a_lazy_product_with_one_numerator_changed(ring):
+    x, y = ring.gens()[:2]
+    half = ring.coeff(Fraction(1, 2))
+    gens = [x * x + 3 * y, (x * y).scale(half) - y * y]
+    cofactors = [(y + 1).scale(Fraction(2, 3)), x.scale(half) + 5]
+    target = dot(zip(cofactors, gens), ring)
+    assert target.den > 1
+    Witness(target, gens, cofactors)
+    assert target._t is None  # compared without building the view
+    for k in target.num:
+        with pytest.raises(EngineError):
+            Witness(with_numerator_changed(target, k), gens, cofactors)

@@ -33,7 +33,7 @@ def test_k_symmetric_and_pullback_identity():
         sd = get(name)
         assert sd.K_S.is_symmetric()
         assert sd.K_R.is_symmetric()
-        cache = Substitution(sd.datum.invariants, sd.datum.ring)
+        cache = Substitution(sd.datum.p_ring, sd.datum.invariants, sd.datum.ring)
         for i in range(sd.datum.rank):
             for j in range(i, sd.datum.rank):
                 assert cache(sd.K_R[i, j]) == sd.K_S[i, j]
@@ -53,7 +53,7 @@ def test_det_k_is_discriminant():
     assert sd.K_R.det() == sd.disc.scale(sd.disc_const)
     # pullback constant ties disc o p to delta^2 exactly through the
     # verified entrywise identity
-    cache = Substitution(sd.datum.invariants, sd.datum.ring)
+    cache = Substitution(sd.datum.p_ring, sd.datum.invariants, sd.datum.ring)
     disc_x = cache(sd.disc)
     assert disc_x == (sd.datum.delta * sd.datum.delta).scale(sd.pull_const)
 
@@ -102,7 +102,7 @@ def test_adjugate_antidiagonal_for_rank_two():
 
 def test_express_in_invariants_roundtrip():
     d = build_datum("B2")
-    cache = Substitution(d.invariants, d.ring)
+    cache = Substitution(d.p_ring, d.invariants, d.ring)
     rng = random.Random(8)
     p_ring = d.p_ring
     for _ in range(6):
@@ -118,7 +118,7 @@ def test_express_in_invariants_roundtrip():
 
 def test_express_square_of_invariant():
     d = build_datum("A2")
-    cache = Substitution(d.invariants, d.ring)
+    cache = Substitution(d.p_ring, d.invariants, d.ring)
     p1 = d.invariants[0]
     g = express_in_invariants(p1 * p1, d, cache)
     assert g == d.p_ring.gen(0) ** 2
@@ -136,7 +136,7 @@ def test_express_rejects_non_invariant():
 @pytest.mark.parametrize("name", ["B3", "I2(5)"])
 def test_pullback_cache_matches_substitution(name):
     d = build_datum(name)
-    cache = Substitution(d.invariants, d.ring)
+    cache = Substitution(d.p_ring, d.invariants, d.ring)
     rng = random.Random(11)
     for _ in range(4):
         g = d.p_ring.from_dict(

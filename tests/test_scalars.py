@@ -8,7 +8,9 @@ from coxsaito.scalars import (
     Quad,
     conjugate,
     coerce,
+    integer_parts,
     invert,
+    parts_from_json,
     scalar_from_json,
     scalar_to_json,
 )
@@ -97,3 +99,38 @@ def test_coerce_field_tags():
     assert isinstance(v, Quad) and v.d == 5
     with pytest.raises(ValueError):
         coerce(Quad(1, 1, 5), None)
+
+
+_JSON_SCALARS = [
+    {"a": ["3", "4"]},
+    {"a": ["-6", "4"]},
+    {"a": ["5", "-2"]},
+    {"a": ["0", "7"]},
+    {"a": ["1", "6"], "b": ["-5", "4"], "d": 5},
+    {"a": ["0", "1"], "b": ["2", "3"], "d": 2},
+    {"a": ["1", "2"], "b": ["0", "3"], "d": 5},
+    {"a": ["1", "0"]},
+    {"a": ["x", "1"]},
+    {"a": ["1", "2"], "b": ["1", "1"]},
+    {"a": ["1", "2"], "b": ["1", "1"], "d": 3},
+    {"b": ["1", "1"], "d": 5},
+]
+
+
+@pytest.mark.parametrize("d", [None, 5])
+@pytest.mark.parametrize("obj", _JSON_SCALARS, ids=str)
+def test_parts_from_json_agrees_with_coerced_scalars(obj, d):
+    # the same value as integer_parts of the coerced scalar, or the same
+    # kind of exception
+    try:
+        den, nums = integer_parts({0: coerce(scalar_from_json(obj, d), d)}, d)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            parts_from_json(obj, d)
+        return
+    got_den, got = parts_from_json(obj, d)
+    x = nums[0]
+    if d is None:
+        assert Fraction(got, got_den) == Fraction(x, den)
+    else:
+        assert all(Fraction(g, got_den) == Fraction(v, den) for g, v in zip(got, x))
