@@ -115,7 +115,10 @@ def cmd_fixture(args):
 def cmd_verify(args):
     try:
         ok, failures = verify_report_file(args.report)
-    except (OSError, ValueError, LookupError, ArithmeticError, TypeError, AttributeError) as exc:
+    except (
+        OSError, ValueError, LookupError, ArithmeticError, TypeError, AttributeError,
+        RecursionError,
+    ) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return 2
     if ok:

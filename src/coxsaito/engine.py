@@ -11,13 +11,21 @@ over its denominator.  Every such system, over Q or Q(sqrt d), is solved
 first by elimination modulo word-size primes with rational
 reconstruction; a target it finds inconsistent gets its separating
 functional the same way, from the transposed system, whose equations are
-the columns times their denominators.  Modular answers
-are only candidates: a witness or a functional is accepted only once it
-verifies exactly, and non-membership is only ever reported together with
-such a functional.  Targets the modular run leaves unsettled go to the
-exact kernel, through which all exact scalar elimination (solves, ranks,
-nullspaces) runs: `echelon`, `reduce_row` and `back_substitute`; only
-there are the columns turned into scalars (`_scalars`).
+the columns times their denominators.  The modular kernel (`_rref_mod`)
+eliminates forward only, on the columns from each pivot's on, reduces
+mod p only once every 2^62 // p^2 updates (int64 cannot overflow in
+between), and back-substitutes on the right-hand sides alone.  A
+candidate leaves it as integers, numerators over one denominator
+(`accept(t, den, nums)` in `_modular_solve`), and each cofactor or
+functional is built from them as an integer form, with no scalar on
+the way.  Modular answers are only candidates: a witness or a functional
+is accepted only once it verifies exactly, and non-membership is only
+ever reported together with such a functional.  Targets the modular run
+leaves unsettled go to the exact kernel, through which all exact scalar
+elimination (solves, ranks, nullspaces) runs: `echelon`, `reduce_row`
+and `back_substitute`; only there are the columns turned into scalars
+(`_scalars`), and its solutions go back to integers (`integer_parts`)
+for the same builders.
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
@@ -30,12 +38,12 @@ import heapq
 import random
 from functools import cache
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .poly import Poly, PolyRing, Substitution, dot, poly_pairing
-from .scalars import Quad
+from .poly import Poly, PolyRing, Substitution, _reduced, dot, poly_pairing
+from .scalars import Quad, integer_parts
 
 
 class EngineError(ValueError):
@@ -272,28 +280,58 @@ def _rat_reconstruct(r, m):
 
 
 def _rref_mod(M, p, nun):
-    """In-place RREF mod p on the first nun columns of a matrix of residues;
-    returns the pivot columns, whose rows are the first ones in order."""
+    """Row reduction mod p, in place, of the first nun columns of a matrix
+    of residues, carrying the right-hand-side columns M[:, nun:] along.
+    Returns the pivot columns, whose rows are the first ones in order.  It
+    leaves the values of the pivot unknowns (free unknowns zero) in
+    M[:rank, nun:] and the residues that make a right-hand side
+    inconsistent in M[rank:, nun:], all reduced mod p; the rest of M is
+    left unspecified.
+
+    Elimination runs forward only, below each pivot, on the columns from
+    the pivot's on: a pivot row is zero left of its pivot.  Each update
+    adds less than p^2 in magnitude to an entry, so the rows below are
+    reduced mod p only once every room = 2^62 // p^2 updates, and int64
+    cannot overflow.  Back substitution then runs on the right-hand-side
+    columns alone, each value of a pivot unknown one sum of at most room
+    products at a time."""
     m = M.shape[0]
+    room = max(1, (1 << 62) // (p * p))
     pivots = []
+    pending = 0
     for c in range(nun):
         r = len(pivots)
         if r == m:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
+        col = M[r:, c] % p
+        nz = col.nonzero()[0]
+        if not nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            M[rows] = (M[rows] - col[rows, None] * M[r][None, :]) % p
+        i = int(nz[0])
+        if i:
+            top = M[r, c:].copy()
+            M[r, c:] = M[r + i, c:]
+            M[r + i, c:] = top
+            col[0], col[i] = col[i], col[0]
+            nz = col[1:].nonzero()[0] + 1
+        else:
+            nz = nz[1:]
+        row = M[r, c:] % p * pow(int(col[0]), -1, p) % p
+        M[r, c:] = row
+        if nz.size:
+            M[nz + r, c:] -= col[nz, None] * row
+            pending += 1
+            if pending == room:
+                M[r + 1:, c + 1:] %= p
+                pending = 0
         pivots.append(c)
+    rank = len(pivots)
+    M[rank:, nun:] %= p
+    # x_k = b_k - sum over later pivots j of U[k, j] * x_j, from the last
+    X, U = M[:rank, nun:], M[:rank, pivots]
+    for k in range(rank - 2, -1, -1):
+        for j in range(k + 1, rank, room):
+            X[k] = (X[k] - U[k, j:j + room] @ X[j:j + room]) % p
     return tuple(pivots)
 
 
@@ -302,14 +340,18 @@ def _modular_solve(cols, targets, nrows, d, accept):
 
     cols (one per unknown) and targets are integer sparse vectors (D,
     {row: numerator}), each entry the numerator over D (an int over Q, the
-    pair (A, B) over Q(sqrt d)).  After every prime, each unsettled target
-    whose residues reconstruct to a candidate (dict unknown -> scalar, free
-    unknowns zero) is passed to accept(t, candidate), which returns the
-    answer built from it once that checks exactly and raises EngineError
-    otherwise; a rejected candidate makes the run go on to further primes.
-    Returns (answers, inconsistent): the accepted answers, None where there
-    was none, and the targets some prime found inconsistent, which are left
-    unsettled.
+    pair (A, B) over Q(sqrt d)).  Each prime eliminates the numerators
+    once, with every right-hand side (`_rref_mod`).  After every prime,
+    each unsettled target whose residues reconstruct to a candidate is
+    passed to accept(t, den, nums): the candidate's values, free unknowns
+    zero and zeros left out, as integer numerators nums (unknown ->
+    numerator, of the same shape as the entries) over the one positive
+    denominator den, with the scaling of the columns and of the target
+    folded in.  accept returns the answer built from it once that checks
+    exactly and raises EngineError otherwise; a rejected candidate makes
+    the run go on to further primes.  Returns (answers, inconsistent): the
+    accepted answers, None where there was none, and the targets some
+    prime found inconsistent, which are left unsettled.
 
     A prime whose pivot columns are fewer or later than the best seen is
     unlucky and skipped; a better one restarts the reconstruction.
@@ -362,21 +404,23 @@ def _modular_solve(cols, targets, nrows, d, accept):
                     xs[k] += modulus * ((r - xs[k]) * minv % p)
         modulus *= p
         for t in pending:
-            cand = {}
+            # (column, reconstructed parts) of the nonzero values
+            cand = []
             for k, c in enumerate(pat):
-                v = _rat_reconstruct(acc[0][t][k], modulus)
-                if v is not None and d is not None:
-                    b = _rat_reconstruct(acc[1][t][k], modulus)
-                    v = None if b is None else Quad(v, b, d)
-                if v is None:
-                    cand = None
+                v = [_rat_reconstruct(part[t][k], modulus) for part in acc]
+                if v[0] is None or v[-1] is None:  # one part over Q, two over Q(sqrt d)
                     break
-                if v:
-                    # undo the column scaling: x_c = y_c * scale_c / scale_t
-                    cand[c] = v * scales[c] / scales[nun + t]
-            if cand is not None:
+                if any(v):
+                    cand.append((c, v))
+            else:
+                # undo the column scaling: x_c = y_c * scale_c / scale_t
+                den = lcm(*(q.denominator for _, v in cand for q in v))
+                nums = {c: tuple(q.numerator * (den // q.denominator) * scales[c] for q in v)
+                        for c, v in cand}
+                if d is None:
+                    nums = {c: a for c, (a,) in nums.items()}
                 try:
-                    answers[t] = accept(t, cand)
+                    answers[t] = accept(t, den * scales[nun + t], nums)
                 except EngineError:
                     pass  # a wrong reconstruction: more primes
         if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
@@ -444,12 +488,12 @@ def graded_membership_batch(targets, gens):
     col_vecs = [(gens[i].den, {row_index[k + s]: x for k, x in gens[i].num.items()})
                 for (i, _), s in zip(cols, shifts)]
 
-    def witness(t, sol):
-        cof_terms = [dict() for _ in gens]
-        for j, v in sol.items():
-            i, mu = cols[j]
-            cof_terms[i][mu] = v
-        return Witness(targets[t], gens, [ring.from_dict(tm) for tm in cof_terms])
+    def witness(t, den, nums):
+        # cofactor i holds the numerators of its columns under their shifts
+        cof_nums = [{} for _ in gens]
+        for j, x in nums.items():
+            cof_nums[cols[j][0]][shifts[j]] = x
+        return Witness(targets[t], gens, [_reduced(ring, den, c) for c in cof_nums])
 
     d = ring.d
     results, inconsistent = _modular_solve(col_vecs, target_vecs, len(monos), d, witness)
@@ -471,7 +515,7 @@ def graded_membership_batch(targets, gens):
             if sol is None:
                 results[t] = _nonmember_functional(targets[t], gens, col_scalars, tvec, monos)
             else:
-                results[t] = witness(t, sol)
+                results[t] = witness(t, *integer_parts(sol, d))
     return results
 
 
@@ -492,9 +536,11 @@ def _transpose(vecs, nrows):
     return rows
 
 
-def _functional(target, gens, monos, sol):
-    ring = target.ring
-    return NonMembership(target, gens, ring.from_packed({monos[u]: v for u, v in sol.items()}))
+def _functional(target, gens, monos, den, nums):
+    """The functional with numerators nums (unknown -> numerator) over den
+    on the monomials monos, verified."""
+    functional = _reduced(target.ring, den, {monos[u]: x for u, x in nums.items()})
+    return NonMembership(target, gens, functional)
 
 
 def _modular_functional(target, gens, col_vecs, tvec, monos):
@@ -513,7 +559,7 @@ def _modular_functional(target, gens, col_vecs, tvec, monos):
         [(1, {m: den if d is None else (den, 0)})],
         m + 1,
         d,
-        lambda _, sol: _functional(target, gens, monos, sol),
+        lambda _, den, nums: _functional(target, gens, monos, den, nums),
     )[0][0]
 
 
@@ -526,7 +572,7 @@ def _nonmember_functional(target, gens, col_vecs, tvec, monos):
     sol = solve_linear(eqs, len(monos), 1)[0]
     if sol is None:
         raise EngineError("membership solver inconsistency (no functional)")
-    return _functional(target, gens, monos, sol)
+    return _functional(target, gens, monos, *integer_parts(sol, ring.d))
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +716,19 @@ def _pair_cuts_out_points(f, g):
     by a constant gcd at a point where a leading coefficient survives."""
     if f.is_constant() or g.is_constant():
         return bool(f.is_constant() and f) or bool(g.is_constant() and g)
-    # coefficient rows in the second variable, polynomials in the first
+    # coefficient rows in the second variable, polynomials in the first,
+    # each over its polynomial's denominator
     uni = PolyRing(("t",), d=f.ring.d)
-    fc, gc = (
-        [uni.from_dict({(e[0],): c for e, c in h.t.items() if e[1] == j})
-         for j in range(max(e[1] for e in h.t) + 1)]
-        for h in (f, g)
-    )
+    unpack, t1 = f.ring.unpack, uni.units[0]
+
+    def rows(h):
+        by_power = {}
+        for k, x in h.num.items():
+            e = unpack(k)
+            by_power.setdefault(e[1], {})[e[0] * t1] = x
+        return [_reduced(uni, h.den, by_power.get(j, {})) for j in range(max(by_power) + 1)]
+
+    fc, gc = rows(f), rows(g)
     if len(fc) == 1 or len(gc) == 1:
         return False  # no dependence on the second variable; try another cut
     # a common factor free of the second variable divides every coefficient

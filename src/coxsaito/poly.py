@@ -28,6 +28,9 @@ forms and univariate gcds all run through it, over one denominator that
 grows only when a leading coefficient does not divide.  Results leave
 these loops over the least common denominator (`_reduced`), but equality
 cross-multiplies, so a form over a larger one compares correctly.
+`Poly.to_json` prints straight from the form: one gcd of each numerator
+with the denominator gives the reduced fraction, with no scalar built.
+`homogeneous_parts` splits a polynomial by the degree field of its keys.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from operator import ge, mul, sub
 from struct import Struct
 from types import MappingProxyType
 
-from .scalars import Quad, coerce, integer_parts, parts_from_json, scalar_to_json
+from .scalars import Quad, coerce, integer_parts, parts_from_json
 
 FIELD_BITS = 16  # width of each packed key field
 
@@ -334,12 +337,23 @@ class Poly:
 
     # -- structure --------------------------------------------------------
 
+    def _degrees(self):
+        """The plain degree of each term, read off the degree field of its
+        key, in the order of num."""
+        s, mask = FIELD_BITS * max(self.ring.n - 1, 0), (1 << FIELD_BITS) - 1
+        return [k >> s & mask for k in self.num]
+
     def deg(self):
         """Total degree in the plain grading; -1 for the zero polynomial."""
-        if not self.num:
-            return -1
-        s, mask = FIELD_BITS * max(self.ring.n - 1, 0), (1 << FIELD_BITS) - 1
-        return max(k >> s & mask for k in self.num)
+        return max(self._degrees(), default=-1)
+
+    def homogeneous_parts(self):
+        """{degree: the nonzero part of that plain degree}, each over this
+        polynomial's denominator reduced."""
+        parts = {}
+        for e, (k, x) in zip(self._degrees(), self.num.items()):
+            parts.setdefault(e, {})[k] = x
+        return {e: _reduced(self.ring, self.den, nums) for e, nums in parts.items()}
 
     def whomog_degree(self):
         """Weighted degree if weighted-homogeneous, else None."""
@@ -556,11 +570,26 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        terms = [
-            {"exp": list(e), "coeff": scalar_to_json(c)}
-            for e, c in self.sorted_terms()
-        ]
-        field = {} if self.ring.d is None else {"d": self.ring.d}
+        """The terms, leading first, each coefficient printed straight from
+        its numerators over den as reduced fractions (one gcd per
+        numerator), in the strings of `scalars.scalar_to_json`."""
+        d, den, num, unpack = self.ring.d, self.den, self.num, self.ring.unpack
+
+        def frac(x):
+            g = gcd(x, den)
+            return [str(x // g), str(den // g)]
+
+        terms = []
+        for k in sorted(num, reverse=True):
+            x = num[k]
+            if d is None:
+                coeff = {"a": frac(x)}
+            elif x[1]:
+                coeff = {"a": frac(x[0]), "b": frac(x[1]), "d": d}
+            else:
+                coeff = {"a": frac(x[0])}
+            terms.append({"exp": list(unpack(k)), "coeff": coeff})
+        field = {} if d is None else {"d": d}
         out = {"vars": list(self.ring.names), "field": field, "terms": terms}
         if any(w != 1 for w in self.ring.weights):
             out["weights"] = list(self.ring.weights)

@@ -61,14 +61,11 @@ def express_in_invariants(f, datum, cache=None):
     if cache is None:
         cache = Substitution(datum.p_ring, datum.invariants, datum.ring)
     p_ring = datum.p_ring
-    parts = {}
-    for e, c in f.t.items():
-        parts.setdefault(sum(e), {})[e] = c
     out = p_ring.zero()
-    for d, terms in sorted(parts.items()):
+    for d, part in sorted(f.homogeneous_parts().items()):
         mons = p_ring.monomials(d)
         ((_, w),) = members(
-            [datum.ring.from_dict(terms)],
+            [part],
             [cache.monomial(mu) for mu in mons],
             lambda _: f"the degree-{d} part is not a polynomial in the basic invariants",
         )
@@ -79,12 +76,7 @@ def express_in_invariants(f, datum, cache=None):
 
 
 def _linear_part(g):
-    ring = g.ring
-    out = {}
-    for e, c in g.t.items():
-        if sum(e) == 1:
-            out[e] = c
-    return ring.from_dict(out)
+    return g.homogeneous_parts().get(1, g.ring.zero())
 
 
 def _coeff_of_var(g, i):

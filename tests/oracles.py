@@ -1,5 +1,9 @@
 """Reference checks used by the tests only."""
 
+import numpy as np
+
+from coxsaito.scalars import scalar_to_json
+
 
 def is_invariant(datum, f):
     """Invariance under the simple reflections (hence under the group)."""
@@ -26,3 +30,42 @@ def reference_orbit(seeds, gens, zero):
                     new.append(y)
         frontier = new
     return list(seen)
+
+
+def reference_rref_mod(M, p, nun):
+    """In-place RREF mod p on the first nun columns of a matrix of residues,
+    eliminating above and below every pivot across the full row width and
+    reducing after every update; returns the pivot columns, whose rows are
+    the first ones in order."""
+    m = M.shape[0]
+    pivots = []
+    for c in range(nun):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        inv = pow(int(M[r, c]), p - 2, p)
+        M[r] = (M[r] * inv) % p
+        col = M[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            M[rows] = (M[rows] - col[rows, None] * M[r][None, :]) % p
+        pivots.append(c)
+    return tuple(pivots)
+
+
+def reference_to_json(f):
+    """The JSON of a polynomial as printed from its Fraction/Quad
+    coefficients, one `scalar_to_json` per term, leading term first."""
+    terms = [{"exp": list(e), "coeff": scalar_to_json(c)} for e, c in f.sorted_terms()]
+    field = {} if f.ring.d is None else {"d": f.ring.d}
+    out = {"vars": list(f.ring.names), "field": field, "terms": terms}
+    if any(w != 1 for w in f.ring.weights):
+        out["weights"] = list(f.ring.weights)
+    return out

@@ -207,6 +207,26 @@ def test_verify_malformed_report(tmp_path):
     assert main(["verify", str(bad)]) == 2
 
 
+def _deeply_nested_division():
+    # a division payload whose f nests 5000 objects deep
+    f = '{"f":' * 5000 + "0" + "}" * 5000
+    item = '{"kind":"division","label":"deep","f":%s,"divisor":{},"quotient":{}}' % f
+    return '{"checks":[{"check":"x","type":"A1","verdict":"pass","witnesses":[%s]}]}' % item
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"checks":' + "[" * 100000 + "]" * 100000 + "}", _deeply_nested_division()],
+    ids=["checks-nested-100000", "division-f-nested-5000"],
+)
+def test_verify_deeply_nested_report_exit_2(text, tmp_path, capsys):
+    # these exited 1 with a RecursionError traceback
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    assert main(["verify", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
 def _witnessed(doc):
     return next(c for c in doc["checks"] if c["witnesses"])
 

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_rref_mod
 
 import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
@@ -310,7 +312,8 @@ def test_elimination_kernel_properties(system):
     cols = [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(n)]
     tvecs = [{i: rhs[t] for i, rhs in enumerate(B) if rhs[t]} for t in range(nrhs)]
 
-    def accept(t, cand):
+    def accept(t, den, nums):
+        cand = eng._scalars((den, nums), d)
         for row, rhs in zip(A, B):
             if sum((row[j] * v for j, v in cand.items()), Fraction(0)) != rhs[t]:
                 raise EngineError("not a solution")
@@ -320,6 +323,72 @@ def test_elimination_kernel_properties(system):
     tvecs = [integer_parts(v, d) for v in tvecs]
     answers, _ = eng._modular_solve(cols, tvecs, len(A), d, accept)
     assert answers == solutions
+
+
+_M31 = 2**31 - 1
+
+
+@st.composite
+def _residue_systems(draw):
+    """(p, nun, M): an m x (nun + nrhs) matrix of residues mod p, dense or
+    sparse, with rows that may be combinations of the ones before them.
+    At p = 2^31 - 1, room = 2^62 // p^2 is 1: every update is reduced."""
+    p = draw(st.sampled_from([eng._PRIMES[0], _M31]))
+    m, nun, nrhs = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    width = nun + nrhs
+    entry = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), entry)  # sparse
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            # rank deficient: a combination of earlier rows
+            coeffs = [draw(st.integers(0, p - 1)) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                         for j in range(width)])
+        else:
+            rows.append([draw(entry) for _ in range(width)])
+    return p, nun, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_systems())
+# dense and 12 rows at p = 2^31 - 1: the last rows take 11 updates of about
+# p^2 / 4 each, which pass 2^63 unless every update is reduced
+@example((_M31, 12, np.random.default_rng(0).integers(0, _M31, (12, 14), dtype=np.int64)))
+def test_forward_kernel_matches_the_full_rref(system):
+    # same pivots, same values of the pivot unknowns and same residues of
+    # inconsistency as the reference, which eliminates above and below every
+    # pivot across the full width and reduces after every update
+    p, nun, M = system
+    got, want = M.copy(), M.copy()
+    assert eng._rref_mod(got, p, nun) == reference_rref_mod(want, p, nun)
+    assert (got[:, nun:] == want[:, nun:]).all()
+
+
+def test_witness_from_integers_matches_one_from_scalars(monkeypatch):
+    # the membership witness built from (den, numerators), over 6 times the
+    # least denominator and with negative numerators, has the cofactors
+    # built from the same scalars with from_dict
+    for d in (None, 5):
+        qring = PolyRing(("x", "y"), d=d)
+        x, y = qring.gens()
+        gens = [x * x - y * y.scale(3), x * y]
+        cofactors = [x.scale(Fraction(-2, 3)) + y,
+                     y.scale(Fraction(5, 6)) + x.scale(1 if d is None else Quad(0, Fraction(-1, 4), 5))]
+        target = gens[0] * cofactors[0] + gens[1] * cofactors[1]
+        # one unknown per generator times cofactor monomial, numbered as the
+        # membership system numbers its columns
+        unknowns = [(i, mu) for i in range(2) for mu in qring.monomials(1)]
+        values = {j: cofactors[i].coeff_of(mu) for j, (i, mu) in enumerate(unknowns)}
+        den, nums = integer_parts({j: v for j, v in values.items() if v}, d)
+        six = {j: 6 * n if d is None else (6 * n[0], 6 * n[1]) for j, n in nums.items()}
+        monkeypatch.setattr(eng, "_modular_solve",
+                            lambda cols, tvecs, nrows, d_, accept: ([accept(0, 6 * den, six)], set()))
+        (got,) = graded_membership_batch([target], gens)
+        by_scalars = [qring.from_dict({mu: values[j] for j, (i, mu) in enumerate(unknowns) if i == k})
+                      for k in range(2)]
+        assert got.cofactors == by_scalars == cofactors
 
 
 def _settle_nothing(cols, targets, *args):
@@ -382,7 +451,7 @@ def test_wrong_modular_candidates_fall_back_to_exact(ring, monkeypatch):
         for t in range(len(tvecs)):
             offered.append(t)
             with pytest.raises(EngineError):
-                accept(t, {0: ring.coeff(7) if d is None else Quad(7, 1, d)})
+                accept(t, 1, {0: 7 if d is None else (7, 1)})
         return [None] * len(tvecs), set(range(len(tvecs)))
 
     monkeypatch.setattr(eng, "_modular_solve", wrong)
@@ -407,7 +476,8 @@ def test_modular_solve_skips_unlucky_prime():
     cols = [{0: Fraction(p0)}, {0: one, 1: one}]
     targets = [{0: Fraction(p0) + 1, 1: one}]
 
-    def accept(t, sol):
+    def accept(t, den, nums):
+        sol = eng._scalars((den, nums), None)
         for r, b in targets[0].items():
             if sum((cols[j].get(r, 0) * v for j, v in sol.items()), Fraction(0)) != b:
                 raise EngineError("not a solution")

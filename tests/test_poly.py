@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_to_json
 
 from coxsaito.engine import EngineError, Witness
 from coxsaito.poly import FIELD_BITS, Poly, PolyRing, Substitution, dot, poly_pairing, product
@@ -560,3 +561,32 @@ def test_witness_rejects_a_lazy_product_with_one_numerator_changed(ring):
     for k in target.num:
         with pytest.raises(EngineError):
             Witness(with_numerator_changed(target, k), gens, cofactors)
+
+
+@st.composite
+def raw_forms(draw):
+    """Poly(ring, den, num) as the arithmetic leaves it: a denominator that
+    need not be the least one, negative numerators and, over Q(sqrt d),
+    pairs whose surd part or rational part is zero."""
+    ring = draw(st.sampled_from(FORM_RINGS))
+    den = draw(st.integers(1, 60))
+    exps = draw(st.sets(st.tuples(*[st.integers(0, 4)] * ring.n), max_size=6))
+    nonzero = st.integers(-90, 90).filter(bool)
+    num = {}
+    for e in exps:
+        if ring.d is None:
+            num[ring.pack(e)] = draw(nonzero)
+        else:
+            shape = draw(st.sampled_from(("both", "no-surd", "no-rational")))
+            a = 0 if shape == "no-rational" else draw(nonzero)
+            b = 0 if shape == "no-surd" else draw(nonzero)
+            num[ring.pack(e)] = (a, b)
+    return Poly(ring, den, num)
+
+
+@given(raw_forms())
+@settings(max_examples=300, deadline=None)
+def test_json_printed_from_the_integer_form(f):
+    doc = f.to_json()
+    assert doc == reference_to_json(f)
+    assert Poly.from_json(doc) == f and Poly.from_json(doc, f.ring) == f

@@ -6,7 +6,8 @@ import pytest
 
 from coxsaito.catalog import build_datum
 from coxsaito.certs import CheckFailure
-from coxsaito.poly import Substitution, product
+from coxsaito.engine import _pair_cuts_out_points
+from coxsaito.poly import Poly, PolyRing, Substitution, product
 from coxsaito.polymatrix import PolyMatrix, hessian
 from coxsaito.saito import (
     build_saito,
@@ -14,6 +15,7 @@ from coxsaito.saito import (
     logarithmic_quotients,
     normalize_linear_part,
 )
+from coxsaito.scalars import Quad
 
 
 def get(name):
@@ -122,6 +124,32 @@ def test_express_square_of_invariant():
     p1 = d.invariants[0]
     g = express_in_invariants(p1 * p1, d, cache)
     assert g == d.p_ring.gen(0) ** 2
+
+
+def test_invariant_coordinates_and_plane_cuts_build_no_coefficient_view(monkeypatch):
+    d = build_datum("H3")
+    cache = Substitution(d.p_ring, d.invariants, d.ring)
+    p1, p2, p3 = d.p_ring.gens()
+    phi = d.p_ring.coeff(Quad(Fraction(1, 2), Fraction(1, 2), 5))
+    g = p1**3 - p2.scale(phi) + p1 * p2 + p3.scale(Fraction(-3, 7))
+    f = cache(g)
+    plane = PolyRing(("u", "v"), d=d.ring.d)
+    images = [plane.linear_form(c) for c in ([1, 2], [-1, 3], [2, -1])]
+    a, b = (p.subst(images).primitive() for p in d.invariants[:2])
+    built = []
+    view = Poly.t
+
+    def counted(self):
+        if self._t is None:
+            built.append(self)
+        return view.fget(self)
+
+    monkeypatch.setattr(Poly, "t", property(counted))
+    assert express_in_invariants(f, d, cache) == g
+    assert _pair_cuts_out_points(a, b)
+    assert not built
+    # the count sees a view that is built
+    assert a.t and built == [a]
 
 
 def test_express_rejects_non_invariant():
