@@ -8,24 +8,29 @@ depend on the order in which terms were stored.  Each column is a
 generator times a cofactor monomial, read straight off the generator's
 integer form: its numerators, under keys shifted by the monomial's key,
 over its denominator.  Every such system, over Q or Q(sqrt d), is solved
-first by elimination modulo word-size primes with rational
-reconstruction; a target it finds inconsistent gets its separating
-functional the same way, from the transposed system, whose equations are
-the columns times their denominators.  The modular kernel (`_rref_mod`)
-eliminates forward only, on the columns from each pivot's on, reduces
-mod p only once every 2^62 // p^2 updates (int64 cannot overflow in
-between), and back-substitutes on the right-hand sides alone.  A
-candidate leaves it as integers, numerators over one denominator
-(`accept(t, den, nums)` in `_modular_solve`), and each cofactor or
-functional is built from them as an integer form, with no scalar on
-the way.  Modular answers are only candidates: a witness or a functional
-is accepted only once it verifies exactly, and non-membership is only
-ever reported together with such a functional.  Targets the modular run
-leaves unsettled go to the exact kernel, through which all exact scalar
-elimination (solves, ranks, nullspaces) runs: `echelon`, `reduce_row`
-and `back_substitute`; only there are the columns turned into scalars
-(`_scalars`), and its solutions go back to integers (`integer_parts`)
-for the same builders.
+first by one elimination modulo a word-size prime (once per embedding of
+sqrt d, and over Q when no entry has a surd part) and p-adic lifting
+with rational reconstruction (Dixon); a target it finds inconsistent
+gets its separating functional the same way, from the transposed system,
+whose equations are the columns times their denominators.  The modular
+kernel (`_rref_mod`) eliminates forward only, on the columns right of
+each pivot's, reduces mod p only once every 2^62 // p^2 updates (int64
+cannot overflow in between), back-substitutes on the right-hand sides
+alone, and leaves in the pivot columns the LU factors of the pivot rows
+(multipliers, pivot inverses and the row order).  Each lifting step is
+one pair of triangular solves on those factors (`_solve_mod`) and one
+exact residual update, in int64 while a proven bound keeps it there and
+in Python ints past it.  A candidate leaves it as integers, numerators
+over one denominator (`accept(t, den, nums)` in `_modular_solve`), and
+each cofactor or functional is built from them as an integer form, with
+no scalar on the way.  Modular answers are only candidates: a witness or
+a functional is accepted only once it verifies exactly, and
+non-membership is only ever reported together with such a functional.
+Targets the modular run leaves unsettled go to the exact kernel, through
+which all exact scalar elimination (solves, ranks, nullspaces) runs:
+`echelon`, `reduce_row` and `back_substitute`; only there are the
+columns turned into scalars (`_scalars`), and its solutions go back to
+integers (`integer_parts`) for the same builders.
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
@@ -42,7 +47,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .poly import Poly, PolyRing, Substitution, _reduced, dot, poly_pairing
+from .poly import Poly, PolyRing, _reduced, dot, poly_pairing
 from .scalars import Quad, integer_parts
 
 
@@ -254,9 +259,10 @@ _PRIMES = _gen_primes()
 @cache
 def _primes_for(d):
     """Primes where d is a quadratic residue, with a canonical square root
-    (all generated primes are 3 mod 4, so the root is a power)."""
+    (all generated primes are 3 mod 4, so the root is a power); every
+    prime, with root 0, when d is None."""
     if d is None:
-        return tuple((p, None) for p in _PRIMES)
+        return tuple((p, 0) for p in _PRIMES)
     return tuple(
         (p, pow(d, (p + 1) // 4, p)) for p in _PRIMES if pow(d, (p - 1) // 2, p) == 1
     )
@@ -279,22 +285,29 @@ def _rat_reconstruct(r, m):
     return Fraction(n, d)
 
 
-def _rref_mod(M, p, nun):
+def _rref_mod(M, p, nun, order):
     """Row reduction mod p, in place, of the first nun columns of a matrix
     of residues, carrying the right-hand-side columns M[:, nun:] along.
-    Returns the pivot columns, whose rows are the first ones in order.  It
-    leaves the values of the pivot unknowns (free unknowns zero) in
+    Returns the pivot columns C; their rows come first, in pivot order.
+    It leaves the values of the pivot unknowns (free unknowns zero) in
     M[:rank, nun:] and the residues that make a right-hand side
-    inconsistent in M[rank:, nun:], all reduced mod p; the rest of M is
-    left unspecified.
+    inconsistent in M[rank:, nun:], all reduced mod p.
 
-    Elimination runs forward only, below each pivot, on the columns from
-    the pivot's on: a pivot row is zero left of its pivot.  Each update
-    adds less than p^2 in magnitude to an entry, so the rows below are
-    reduced mod p only once every room = 2^62 // p^2 updates, and int64
-    cannot overflow.  Back substitution then runs on the right-hand-side
-    columns alone, each value of a pivot unknown one sum of at most room
-    products at a time."""
+    Elimination runs forward only, below each pivot, on the columns right
+    of the pivot's.  Each update adds less than p^2 in magnitude to an
+    entry, so the rows below are reduced mod p only once every room =
+    2^62 // p^2 updates, and int64 cannot overflow.  Rows are swapped
+    whole, and the list order (the original index of each row) with them.
+    Each pivot row is normalized to 1 at its pivot, and the pivot's
+    inverse is kept there instead; a row below keeps its multiplier,
+    unreduced, in the entry of the pivot's column, which no later update
+    reads.  So the pivot columns hold LU factors of the rows in their new
+    order: with F = M[:rank, C] % p, L lower triangular with F's entries
+    below the diagonal and the pivots (the inverses of F's diagonal) on
+    it, and U unit upper triangular with F's entries above it,
+    A[order[:rank]][:, C] = L U mod p; every later row is its multipliers
+    times U.  Back substitution then runs on the right-hand-side columns
+    alone."""
     m = M.shape[0]
     room = max(1, (1 << 62) // (p * p))
     pivots = []
@@ -309,17 +322,20 @@ def _rref_mod(M, p, nun):
             continue
         i = int(nz[0])
         if i:
-            top = M[r, c:].copy()
-            M[r, c:] = M[r + i, c:]
-            M[r + i, c:] = top
+            top = M[r].copy()
+            M[r] = M[r + i]
+            M[r + i] = top
+            order[r], order[r + i] = order[r + i], order[r]
             col[0], col[i] = col[i], col[0]
             nz = col[1:].nonzero()[0] + 1
         else:
             nz = nz[1:]
-        row = M[r, c:] % p * pow(int(col[0]), -1, p) % p
-        M[r, c:] = row
+        inv = pow(int(col[0]), -1, p)
+        row = M[r, c + 1:] % p * inv % p
+        M[r, c] = inv
+        M[r, c + 1:] = row
         if nz.size:
-            M[nz + r, c:] -= col[nz, None] * row
+            M[nz + r, c + 1:] -= col[nz, None] * row
             pending += 1
             if pending == room:
                 M[r + 1:, c + 1:] %= p
@@ -327,102 +343,222 @@ def _rref_mod(M, p, nun):
         pivots.append(c)
     rank = len(pivots)
     M[rank:, nun:] %= p
-    # x_k = b_k - sum over later pivots j of U[k, j] * x_j, from the last
-    X, U = M[:rank, nun:], M[:rank, pivots]
-    for k in range(rank - 2, -1, -1):
-        for j in range(k + 1, rank, room):
-            X[k] = (X[k] - U[k, j:j + room] @ X[j:j + room]) % p
+    _back_substitute_mod(M[:rank, pivots], M[:rank, nun:], p)
     return tuple(pivots)
 
 
+def _back_substitute_mod(F, X, p):
+    """X <- U^-1 X mod p, in place, for the unit upper triangular U whose
+    entries above the diagonal are F's: x_k = b_k - sum over later j of
+    U[k, j] x_j, from the last, each a sum of at most room products."""
+    rank = len(F)
+    room = max(1, (1 << 62) // (p * p))
+    for k in range(rank - 2, -1, -1):
+        for j in range(k + 1, rank, room):
+            X[k] = (X[k] - F[k, j:j + room] @ X[j:j + room]) % p
+
+
+def _embed(parts, root, p):
+    """The residues mod p, as int64, of an integer array's rational parts
+    parts[0] plus root times its surd parts parts[-1] (root 0 over Q)."""
+    res = parts[0] % p
+    if root:
+        res = (res + parts[-1] % p * root) % p
+    return res.astype(np.int64, copy=False)
+
+
+def _solve_mod(F, X, p):
+    """A_RC^-1 X mod p, in place, from the factors F = M[:rank, C] % p that
+    `_rref_mod` leaves: forward substitution with L, then back
+    substitution with U.  X holds residues, one row per pivot row in the
+    kernel's row order; its rows come out as the pivot unknowns' values."""
+    room = max(1, (1 << 62) // (p * p))
+    for k in range(len(F)):
+        for j in range(0, k, room):
+            e = min(k, j + room)
+            X[k] = (X[k] - F[k, j:e] @ X[j:e]) % p
+        X[k] = X[k] * F[k, k] % p
+    _back_substitute_mod(F, X, p)
+    return X
+
+
 def _modular_solve(cols, targets, nrows, d, accept):
-    """Solve for several right-hand sides modulo word-size primes.
+    """Solve for several right-hand sides by one elimination modulo a
+    word-size prime and p-adic lifting (Dixon's method).
 
     cols (one per unknown) and targets are integer sparse vectors (D,
     {row: numerator}), each entry the numerator over D (an int over Q, the
-    pair (A, B) over Q(sqrt d)).  Each prime eliminates the numerators
-    once, with every right-hand side (`_rref_mod`).  After every prime,
-    each unsettled target whose residues reconstruct to a candidate is
-    passed to accept(t, den, nums): the candidate's values, free unknowns
-    zero and zeros left out, as integer numerators nums (unknown ->
-    numerator, of the same shape as the entries) over the one positive
-    denominator den, with the scaling of the columns and of the target
-    folded in.  accept returns the answer built from it once that checks
-    exactly and raises EngineError otherwise; a rejected candidate makes
-    the run go on to further primes.  Returns (answers, inconsistent): the
-    accepted answers, None where there was none, and the targets some
-    prime found inconsistent, which are left unsettled.
+    pair (A, B) over Q(sqrt d)).  The first prime eliminates the
+    numerators once per embedding, with every right-hand side
+    (`_rref_mod`); its pivots select the nonsingular rank x rank
+    subsystem A_RC, whose LU factors the kernel leaves.  Its values of the
+    pivot unknowns are the first p-adic digits y_0 of the solution x of
+    A_RC x = b_R; then, exactly in integers (pairs (A, B) over Z[sqrt d]),
+    r_0 = b_R, r_(k+1) = (r_k - A_RC y_k) / p and y_(k+1) = A_RC^-1
+    r_(k+1) mod p (`_solve_mod` on the factors), so that the sum of
+    p^k y_k is x mod p^(k+1).  The residuals stay in int64 when
+    (2 max|entry| max(d, 1) + 1) rank p < 2^62, and are Python ints
+    otherwise: with K = rank (1 + d) max|entry| (d = 0 over Q), each
+    residual entry stays below max|entry| + 2 K and each update adds less
+    than K p, so no value on the way reaches 2^63.
 
-    A prime whose pivot columns are fewer or later than the best seen is
-    unlucky and skipped; a better one restarts the reconstruction.
-    Quadratic contexts embed sqrt(d) as each of the two square roots mod p;
-    the half sum and half difference of the two solves recover the rational
-    and surd parts."""
+    After every step, each unsettled target whose values reconstruct to a
+    candidate is passed to accept(t, den, nums): the candidate's values,
+    free unknowns zero and zeros left out, as integer numerators nums
+    (unknown -> numerator, of the same shape as the entries) over the one
+    positive denominator den, with the scaling of the columns and of the
+    target folded in.  accept returns the answer built from it once that
+    checks exactly and raises EngineError otherwise.  Lifting stops after
+    as many steps as there are primes, leaving the rest to the exact
+    kernel.  Returns (answers, inconsistent): the accepted answers, None
+    where there was none, and the targets some prime found inconsistent
+    (in its first embedding), which are left unsettled.
+
+    A candidate rejected twice in a row with the same value means the
+    subsystem is the wrong one (the prime was unlucky, or the target is
+    inconsistent but not mod p); such targets go on to the next prime.  A
+    prime whose pivot columns are fewer or later than the best seen is
+    unlucky and skipped; a better one restarts the search.  Quadratic
+    contexts embed sqrt(d) as each of the two square roots mod p; the half
+    sum and half difference of the two solves recover the rational and
+    surd parts; the second embedding eliminates A_RC alone, and a prime
+    where that is singular is skipped.  A quadratic system with no surd
+    part is solved over Q, with one embedding per prime.  An unlucky
+    first prime whose subsystem still has a solution of the whole system
+    gives that solution, verified but on other pivots than the exact
+    kernel's."""
     nun, nrhs = len(cols), len(targets)
-    # (row, column, rational part, surd part) integers, and the scale D of
-    # each column
-    entries, scales = [], []
+    # (row, column) of each nonzero entry, its rational and surd parts, and
+    # the scale D of each column
+    rows, where, rat, surd, scales = [], [], [], [], []
     for j, (den, vec) in enumerate(cols + targets):
-        if d is None:
-            entries += [(r, j, a, 0) for r, a in vec.items()]
-        else:
-            entries += [(r, j, a, b) for r, (a, b) in vec.items()]
+        rows += vec
+        where += [j] * len(vec)
         scales.append(den)
-    index = (np.array([e[0] for e in entries], dtype=np.intp),
-             np.array([e[1] for e in entries], dtype=np.intp))
+        if d is None:
+            rat += vec.values()
+        elif vec:
+            a, b = zip(*vec.values())
+            rat += a
+            surd += b
+    quad = any(surd)
+    parts = [rat, surd] if quad else [rat]
+    try:
+        ent = np.array(parts, dtype=np.int64)
+    except OverflowError:
+        ent = np.array(parts, dtype=object)
+    index = (np.array(rows, dtype=np.intp), np.array(where, dtype=np.intp))
+    primes = _primes_for(d if quad else None)
+
+    def subsystem(order, pat, p):
+        # the integer parts of A_RC and of the targets on its rows, rows in
+        # the kernel's order, in int64 when the residuals cannot overflow
+        rank = len(pat)
+        rowpos = np.full(nrows, -1)
+        rowpos[order[:rank]] = range(rank)
+        colpos = np.full(nun + nrhs, -1)
+        colpos[list(pat)] = range(rank)
+        colpos[nun:] = range(rank, rank + nrhs)
+        ri, ci = rowpos[index[0]], colpos[index[1]]
+        keep = (ri >= 0) & (ci >= 0)
+        big = max(int(ent.max(initial=0)), -int(ent.min(initial=0)))
+        growth = 2 * big * (d if quad else 1) + 1
+        dtype = np.int64 if growth * rank * p < 1 << 62 else object
+        S = np.zeros((len(parts), rank, rank + nrhs), dtype=dtype)
+        S[:, ri[keep], ci[keep]] = ent[:, keep]
+        return S
+
     answers = [None] * nrhs
     inconsistent = set()
     pattern = None
-    for p, s in _primes_for(d):
-        runs = []
-        for root in (0,) if d is None else (s, p - s):
-            M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
-            M[index] = [(a + b * root) % p for _, _, a, b in entries]
-            runs.append((_rref_mod(M, p, nun), M))
-        pat = runs[0][0]
-        if any(other != pat for other, _ in runs):
-            continue
-        if pat != pattern:
-            if pattern is not None and (-len(pat), pat) > (-len(pattern), pattern):
-                continue
-            pattern, modulus, inconsistent = pat, 1, set()
-            acc = [[[0] * len(pat) for _ in range(nrhs)] for _ in runs]
+    for p, s in primes:
+        M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
+        M[index] = _embed(ent, s, p)
+        order = list(range(nrows))
+        pat = _rref_mod(M, p, nun, order)
         rank = len(pat)
-        for _, M in runs:
-            inconsistent.update(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
-        # residues of the pivot unknowns: rational parts, then surd parts
-        vals = [M[:rank, nun:] for _, M in runs]
-        if d is not None:
-            vals = [(vals[0] + vals[1]) * ((p + 1) // 2) % p,
-                    (vals[0] - vals[1]) % p * pow(2 * s, -1, p) % p]
-        minv = pow(modulus, -1, p)
-        pending = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent]
-        for t in pending:
-            for part, residues in zip(vals, acc):
-                xs = residues[t]
-                for k, r in enumerate(part[:, t].tolist()):
-                    xs[k] += modulus * ((r - xs[k]) * minv % p)
-        modulus *= p
-        for t in pending:
-            # (column, reconstructed parts) of the nonzero values
-            cand = []
-            for k, c in enumerate(pat):
-                v = [_rat_reconstruct(part[t][k], modulus) for part in acc]
-                if v[0] is None or v[-1] is None:  # one part over Q, two over Q(sqrt d)
-                    break
-                if any(v):
-                    cand.append((c, v))
+        if pattern is not None and (-rank, pat) > (-len(pattern), pattern):
+            continue
+        # per embedding: its root, its LU factors and its row order within R;
+        # the conjugate embedding factors A_RC alone.  zs: the values of the
+        # pivot unknowns, step 0's from the eliminations
+        embeddings = [(s, M[:rank, list(pat)] % p, slice(None))]
+        zs = [M[:rank, nun:]]
+        S = None
+        if quad:
+            S = subsystem(order, pat, p)
+            sub = _embed(S, p - s, p)
+            within = list(range(rank))
+            if _rref_mod(sub, p, rank, within) != tuple(range(rank)):
+                continue  # the embeddings disagree: an unlucky prime
+            embeddings.append((p - s, sub[:, :rank] % p, within))
+            zs.append(sub[:, rank:])
+        if pat != pattern:
+            pattern, inconsistent = pat, set()
+        inconsistent.update(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
+        active = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent]
+        if not active:
+            break
+        acc = [[[0] * rank for _ in range(nrhs)] for _ in parts]
+        last = [None] * nrhs
+        modulus = 1
+        for step in range(len(primes)):
+            if step:
+                if step == 1:
+                    if S is None:
+                        S = subsystem(order, pat, p)
+                    A, r = S[:, :, :rank], S[:, :, rank:]
+                # r <- (r - A_RC y) / p, exactly, over Z or Z[sqrt d]
+                y = [part.astype(S.dtype) for part in y]
+                if quad:
+                    (Aa, Ab), (ya, yb), (ra, rb) = A, y, r
+                    r = [(ra - Aa @ ya - d * (Ab @ yb)) // p, (rb - Aa @ yb - Ab @ ya) // p]
+                else:
+                    r = [(r[0] - A[0] @ y[0]) // p]
+                zs = [_solve_mod(F, _embed(r, root, p)[within], p) for root, F, within in embeddings]
+            # the step's digits: rational parts, then surd parts
+            if quad:
+                y = [(zs[0] + zs[1]) * ((p + 1) // 2) % p,
+                     (zs[0] - zs[1]) % p * pow(2 * s, -1, p) % p]
             else:
-                # undo the column scaling: x_c = y_c * scale_c / scale_t
-                den = lcm(*(q.denominator for _, v in cand for q in v))
-                nums = {c: tuple(q.numerator * (den // q.denominator) * scales[c] for q in v)
-                        for c, v in cand}
-                if d is None:
-                    nums = {c: a for c, (a,) in nums.items()}
-                try:
-                    answers[t] = accept(t, den * scales[nun + t], nums)
-                except EngineError:
-                    pass  # a wrong reconstruction: more primes
+                y = zs
+            for part, digits in zip(acc, y):
+                for k, row in enumerate(digits.tolist()):
+                    for t in active:
+                        part[t][k] += modulus * row[t]
+            modulus *= p
+            for t in list(active):
+                # (column, reconstructed parts) of the nonzero values
+                cand = []
+                for k, c in enumerate(pat):
+                    v = [_rat_reconstruct(part[t][k], modulus) for part in acc]
+                    if v[0] is None or v[-1] is None:  # one part over Q, two over Q(sqrt d)
+                        last[t] = None
+                        break
+                    if any(v):
+                        cand.append((c, v))
+                else:
+                    if cand == last[t]:
+                        active.remove(t)  # the wrong subsystem: on to the next prime
+                        continue
+                    last[t] = cand
+                    # undo the column scaling: x_c = y_c * scale_c / scale_t
+                    den = lcm(*(q.denominator for _, v in cand for q in v))
+                    nums = {c: tuple(q.numerator * (den // q.denominator) * scales[c] for q in v)
+                            for c, v in cand}
+                    if d is None:
+                        nums = {c: a for c, (a,) in nums.items()}
+                    elif not quad:
+                        nums = {c: (a, 0) for c, (a,) in nums.items()}
+                    try:
+                        answers[t] = accept(t, den * scales[nun + t], nums)
+                        active.remove(t)
+                    except EngineError:
+                        pass  # a wrong reconstruction: lift further
+            if not active:
+                break
+        else:
+            break  # out of steps: the exact kernel decides the rest
         if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
             break
     return answers, inconsistent
@@ -718,17 +854,34 @@ def _pair_cuts_out_points(f, g):
         return bool(f.is_constant() and f) or bool(g.is_constant() and g)
     # coefficient rows in the second variable, polynomials in the first,
     # each over its polynomial's denominator
-    uni = PolyRing(("t",), d=f.ring.d)
+    d = f.ring.d
+    uni = PolyRing(("t",), d=d)
     unpack, t1 = f.ring.unpack, uni.units[0]
+    fe, ge = ([(*unpack(k), x) for k, x in h.num.items()] for h in (f, g))
 
-    def rows(h):
+    def rows(h, terms):
         by_power = {}
-        for k, x in h.num.items():
-            e = unpack(k)
-            by_power.setdefault(e[1], {})[e[0] * t1] = x
+        for e0, e1, x in terms:
+            by_power.setdefault(e1, {})[e0 * t1] = x
         return [_reduced(uni, h.den, by_power.get(j, {})) for j in range(max(by_power) + 1)]
 
-    fc, gc = rows(f), rows(g)
+    def at(h, terms, u0):
+        # h at u0 in the first variable: each numerator times u0^e0, summed
+        # into its power of the second, in one pass
+        sums = {}
+        for e0, e1, x in terms:
+            w = u0 ** e0
+            s = sums.setdefault(e1 * t1, [0, 0])
+            if d is None:
+                s[0] += x * w
+            else:
+                s[0] += x[0] * w
+                s[1] += x[1] * w
+        if d is None:
+            return _reduced(uni, h.den, {k: a for k, (a, _) in sums.items() if a})
+        return _reduced(uni, h.den, {k: (a, b) for k, (a, b) in sums.items() if a or b})
+
+    fc, gc = rows(f, fe), rows(g, ge)
     if len(fc) == 1 or len(gc) == 1:
         return False  # no dependence on the second variable; try another cut
     # a common factor free of the second variable divides every coefficient
@@ -743,11 +896,7 @@ def _pair_cuts_out_points(f, g):
     # where a leading coefficient in the second variable survives; there,
     # for two nonzero polynomials, it is nonzero iff their gcd is constant.
     for u0 in (2, 3, -1, 5, -4, 7, 9, -8, 11, 13):
-        at = Substitution(uni, (u0,), None)
-        fs, gs = (
-            uni.from_dict({(j,): at(row) for j, row in enumerate(rows)})
-            for rows in (fc, gc)
-        )
+        fs, gs = at(f, fe, u0), at(g, ge, u0)
         if fs.deg() < len(fc) - 1 and gs.deg() < len(gc) - 1:
             continue  # both leading coefficients vanish at u0
         if fs and gs and _gcd(fs, gs).deg() == 0:

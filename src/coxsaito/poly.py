@@ -598,7 +598,8 @@ class Poly:
     @staticmethod
     def from_json(obj, ring=None):
         """The polynomial obj records, in the ring it declares; a ring given
-        must be that ring (ValueError otherwise)."""
+        must be that ring, and no exponent may appear twice (ValueError
+        otherwise)."""
         d = obj.get("field", {}).get("d")
         weights = obj.get("weights")
         if ring is None:
@@ -618,6 +619,8 @@ class Poly:
             k = sum(map(mul, exp, units))
             if k >= ring._limit:
                 raise ValueError(f"exponent {exp!r} overflows the packed key")
+            if k in terms:
+                raise ValueError(f"repeated exponent {exp!r}")
             terms[k] = parts_from_json(t["coeff"], d)
         if d is None:
             terms = {k: (den, x) for k, (den, x) in terms.items() if x}

@@ -319,6 +319,31 @@ def test_verify_wrong_field_types_exit_2(mutation, a2_report, tmp_path, capsys):
     assert "malformed report" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def i25_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("i25") / "i25.json"
+    assert main(["run", "--type", "I2(5)", "--suite", "datum,grc-A", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("bogus_first", [True, False], ids=["bogus-first", "true-first"])
+def test_verify_repeated_exponent_exit_2(bogus_first, i25_report, tmp_path, capsys):
+    # the first grc-A cofactor gets a second term at the exponent of its
+    # first, before or after it: in either order the report is malformed,
+    # whichever term the identity would have been checked with
+    doc = copy.deepcopy(i25_report)
+    check = next(c for c in doc["checks"] if c["check"] == "grc-A")
+    cofactor = next(w for w in check["witnesses"] if w["kind"] == "witness")["cofactors"][0]
+    true = cofactor["terms"][0]
+    assert true["exp"] == [0, 0]
+    bogus = {"coeff": {"a": ["7", "1"]}, "exp": [0, 0]}
+    cofactor["terms"][:1] = [bogus, true] if bogus_first else [true, bogus]
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert "repeated exponent" in capsys.readouterr().err
+
+
 def test_verify_rejects_negative_exponent_forgery(tmp_path, capsys):
     # y^2 is not in (x), yet x^-1 y^2 * x == y^2 would verify the witness
     ring = PolyRing(("x", "y", "z"))

@@ -142,6 +142,15 @@ def test_json_round_trip_bit_exact(ring):
     assert degs == sorted(degs, reverse=True)
 
 
+def test_json_repeated_exponent_is_rejected(ring):
+    # two terms at one exponent make a malformed polynomial
+    x, y = ring.gens()
+    doc = (x * y + 3 * y).to_json()
+    doc["terms"].insert(0, dict(doc["terms"][0], coeff={"a": ["7", "1"]}))
+    with pytest.raises(ValueError, match="repeated exponent"):
+        Poly.from_json(doc)
+
+
 def test_primitive(ring):
     x, y = ring.gens()
     f = (x * x).scale(Fraction(4, 6)) + y.scale(Fraction(-2, 3))
