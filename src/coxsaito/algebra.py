@@ -1,7 +1,9 @@
 """Partial-normalization rings as explicit algebras.
 
 The cokernel of J (arrangement side) or K (discriminant side) is realized
-on the fractional generators h_i = m^i_l / m^l_l; structure constants are
+on the fractional generators h_i = m^i_l / m^l_l, certified by their
+cross identities, which with the chain rule also make the arrangement-side
+h_i invariant modulo delta (`verify_generators`); structure constants are
 found by graded membership of minor products in the span of the last-row
 minor products, modulo the defining equation.  Fiber point counts, the
 rank of the trace form of the fiber algebra the multiplication table gives
@@ -34,7 +36,6 @@ class MulTable:
     table: MinorTable
     numerators: list  # representatives of the fractional generators h_i
     constants: list  # constants[i][j] = list of l structure-constant polys
-    defining_cofactors: list  # the cofactor of the defining equation per pair
 
     @property
     def rank(self):
@@ -79,7 +80,18 @@ def fraction_representatives(table):
 
 def verify_generators(table):
     """Cross identities h_i m^l_j = m^i_j for every column j, as exact
-    congruences modulo the defining equation; quotients recorded."""
+    congruences modulo the defining equation; quotients recorded.
+
+    On the arrangement side they also make each h_i = m^i_l / m^l_l
+    invariant modulo delta, so no reflection is applied here.  Let g be the
+    matrix of a simple reflection s, s(f)(x) = f(g x), and let the basic
+    invariants satisfy p o g = p, which `catalog._build_irreducible` checks
+    for every datum it builds (a datum read from a fixture is taken as
+    given).  The chain rule gives J(g x) g = J(x), so the adjugate M of J^t
+    satisfies M(g x) = det(g)^-1 M(x) g^t and
+    s(m^i_l) m^l_l - m^i_l s(m^l_l)
+        = det(g)^-1 sum_k g_lk (m^i_k m^l_l - m^i_l m^l_k),
+    where each bracket is -q_ik delta by the cross identity at (i, k)."""
     l = table.rank
     defining = table.defining
 
@@ -100,19 +112,6 @@ def verify_generators(table):
                         ],
                     )
                 )
-        # invariance of the defining congruences under the simple reflections
-        datum = table.datum
-        if table.side == ARRANGEMENT and datum.irreducible:
-            den = table.minors[l - 1, l - 1]
-            for g_idx, s in enumerate(datum.reflections()):
-                s_den = s(den)
-                for i in range(l - 1):
-                    num = table.minors[i, l - 1]
-                    quotient(
-                        s(num) * den - num * s_den,
-                        defining,
-                        f"generator {i+1} not invariant under reflection {g_idx+1}",
-                    )
         return {"unit_index": l}, payload
 
     name = "generators-A" if table.side == ARRANGEMENT else "generators-D"
@@ -134,31 +133,22 @@ def build_mul_table(table, mtD=None, cache=None):
     ring = table.defining.ring
     nums = fraction_representatives(table)
     constants = [[None] * l for _ in range(l)]
-    cof_def = [[None] * l for _ in range(l)]
     # the unit row is exact, no solve needed
     for j in range(l):
         row = [ring.zero()] * l
         row[j] = ring.one()
         constants[l - 1][j] = constants[j][l - 1] = row
-        cof_def[l - 1][j] = cof_def[j][l - 1] = ring.zero()
     if table.side == ARRANGEMENT:
         found = _pulled_back_constants(table, nums, mtD, cache)
     else:
         found = _solved_constants(table, nums)
-    for (i, j), cs, q in found:
+    for (i, j), cs in found:
         constants[i][j] = constants[j][i] = cs
-        cof_def[i][j] = cof_def[j][i] = q
-    return MulTable(
-        side=table.side,
-        table=table,
-        numerators=nums,
-        constants=constants,
-        defining_cofactors=cof_def,
-    )
+    return MulTable(side=table.side, table=table, numerators=nums, constants=constants)
 
 
 def _solved_constants(table, nums):
-    """Yields ((i, j), constants, defining cofactor) for i <= j < l from
+    """Yields ((i, j), constants) for i <= j < l from
     graded membership of n_i n_j in the span of the n_k n and the defining
     equation."""
     l = table.rank
@@ -171,7 +161,7 @@ def _solved_constants(table, nums):
         lambda k: f"product h_{pairs[k][0]+1} h_{pairs[k][1]+1} escapes the generator span",
     )
     for k, w in found:
-        yield pairs[k], w.cofactors[:l], w.cofactors[l]
+        yield pairs[k], w.cofactors[:l]
 
 
 def _pulled_back_constants(table, nums, mtD, cache):
@@ -189,10 +179,8 @@ def _pulled_back_constants(table, nums, mtD, cache):
         for j in range(i, l - 1):
             cs = [cache(mtD.constants[i][j][k]) for k in range(l)]
             rem = dot([(nums[i], nums[j]), *zip(cs, neg)], ring)
-            q = quotient(
-                rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})"
-            )
-            yield (i, j), cs, q
+            quotient(rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})")
+            yield (i, j), cs
 
 
 def check_mul_table(mt):

@@ -91,13 +91,6 @@ class CoxeterDatum:
     def mirror_count(self):
         return len(self.mirror_forms)
 
-    def reflections(self):
-        """The simple reflections, each as the substitution x -> M x."""
-        return [
-            _linear_map(self.ring, _reflection_matrix(self.gram, a, self.ring.d))
-            for a in self.simple_roots
-        ]
-
     def inner(self, u, v):
         acc = self.ring.coeff(0)
         for i in range(self.rank):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .catalog import UnsupportedTypeError, canonical_name, parse_type
 from .certs import verify_report_file, write_report
@@ -33,6 +34,7 @@ _FAST_FULL = {
     "I2(8)",
 }
 _PARTIAL_SUITES = {"datum", "saito", "grc-A", "grc-D", "drc", "hrc"}
+_F4_LONG_SUITES = _PARTIAL_SUITES | {"algebra", "fibers", "generators"}
 
 
 def required_tier(name, suite):
@@ -51,7 +53,7 @@ def required_tier(name, suite):
     if name in ("A4", "B4", "I2(10)", "I2(12)"):
         return "long"
     if name == "F4":
-        return "long" if suite in _PARTIAL_SUITES else "stretch"
+        return "long" if suite in _F4_LONG_SUITES else "stretch"
     if name in ("A5", "H4"):
         return "stretch"
     # small ranks not listed explicitly run at the fast tier
@@ -80,11 +82,18 @@ def cmd_run(args):
                 file=sys.stderr,
             )
             return 2
+    out = args.out or f"report-{name.replace('(', '').replace(')', '')}.json"
+    target = Path(out)
+    if not target.parent.is_dir():
+        print(f"error: report directory {target.parent} does not exist", file=sys.stderr)
+        return 2
+    if target.is_dir():
+        print(f"error: report path {out} is a directory", file=sys.stderr)
+        return 2
     ws = Workspace(cache_dir=args.cache)
     certs = []
     for s in suites:
         certs.extend(ws.run_suite(name, s))
-    out = args.out or f"report-{name.replace('(', '').replace(')', '')}.json"
     write_report(out, name, certs)
     failed = [c for c in certs if c.verdict == "fail"]
     errors = [c for c in certs if c.verdict == "error"]
@@ -105,8 +114,14 @@ def cmd_fixture(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     name = canonical_name(factors)
+    out = Path(args.out or "fixtures")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: cannot write fixtures under {out}: {existing} is not a directory",
+              file=sys.stderr)
+        return 2
     ws = Workspace(cache_dir=args.cache)
-    paths = ws.emit_fixtures(name, args.out or "fixtures")
+    paths = ws.emit_fixtures(name, out)
     for p in paths:
         print(p)
     return 0

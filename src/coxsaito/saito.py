@@ -79,12 +79,6 @@ def _linear_part(g):
     return g.homogeneous_parts().get(1, g.ring.zero())
 
 
-def _coeff_of_var(g, i):
-    e = [0] * g.ring.n
-    e[i] = 1
-    return g.coeff_of(e)
-
-
 def build_saito(datum, cache=None):
     """Assemble and internally verify the full matrix apparatus."""
     if not datum.irreducible:
@@ -213,9 +207,9 @@ def normalize_linear_part(sd):
         if len(repeated) != 1 or len(repeated[0]) != 2:
             raise CheckFailure("unexpected degree multiplicity pattern")
         i0, i1 = repeated[0]
-        c00 = _coeff_of_var(sd.kbar[i0, i0], pl)
-        c01 = _coeff_of_var(sd.kbar[i0, i1], pl)
-        c11 = _coeff_of_var(sd.kbar[i1, i1], pl)
+        c00 = sd.kbar[i0, i0].linear_coeffs()[pl]
+        c01 = sd.kbar[i0, i1].linear_coeffs()[pl]
+        c11 = sd.kbar[i1, i1].linear_coeffs()[pl]
         if not c00 * c11 - c01 * c01 > 0:
             raise CheckFailure("repeated-degree block is not definite")
         block_indices = {i0, i1}
@@ -232,7 +226,7 @@ def normalize_linear_part(sd):
     for i in range(l):
         for j in range(l):
             lin = kbar[i, j]
-            c_pl = _coeff_of_var(lin, pl)
+            c_pl = lin.linear_coeffs()[pl]
             paired = degrees[i] + degrees[j] == h + 2
             if not paired and c_pl:
                 raise CheckFailure(f"entry ({i},{j}) outside the pairing involves p_l")

@@ -2,12 +2,22 @@
 
 import numpy as np
 
+from coxsaito.catalog import _linear_map, _reflection_matrix
 from coxsaito.scalars import scalar_to_json
+
+
+def reflections(datum):
+    """The simple reflections of an irreducible datum, each as the
+    substitution x -> M x."""
+    return [
+        _linear_map(datum.ring, _reflection_matrix(datum.gram, a, datum.ring.d))
+        for a in datum.simple_roots
+    ]
 
 
 def is_invariant(datum, f):
     """Invariance under the simple reflections (hence under the group)."""
-    return all(s(f) == f for s in datum.reflections())
+    return all(s(f) == f for s in reflections(datum))
 
 
 def _mat_vec(mat, vec, zero):

@@ -24,6 +24,7 @@ from coxsaito.poly import Substitution
 from coxsaito.rankcond import ARRANGEMENT, DISCRIMINANT, build_minor_table
 from coxsaito.saito import build_saito
 from coxsaito.workspace import Workspace
+from oracles import reflections
 
 
 _WS = {}
@@ -55,6 +56,40 @@ def test_cross_identities_all_columns():
         for t in (tA, tD):
             cert = verify_generators(t)
             assert cert.verdict == "pass", cert.detail
+
+
+def assert_generators_invariant(table):
+    """s(m^i_l) m^l_l - m^i_l s(m^l_l) is divisible by delta for every
+    simple reflection s and every i < l, so each h_i = m^i_l / m^l_l is
+    invariant modulo delta: what `verify_generators` derives from its cross
+    identities and the chain rule instead of applying the reflections."""
+    d = table.datum
+    l = d.rank
+    den = table.minors[l - 1, l - 1]
+    moved = False
+    for g, s in enumerate(reflections(d)):
+        s_den = s(den)
+        for i in range(l - 1):
+            num = table.minors[i, l - 1]
+            s_num = s(num)
+            moved = moved or s_num != num
+            assert (s_num * den - num * s_den).divisible_by(d.delta), (d.name, g, i)
+    assert moved, f"{d.name}: no reflection moves a numerator"
+
+
+def test_generators_invariant_modulo_delta():
+    for name in ("A3", "B3", "D4", "H3", "I2(5)", "I2(8)"):
+        d, sd, tA, tD = setup(name)
+        assert_generators_invariant(tA)
+
+
+@pytest.mark.long
+def test_f4_generators_invariant_and_algebra_suites_pass():
+    ws = Workspace()
+    assert_generators_invariant(ws.minor_table("F4", ARRANGEMENT))
+    for suite in ("algebra", "fibers"):
+        for cert in ws.run_suite("F4", suite):
+            assert cert.verdict == "pass", (suite, cert.name, cert.detail)
 
 
 def test_unit_generator():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coxsaito import catalog
 from coxsaito.cli import main, required_tier
 from coxsaito.poly import PolyRing
+from coxsaito.workspace import Workspace
 
 
 def test_required_tiers():
@@ -17,7 +18,17 @@ def test_required_tiers():
     assert required_tier("H3", "grc-A") == "fast"
     assert required_tier("H3", "algebra") == "long"
     assert required_tier("F4", "grc-A") == "long"
-    assert required_tier("F4", "algebra") == "stretch"
+    assert required_tier("F4", "algebra") == "long"
+    assert required_tier("F4", "datum") == "long"
+    assert required_tier("F4", "saito") == "long"
+    assert required_tier("F4", "grc-D") == "long"
+    assert required_tier("F4", "drc") == "long"
+    assert required_tier("F4", "hrc") == "long"
+    assert required_tier("F4", "fibers") == "long"
+    assert required_tier("F4", "generators") == "long"
+    assert required_tier("F4", "fractions") == "stretch"
+    assert required_tier("F4", "freediv") == "stretch"
+    assert required_tier("F4", "lift") == "stretch"
     assert required_tier("H4", "datum") == "stretch"
     assert required_tier("B2xA1", "datum") == "fast"
 
@@ -79,6 +90,36 @@ def test_long_tier_refusal_for_f4(capsys):
     rc = main(["run", "--type", "F4", "--suite", "grc-A", "--tier", "fast"])
     assert rc == 2
     assert "long" in capsys.readouterr().err
+
+
+def _refuse(monkeypatch, method):
+    # the command must stop before it builds anything
+    def refuse(self, *args):
+        raise AssertionError(f"Workspace.{method} ran")
+
+    monkeypatch.setattr(Workspace, method, refuse)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [("missing/r.json", "error: report directory"), (".", "is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_report_path_is_usage_error(path, message, tmp_path, monkeypatch, capsys):
+    _refuse(monkeypatch, "run_suite")
+    out = tmp_path / path
+    assert main(["run", "--type", "A1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("path", ["taken", "taken/sub"])
+def test_fixture_under_a_regular_file_is_usage_error(path, tmp_path, monkeypatch, capsys):
+    _refuse(monkeypatch, "emit_fixtures")
+    (tmp_path / "taken").write_text("keep")
+    assert main(["fixture", "--type", "A1", "--out", str(tmp_path / path)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "keep"
 
 
 def _truncated(path):

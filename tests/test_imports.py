@@ -12,6 +12,10 @@ caller is gone does not stay behind; a public name the package only
 re-exports from `__init__.py` counts as referenced.  Dunders are exempt:
 the language calls them.
 
+Every field of a `@dataclass` in the package is read, as an attribute
+load, somewhere in the package or its tests, so that state nothing needs
+does not stay behind.
+
 No module writes into a polynomial's term view `.t`: it is built from the
 integer form on first read, so a write there would leave the two out of
 step."""
@@ -21,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coxsaito"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "coxsaito"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -110,6 +115,43 @@ def test_no_unreferenced_private_definitions():
 def test_no_unreferenced_public_definitions():
     unreferenced = unreferenced_definitions(private=False)
     assert not unreferenced, f"public definitions referenced nowhere: {', '.join(unreferenced)}"
+
+
+def is_dataclass(node):
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+    return any(name(d) == "dataclass" for d in node.decorator_list)
+
+
+def dataclass_fields(tree):
+    """(class, field, line) for every annotated field of a module-level
+    `@dataclass`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def test_every_dataclass_field_is_read():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}: {cls}.{name} (line {line})"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls, name, line in dataclass_fields(tree)
+        if name not in read
+    ]
+    assert not unread, f"dataclass fields never read: {', '.join(unread)}"
 
 
 # methods that change a dict in place
