@@ -312,11 +312,6 @@ def _type_data(tag, param):
         return l, d, gram, roots, degrees
     if tag == "I2":
         k = param
-        if k not in _COS2:
-            raise UnsupportedTypeError(
-                f"I2({k}) is outside the supported catalog: its coordinate "
-                "field is not rational or quadratic"
-            )
         d = _DIHEDRAL_FIELD[k]
         cos2 = _COS2[k]
         if callable(cos2):
@@ -428,7 +423,13 @@ def parse_type(name):
         if not m:
             raise UnsupportedTypeError(f"cannot parse Coxeter type {part!r}")
         if m.group(3) is not None:
-            factors.append(("I2", int(m.group(3))))
+            k = int(m.group(3))
+            if k not in _COS2:
+                raise UnsupportedTypeError(
+                    f"I2({k}) is outside the supported catalog, whose dihedral "
+                    f"orders are {', '.join(map(str, _COS2))}"
+                )
+            factors.append(("I2", k))
             continue
         tag, num = m.group(1), int(m.group(2))
         if tag == "E":

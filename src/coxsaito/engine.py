@@ -26,11 +26,11 @@ each cofactor or functional is built from them as an integer form, with
 no scalar on the way.  Modular answers are only candidates: a witness or
 a functional is accepted only once it verifies exactly, and
 non-membership is only ever reported together with such a functional.
-Targets the modular run leaves unsettled go to the exact kernel, through
-which all exact scalar elimination (solves, ranks, nullspaces) runs:
-`echelon`, `reduce_row` and `back_substitute`; only there are the
-columns turned into scalars (`_scalars`), and its solutions go back to
-integers (`integer_parts`) for the same builders.
+Lifting goes on until every target is settled or its subsystem is shown
+to be the wrong one; a target that no prime settles is an EngineError.
+
+The exact kernel (`echelon`, `reduce_row` and `back_substitute`) runs
+every other exact scalar elimination: solves, ranks and nullspaces.
 
 Buchberger's algorithm serves the reducedness test alone (through the
 dimension of the singular locus).  Its normal forms, and the univariate
@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import cache
 from fractions import Fraction
+from functools import cache
+from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from .poly import Poly, PolyRing, _reduced, dot, poly_pairing
-from .scalars import Quad, integer_parts
 
 
 class EngineError(ValueError):
@@ -236,6 +236,9 @@ def rank_of_vectors(vecs):
 # modular fast path
 
 _PRIME_COUNT = 48
+# lifting steps after each of which every unsettled target is reconstructed;
+# past them, reconstruction runs only when the step count doubles
+_STEPWISE = 48
 
 
 def _gen_primes():
@@ -402,17 +405,21 @@ def _modular_solve(cols, targets, nrows, d, accept):
     residual entry stays below max|entry| + 2 K and each update adds less
     than K p, so no value on the way reaches 2^63.
 
-    After every step, each unsettled target whose values reconstruct to a
-    candidate is passed to accept(t, den, nums): the candidate's values,
-    free unknowns zero and zeros left out, as integer numerators nums
-    (unknown -> numerator, of the same shape as the entries) over the one
-    positive denominator den, with the scaling of the columns and of the
-    target folded in.  accept returns the answer built from it once that
-    checks exactly and raises EngineError otherwise.  Lifting stops after
-    as many steps as there are primes, leaving the rest to the exact
-    kernel.  Returns (answers, inconsistent): the accepted answers, None
-    where there was none, and the targets some prime found inconsistent
-    (in its first embedding), which are left unsettled.
+    After each of the first _STEPWISE steps, and past them after each step
+    that brings the number of digits to a power of two, each unsettled
+    target whose values reconstruct to a candidate is passed to accept(t,
+    den, nums): the candidate's values, free unknowns zero and zeros left
+    out, as integer numerators nums (unknown -> numerator, of the same
+    shape as the entries) over the one positive denominator den, with the
+    scaling of the columns and of the target folded in.  accept returns
+    the answer built from it once that checks exactly and raises
+    EngineError otherwise.  Lifting has no step cap: the digits converge
+    to the rational solution x, which reconstructs once the modulus passes
+    four times the square of its largest numerator or denominator, and is
+    then accepted or rejected twice in a row.  Returns (answers,
+    inconsistent): the accepted answers, None where there was none, and
+    the targets some prime found inconsistent (in its first embedding),
+    which are left unsettled.
 
     A candidate rejected twice in a row with the same value means the
     subsystem is the wrong one (the prime was unlucky, or the target is
@@ -502,7 +509,7 @@ def _modular_solve(cols, targets, nrows, d, accept):
         acc = [[[0] * rank for _ in range(nrhs)] for _ in parts]
         last = [None] * nrhs
         modulus = 1
-        for step in range(len(primes)):
+        for step in count():
             if step:
                 if step == 1:
                     if S is None:
@@ -527,6 +534,8 @@ def _modular_solve(cols, targets, nrows, d, accept):
                     for t in active:
                         part[t][k] += modulus * row[t]
             modulus *= p
+            if step >= _STEPWISE and step & (step + 1):
+                continue  # the digit count is not a power of two: lift on
             for t in list(active):
                 # (column, reconstructed parts) of the nonzero values
                 cand = []
@@ -557,8 +566,6 @@ def _modular_solve(cols, targets, nrows, d, accept):
                         pass  # a wrong reconstruction: lift further
             if not active:
                 break
-        else:
-            break  # out of steps: the exact kernel decides the rest
         if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
             break
     return answers, inconsistent
@@ -587,12 +594,12 @@ def graded_membership(target, gens):
 def graded_membership_batch(targets, gens):
     """Membership of several targets of equal degree in one graded solve.
 
-    Modular first: a target the modular run settles is accepted only as an
-    exactly verified witness, and one it finds inconsistent only with an
-    exactly verified separating functional, also found modularly.  The
-    exact kernel decides whatever is left.  No generators, or only zero
-    ones, span the zero ideal: the dual of a monomial of each target then
-    separates it."""
+    A target is accepted only as an exactly verified witness, and one the
+    modular run finds inconsistent only with an exactly verified
+    separating functional, both found by lifting.  A target that no prime
+    settles raises EngineError.  No generators, or only zero ones, span
+    the zero ideal: the dual of a monomial of each target then separates
+    it."""
     ring = targets[0].ring
     gens = [g for g in gens if g]
     degs = {t.whomog_degree() for t in targets}
@@ -636,31 +643,9 @@ def graded_membership_batch(targets, gens):
     for t in sorted(inconsistent):
         results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos)
 
-    pending = [t for t, r in enumerate(results) if r is None]
-    if pending:
-        # exact path: one equation per monomial of degree dt
-        zero = ring.coeff(0)
-        col_scalars = [_scalars(vec, d) for vec in col_vecs]
-        target_scalars = [_scalars(target_vecs[t], d) for t in pending]
-        eq_list = [
-            (row, [tvec.get(r, zero) for tvec in target_scalars])
-            for r, row in enumerate(_transpose(col_scalars, len(monos)))
-        ]
-        solutions = solve_linear(eq_list, len(cols), len(pending))
-        for t, tvec, sol in zip(pending, target_scalars, solutions):
-            if sol is None:
-                results[t] = _nonmember_functional(targets[t], gens, col_scalars, tvec, monos)
-            else:
-                results[t] = witness(t, *integer_parts(sol, d))
+    if any(r is None for r in results):
+        raise EngineError("no prime settles the membership system")
     return results
-
-
-def _scalars(vec, d):
-    """The scalar entries of an integer sparse vector (D, {row: numerator})."""
-    den, nums = vec
-    if d is None:
-        return {r: Fraction(x, den) for r, x in nums.items()}
-    return {r: Quad(Fraction(a, den), Fraction(b, den), d) for r, (a, b) in nums.items()}
 
 
 def _transpose(vecs, nrows):
@@ -697,18 +682,6 @@ def _modular_functional(target, gens, col_vecs, tvec, monos):
         d,
         lambda _, den, nums: _functional(target, gens, monos, den, nums),
     )[0][0]
-
-
-def _nonmember_functional(target, gens, col_vecs, tvec, monos):
-    """Solve exactly for a separating functional of a non-member, from the
-    same transposed system, and verify it."""
-    ring = target.ring
-    eqs = [(vec, [ring.coeff(0)]) for vec in col_vecs]
-    eqs.append((tvec, [ring.coeff(1)]))
-    sol = solve_linear(eqs, len(monos), 1)[0]
-    if sol is None:
-        raise EngineError("membership solver inconsistency (no functional)")
-    return _functional(target, gens, monos, *integer_parts(sol, ring.d))
 
 
 # ---------------------------------------------------------------------------

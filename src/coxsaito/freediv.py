@@ -37,7 +37,7 @@ def adjoint_divisor(table_d):
     mll = corner_minor(table_d)
 
     def body():
-        if not squarefree_test(mll):
+        if not adjoint_reduced(table_d):
             raise CheckFailure("the adjoint equation is not reduced")
         return {"adjoint": str(mll)}, []
 
@@ -107,17 +107,28 @@ def solve_basis_change(table_d):
     return B, detB.constant_value(), [w.to_json() for _, w in found]
 
 
-def basis_change(table_d):
-    """solve_basis_change, solved once per table: its result, or the
-    CheckFailure it raised, is kept on the table for every later check."""
-    if table_d.basis_change is None:
+def _once(table_d, key, compute):
+    """compute(), run once per table: its result, or the exception it
+    raised, is kept on the table for every later check."""
+    kept = table_d.kept
+    if key not in kept:
         try:
-            table_d.basis_change = solve_basis_change(table_d)
-        except CheckFailure as exc:
-            table_d.basis_change = exc
-    if isinstance(table_d.basis_change, CheckFailure):
-        raise CheckFailure(str(table_d.basis_change))
-    return table_d.basis_change
+            kept[key] = compute()
+        except Exception as exc:
+            kept[key] = exc
+    if isinstance(kept[key], Exception):
+        raise kept[key]
+    return kept[key]
+
+
+def basis_change(table_d):
+    """solve_basis_change, solved once per table."""
+    return _once(table_d, "basis_change", lambda: solve_basis_change(table_d))
+
+
+def adjoint_reduced(table_d):
+    """Whether the adjoint equation is reduced, tested once per table."""
+    return _once(table_d, "adjoint_reduced", lambda: squarefree_test(corner_minor(table_d)))
 
 
 def check_basis_change(table_d):
@@ -176,7 +187,7 @@ def check_free_divisor_sum(table_d):
         B, detB, _ = basis_change(table_d)
         Z = sd.K_R * B * _kpp(sd)
         c, payload = _saito_criterion(Z, disc, mll, "saito-criterion", "log-column")
-        if not squarefree_test(mll):
+        if not adjoint_reduced(table_d):
             raise CheckFailure("adjoint equation is not reduced")
         if not squarefree_test(disc):
             raise CheckFailure("discriminant equation is not reduced")
@@ -207,7 +218,7 @@ def check_lift(table_d, cache):
         for f in datum.mirror_forms:
             if mll_x.divisible_by(f):
                 raise CheckFailure("a mirror hyperplane lies in the lifted adjoint")
-        if not squarefree_test(mll):
+        if not adjoint_reduced(table_d):
             raise CheckFailure("adjoint equation is not reduced")
         return {"det_const": str(c), "adjoint_pullback_terms": len(mll_x.num)}, payload
 

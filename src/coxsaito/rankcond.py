@@ -38,7 +38,9 @@ class MinorTable:
     degrees: list = field(default_factory=list)  # degree of row i of the adjugate
     grad_const: object = None  # side A: normalized row = grad_const * grad(delta)
     grad_row: list = field(default_factory=list)
-    basis_change: object = None  # side D: freediv.basis_change's result or failure
+    # side D: what freediv computes once per table, or the failure it raised;
+    # a copy made by dataclasses.replace starts empty
+    kept: dict = field(default_factory=dict, init=False)
 
     @property
     def datum(self):

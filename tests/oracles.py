@@ -1,9 +1,12 @@
 """Reference checks used by the tests only."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from coxsaito.catalog import _linear_map, _reflection_matrix
-from coxsaito.scalars import scalar_to_json
+from coxsaito.engine import solve_linear
+from coxsaito.scalars import Quad, scalar_to_json
 
 
 def reflections(datum):
@@ -79,3 +82,40 @@ def reference_to_json(f):
     if any(w != 1 for w in f.ring.weights):
         out["weights"] = list(f.ring.weights)
     return out
+
+
+def scalars(vec, d):
+    """The scalar entries of an integer sparse vector (D, {key: numerator})."""
+    den, nums = vec
+    if d is None:
+        return {k: Fraction(x, den) for k, x in nums.items()}
+    return {k: Quad(Fraction(a, den), Fraction(b, den), d) for k, (a, b) in nums.items()}
+
+
+def exact_membership(target, gens):
+    """The graded membership system of a homogeneous target, built as
+    `engine.graded_membership_batch` builds it (one unknown per generator
+    times cofactor monomial, rows the support's monomials in term order)
+    and solved by the exact kernel `solve_linear`.  Returns the cofactors
+    (free unknowns zero) of a member, or the separating functional of a
+    non-member, solved from the transposed system."""
+    ring = target.ring
+    d = ring.d
+    dt = target.whomog_degree()
+    cols = [(i, mu) for i, g in enumerate(gens) for mu in ring.monomials(dt - g.whomog_degree())]
+    images = [scalars((p.den, p.num), d)
+              for p in (gens[i] * ring.from_dict({mu: 1}) for i, mu in cols)]
+    tvec = scalars((target.den, target.num), d)
+    monos = sorted(set(tvec).union(*images), reverse=True)
+    zero = ring.coeff(0)
+    eqs = [({j: im[k] for j, im in enumerate(images) if k in im}, [tvec.get(k, zero)])
+           for k in monos]
+    sol = solve_linear(eqs, len(cols), 1)[0]
+    if sol is not None:
+        return [ring.from_dict({mu: sol[j] for j, (i, mu) in enumerate(cols) if i == g and j in sol})
+                for g in range(len(gens))]
+    row = {k: r for r, k in enumerate(monos)}
+    eqs = [({row[k]: c for k, c in im.items()}, [zero]) for im in images]
+    eqs.append(({row[k]: c for k, c in tvec.items()}, [ring.coeff(1)]))
+    sol = solve_linear(eqs, len(monos), 1)[0]
+    return ring.from_packed({monos[u]: v for u, v in sol.items()})

@@ -74,6 +74,16 @@ def test_unsupported_type_is_usage_error(capsys):
     assert "catalog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, method", [("run", "run_suite"), ("fixture", "emit_fixtures")])
+@pytest.mark.parametrize("name", ["I2(7)", "I2(2)", "A1xI2(9)"])
+def test_unsupported_dihedral_order_is_usage_error(command, method, name, tmp_path, monkeypatch,
+                                                   capsys):
+    _refuse(monkeypatch, method)
+    assert main([command, "--type", name, "--out", str(tmp_path / "out")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_suite_is_usage_error(capsys):
     rc = main(["run", "--type", "A2", "--suite", "nonsense"])
     assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_rref_mod
+from oracles import exact_membership, reference_rref_mod, scalars
 
 import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
@@ -26,6 +26,7 @@ from coxsaito.engine import (
 from coxsaito.catalog import build_datum
 from coxsaito.poly import PolyRing
 from coxsaito.polymatrix import hessian
+from coxsaito.rankcond import ARRANGEMENT, build_minor_table, check_grc
 from coxsaito.saito import build_saito
 from coxsaito.scalars import Quad, integer_parts
 from coxsaito.workspace import Workspace
@@ -340,7 +341,7 @@ def test_elimination_kernel_properties(system):
     tvecs = [{i: rhs[t] for i, rhs in enumerate(B) if rhs[t]} for t in range(nrhs)]
 
     def accept(t, den, nums):
-        cand = eng._scalars((den, nums), d)
+        cand = scalars((den, nums), d)
         for row, rhs in zip(A, B):
             if sum((row[j] * v for j, v in cand.items()), Fraction(0)) != rhs[t]:
                 raise EngineError("not a solution")
@@ -437,7 +438,8 @@ def _settle_nothing(cols, targets, *args):
     return [None] * len(targets), set()
 
 
-def test_modular_path_matches_exact(ring, monkeypatch):
+def test_modular_path_matches_exact(ring):
+    # the exact reference solves the same system with the exact kernel
     x, y = ring.gens()
     gens = [
         ring.from_dict({(3, 0): Fraction(2), (1, 2): Fraction(-1)}),
@@ -447,14 +449,10 @@ def test_modular_path_matches_exact(ring, monkeypatch):
     target = gens[0] * (x + 2 * y) + gens[1] * (3 * x) + gens[2] * (y - x)
     modular = graded_membership(target, gens)
     nm = graded_membership(x**4, [y * y * y * x])
-    # the exact reference: the modular run settles nothing
-    monkeypatch.setattr(eng, "_modular_solve", _settle_nothing)
-    exact = graded_membership(target, gens)
-    exact_nm = graded_membership(x**4, [y * y * y * x])
-    assert isinstance(exact, Witness) and isinstance(modular, Witness)
-    assert modular.verify() and modular.cofactors == exact.cofactors
+    assert isinstance(modular, Witness) and modular.verify()
+    assert modular.cofactors == exact_membership(target, gens)
     assert isinstance(nm, NonMembership) and nm.verify()
-    assert nm.functional == exact_nm.functional
+    assert nm.functional == exact_membership(x**4, [y * y * y * x])
 
 
 def _quad_nonmember():
@@ -476,15 +474,13 @@ def test_modular_functional_over_quadratic_field(monkeypatch):
     assert NonMembership(target, gens, res.functional).verify()
 
 
-def test_wrong_modular_candidates_fall_back_to_exact(ring, monkeypatch):
+def test_wrong_modular_candidates_raise_engine_error(ring, monkeypatch):
+    # a wrong candidate is never accepted, and a target the modular run
+    # leaves unsettled is an error, not an answer from another path
     x, y = ring.gens()
     gens = [x * x - y * y, y * y + 2 * x * y]
     targets = [x * x + 2 * (y * y) + 6 * (x * y), x * y, 2 * (x * x) - 2 * (y * y)]
     qtarget, qgens = _quad_nonmember()
-    monkeypatch.setattr(eng, "_modular_solve", _settle_nothing)
-    exact = graded_membership_batch(targets, gens)
-    exact_q = graded_membership(qtarget, qgens)
-
     offered = []
 
     def wrong(cols, tvecs, nrows, d, accept):
@@ -497,17 +493,25 @@ def test_wrong_modular_candidates_fall_back_to_exact(ring, monkeypatch):
         return [None] * len(tvecs), set(range(len(tvecs)))
 
     monkeypatch.setattr(eng, "_modular_solve", wrong)
-    got = graded_membership_batch(targets, gens)
-    got_q = graded_membership(qtarget, qgens)
-    assert offered
-    assert [type(r) for r in got] == [Witness, NonMembership, Witness]
-    for r, e in zip(got, exact):
-        assert r.verify()
-        if isinstance(r, Witness):
-            assert r.cofactors == e.cofactors
-        else:
-            assert r.functional == e.functional
-    assert isinstance(got_q, NonMembership) and got_q.functional == exact_q.functional
+    with pytest.raises(EngineError):
+        graded_membership_batch(targets, gens)
+    # one membership offer per target, then one functional offer for each
+    assert offered == [0, 1, 2, 0, 0, 0]
+    offered.clear()
+    with pytest.raises(EngineError):
+        graded_membership(qtarget, qgens)
+    assert offered == [0, 0]
+
+
+def test_unsettled_membership_is_an_error_verdict(monkeypatch):
+    # a check whose membership the modular run leaves unsettled ends in an
+    # error verdict naming EngineError, not in a fail or a traceback
+    tab = build_minor_table(build_saito(build_datum("A2")), ARRANGEMENT)
+    assert check_grc(tab).verdict == "pass"
+    monkeypatch.setattr(eng, "_modular_solve", _settle_nothing)
+    cert = check_grc(tab)
+    assert cert.verdict == "error"
+    assert cert.detail.startswith("EngineError")
 
 
 def test_modular_solve_skips_unlucky_prime():
@@ -519,7 +523,7 @@ def test_modular_solve_skips_unlucky_prime():
     targets = [{0: Fraction(p0) + 1, 1: one}]
 
     def accept(t, den, nums):
-        sol = eng._scalars((den, nums), None)
+        sol = scalars((den, nums), None)
         for r, b in targets[0].items():
             if sum((cols[j].get(r, 0) * v for j, v in sol.items()), Fraction(0)) != b:
                 raise EngineError("not a solution")
@@ -611,7 +615,7 @@ def test_lifting_matches_the_exact_kernel(system):
     solutions = solve_linear(eqs, n, nrhs)
 
     def accept(t, den, nums):
-        cand = eng._scalars((den, nums), d)
+        cand = scalars((den, nums), d)
         for row, rhs in zip(A, B):
             if sum((row[j] * v for j, v in cand.items()), Fraction(0)) != rhs[t]:
                 raise EngineError("not a solution")
@@ -662,9 +666,7 @@ def test_rat_reconstruct_past_float_range():
     assert eng._rat_reconstruct(r, m) == frac
 
 
-def test_membership_with_coefficients_past_every_prime():
-    # the cofactors need far more than the 48 primes' modulus, so the
-    # modular run goes through every prime and the exact kernel decides
+def _past_every_prime_target():
     xr = PolyRing(("x", "y", "z"))
     x, y, z = xr.gens()
     rng = random.Random(3)
@@ -672,9 +674,25 @@ def test_membership_with_coefficients_past_every_prime():
         mon: Fraction(rng.getrandbits(700) + 1, rng.getrandbits(600) + 1)
         for mon in xr.monomials(3)
     }
-    target = xr.from_dict(terms)
+    return xr.from_dict(terms), [x, y, z]
+
+
+def test_membership_with_coefficients_past_every_prime():
+    # the cofactors need far more than 48 p-adic digits, so lifting runs
+    # past 48 steps and reconstructs only when the step count doubles
+    target, gens = _past_every_prime_target()
     assert len(target.t) == 10
-    res = graded_membership(target, [x, y, z])
+    res = graded_membership(target, gens)
+    assert isinstance(res, Witness) and res.verify()
+
+
+def test_lifting_alone_decides_past_48_steps(monkeypatch):
+    def no_exact(*args, **kwargs):
+        raise AssertionError("exact solve reached")
+
+    target, gens = _past_every_prime_target()
+    monkeypatch.setattr(eng, "solve_linear", no_exact)
+    res = graded_membership(target, gens)
     assert isinstance(res, Witness) and res.verify()
 
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import coxsaito.freediv as freediv
 from coxsaito.catalog import _elementary_symmetric, build_datum
 from coxsaito.freediv import (
     adjoint_divisor,
@@ -19,6 +20,7 @@ from coxsaito.freediv import (
 from coxsaito.poly import Substitution
 from coxsaito.rankcond import DISCRIMINANT, build_minor_table
 from coxsaito.saito import build_saito, normalize_linear_part
+from coxsaito.workspace import Workspace
 
 
 _WS = {}
@@ -182,3 +184,20 @@ def test_non_dividing_determinant_is_a_fail_verdict(case):
     assert cert.name == case
     assert cert.verdict == "fail"
     assert "multiple" in cert.detail
+
+
+def test_adjoint_reducedness_is_tested_once_per_type(monkeypatch):
+    # adjoint-divisor, free-divisor-sum and arrangement-lift all need the
+    # adjoint equation reduced; it is tested once, and the discriminant once
+    tested, test = [], freediv.squarefree_test
+
+    def counting(f):
+        tested.append(f)
+        return test(f)
+
+    monkeypatch.setattr(freediv, "squarefree_test", counting)
+    ws = Workspace()
+    certs = ws.run_suite("A3", "freediv") + ws.run_suite("A3", "lift")
+    assert all(c.verdict == "pass" for c in certs)
+    table = ws.minor_table("A3", DISCRIMINANT)
+    assert tested == [corner_minor(table), table.saito.disc]
