@@ -10,11 +10,12 @@ integer form: its numerators, under keys shifted by the monomial's key,
 over its denominator.  Every such system, over Q or Q(sqrt d), is solved
 first by one elimination modulo a word-size prime (once per embedding of
 sqrt d, and over Q when no entry has a surd part) and p-adic lifting
-with rational reconstruction (Dixon); a target it finds inconsistent
-gets its separating functional the same way, from the transposed system,
-whose equations are the columns times their denominators.  The modular
-kernel (`_rref_mod`) eliminates forward only, on the columns right of
-each pivot's, reduces mod p only once every 2^62 // p^2 updates (int64
+with rational reconstruction (Dixon); a target a prime finds
+inconsistent gets its separating functional the same way, from the
+transposed system, whose equations are the columns times their
+denominators, lifted from that prime on.  The modular kernel
+(`_rref_mod`) eliminates forward only, on the columns right of each
+pivot's, reduces mod p only once every 2^62 // p^2 updates (int64
 cannot overflow in between), back-substitutes on the right-hand sides
 alone, and leaves in the pivot columns the LU factors of the pivot rows
 (multipliers, pivot inverses and the row order).  Each lifting step is
@@ -27,7 +28,9 @@ no scalar on the way.  Modular answers are only candidates: a witness or
 a functional is accepted only once it verifies exactly, and
 non-membership is only ever reported together with such a functional.
 Lifting goes on until every target is settled or its subsystem is shown
-to be the wrong one; a target that no prime settles is an EngineError.
+to be the wrong one; a prime unlucky for a target hands it on to the
+other system or the next prime, and a target that no prime settles is an
+EngineError.
 
 The exact kernel (`echelon`, `reduce_row` and `back_substitute`) runs
 every other exact scalar elimination: solves, ranks and nullspaces.
@@ -236,9 +239,6 @@ def rank_of_vectors(vecs):
 # modular fast path
 
 _PRIME_COUNT = 48
-# lifting steps after each of which every unsettled target is reconstructed;
-# past them, reconstruction runs only when the step count doubles
-_STEPWISE = 48
 
 
 def _gen_primes():
@@ -385,7 +385,7 @@ def _solve_mod(F, X, p):
     return X
 
 
-def _modular_solve(cols, targets, nrows, d, accept):
+def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
     """Solve for several right-hand sides by one elimination modulo a
     word-size prime and p-adic lifting (Dixon's method).
 
@@ -405,21 +405,22 @@ def _modular_solve(cols, targets, nrows, d, accept):
     residual entry stays below max|entry| + 2 K and each update adds less
     than K p, so no value on the way reaches 2^63.
 
-    After each of the first _STEPWISE steps, and past them after each step
-    that brings the number of digits to a power of two, each unsettled
-    target whose values reconstruct to a candidate is passed to accept(t,
-    den, nums): the candidate's values, free unknowns zero and zeros left
-    out, as integer numerators nums (unknown -> numerator, of the same
-    shape as the entries) over the one positive denominator den, with the
-    scaling of the columns and of the target folded in.  accept returns
-    the answer built from it once that checks exactly and raises
-    EngineError otherwise.  Lifting has no step cap: the digits converge
-    to the rational solution x, which reconstructs once the modulus passes
-    four times the square of its largest numerator or denominator, and is
-    then accepted or rejected twice in a row.  Returns (answers,
-    inconsistent): the accepted answers, None where there was none, and
-    the targets some prime found inconsistent (in its first embedding),
-    which are left unsettled.
+    After each step that brings the number of digits to a power of two,
+    each unsettled target whose values reconstruct to a candidate is
+    passed to accept(t, den, nums): the candidate's values, free unknowns
+    zero and zeros left out, as integer numerators nums (unknown ->
+    numerator, of the same shape as the entries) over the one positive
+    denominator den, with the scaling of the columns and of the target
+    folded in.  accept returns the answer built from it once that checks
+    exactly and raises EngineError otherwise.  Lifting has no step cap:
+    the digits converge to the rational solution x, which reconstructs
+    once the modulus passes four times the square of its largest numerator
+    or denominator, and is then accepted or rejected twice in a row.
+    Primes are tried from the one numbered first.  A target that prime
+    number i finds inconsistent (in its first embedding) goes to refute(t,
+    i), for its answer or None, and if unsettled on to the next prime; with
+    no refute, it is left unsettled.  Returns (answers, inconsistent): the
+    answers, None where there was none, and the targets left inconsistent.
 
     A candidate rejected twice in a row with the same value means the
     subsystem is the wrong one (the prime was unlucky, or the target is
@@ -478,7 +479,10 @@ def _modular_solve(cols, targets, nrows, d, accept):
     answers = [None] * nrhs
     inconsistent = set()
     pattern = None
-    for p, s in primes:
+    for i in range(first, len(primes)):
+        if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
+            break
+        p, s = primes[i]
         M = np.zeros((nrows, nun + nrhs), dtype=np.int64)
         M[index] = _embed(ent, s, p)
         order = list(range(nrows))
@@ -502,10 +506,15 @@ def _modular_solve(cols, targets, nrows, d, accept):
             zs.append(sub[:, rank:])
         if pat != pattern:
             pattern, inconsistent = pat, set()
-        inconsistent.update(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
-        active = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent]
+        bad = set(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
+        for t in sorted(bad):
+            if refute is None:
+                inconsistent.add(t)
+            elif answers[t] is None:
+                answers[t] = refute(t, i)
+        active = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent | bad]
         if not active:
-            break
+            continue
         acc = [[[0] * rank for _ in range(nrhs)] for _ in parts]
         last = [None] * nrhs
         modulus = 1
@@ -534,7 +543,7 @@ def _modular_solve(cols, targets, nrows, d, accept):
                     for t in active:
                         part[t][k] += modulus * row[t]
             modulus *= p
-            if step >= _STEPWISE and step & (step + 1):
+            if step & (step + 1):
                 continue  # the digit count is not a power of two: lift on
             for t in list(active):
                 # (column, reconstructed parts) of the nonzero values
@@ -566,8 +575,6 @@ def _modular_solve(cols, targets, nrows, d, accept):
                         pass  # a wrong reconstruction: lift further
             if not active:
                 break
-        if all(a is not None or t in inconsistent for t, a in enumerate(answers)):
-            break
     return answers, inconsistent
 
 
@@ -594,9 +601,10 @@ def graded_membership(target, gens):
 def graded_membership_batch(targets, gens):
     """Membership of several targets of equal degree in one graded solve.
 
-    A target is accepted only as an exactly verified witness, and one the
-    modular run finds inconsistent only with an exactly verified
-    separating functional, both found by lifting.  A target that no prime
+    A target is accepted only as an exactly verified witness, and one a
+    prime finds inconsistent only with an exactly verified functional,
+    lifted from the transposed system from that prime on (modulo a prime,
+    exactly one of the two systems is consistent).  A target that no prime
     settles raises EngineError.  No generators, or only zero ones, span
     the zero ideal: the dual of a monomial of each target then separates
     it."""
@@ -638,11 +646,10 @@ def graded_membership_batch(targets, gens):
             cof_nums[cols[j][0]][shifts[j]] = x
         return Witness(targets[t], gens, [_reduced(ring, den, c) for c in cof_nums])
 
-    d = ring.d
-    results, inconsistent = _modular_solve(col_vecs, target_vecs, len(monos), d, witness)
-    for t in sorted(inconsistent):
-        results[t] = _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos)
+    def refute(t, i):
+        return _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos, i)
 
+    results, _ = _modular_solve(col_vecs, target_vecs, len(monos), ring.d, witness, refute)
     if any(r is None for r in results):
         raise EngineError("no prime settles the membership system")
     return results
@@ -664,8 +671,9 @@ def _functional(target, gens, monos, den, nums):
     return NonMembership(target, gens, functional)
 
 
-def _modular_functional(target, gens, col_vecs, tvec, monos):
-    """A separating functional found modulo primes, or None.  The system is
+def _modular_functional(target, gens, col_vecs, tvec, monos, first):
+    """A separating functional found modulo the primes numbered first and
+    on, or None once one of them finds none.  The system is
     the transpose of the membership one: one unknown per monomial, every
     column paired to 0 and the target paired to 1.  Each of its equations
     is a column of the membership system times that column's denominator,
@@ -681,6 +689,7 @@ def _modular_functional(target, gens, col_vecs, tvec, monos):
         m + 1,
         d,
         lambda _, den, nums: _functional(target, gens, monos, den, nums),
+        first=first,
     )[0][0]
 
 

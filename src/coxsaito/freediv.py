@@ -19,7 +19,7 @@ from .certs import (
     quotient,
     run_check,
 )
-from .engine import codim_at_least_two, squarefree_test
+from .engine import EngineError, codim_at_least_two, squarefree_test
 from .polymatrix import PolyMatrix
 from .saito import field_apply
 
@@ -108,16 +108,17 @@ def solve_basis_change(table_d):
 
 
 def _once(table_d, key, compute):
-    """compute(), run once per table: its result, or the exception it
-    raised, is kept on the table for every later check."""
+    """compute(), run once per table: its result, or the CheckFailure or
+    EngineError it raised, is kept on the table for every later check,
+    which raises a fresh copy of that error."""
     kept = table_d.kept
     if key not in kept:
         try:
             kept[key] = compute()
-        except Exception as exc:
+        except (CheckFailure, EngineError) as exc:
             kept[key] = exc
     if isinstance(kept[key], Exception):
-        raise kept[key]
+        raise type(kept[key])(*kept[key].args)
     return kept[key]
 
 

@@ -427,7 +427,7 @@ def test_witness_from_integers_matches_one_from_scalars(monkeypatch):
         den, nums = integer_parts({j: v for j, v in values.items() if v}, d)
         six = {j: 6 * n if d is None else (6 * n[0], 6 * n[1]) for j, n in nums.items()}
         monkeypatch.setattr(eng, "_modular_solve",
-                            lambda cols, tvecs, nrows, d_, accept: ([accept(0, 6 * den, six)], set()))
+                            lambda cols, tvecs, nrows, d_, accept, *rest: ([accept(0, 6 * den, six)], set()))
         (got,) = graded_membership_batch([target], gens)
         by_scalars = [qring.from_dict({mu: values[j] for j, (i, mu) in enumerate(unknowns) if i == k})
                       for k in range(2)]
@@ -483,14 +483,16 @@ def test_wrong_modular_candidates_raise_engine_error(ring, monkeypatch):
     qtarget, qgens = _quad_nonmember()
     offered = []
 
-    def wrong(cols, tvecs, nrows, d, accept):
+    def wrong(cols, tvecs, nrows, d, accept, refute=None, first=0):
         # offer a wrong candidate for every target and call every target
         # inconsistent, so the functional path is offered wrong ones too
         for t in range(len(tvecs)):
             offered.append(t)
             with pytest.raises(EngineError):
                 accept(t, 1, {0: 7 if d is None else (7, 1)})
-        return [None] * len(tvecs), set(range(len(tvecs)))
+        if refute is None:
+            return [None] * len(tvecs), set(range(len(tvecs)))
+        return [refute(t, first) for t in range(len(tvecs))], set()
 
     monkeypatch.setattr(eng, "_modular_solve", wrong)
     with pytest.raises(EngineError):
@@ -534,6 +536,20 @@ def test_modular_solve_skips_unlucky_prime():
     answers, inconsistent = eng._modular_solve(int_cols, int_targets, 2, None, accept)
     assert answers == [{0: one, 1: one}]
     assert not inconsistent
+
+
+def test_membership_past_a_prime_unlucky_for_either_system(ring):
+    # modulo the first prime the member x of (p0 x) looks inconsistent and
+    # its transposed system has a functional, which is rejected; the
+    # non-member p0 x of (y) looks consistent and its transposed system has
+    # none.  Later primes settle both, as a verified witness or functional
+    x, y = ring.gens()
+    p0 = eng._PRIMES[0]
+    member = graded_membership(x, [x.scale(p0)])
+    assert isinstance(member, Witness) and member.verify()
+    assert member.cofactors == [ring.coeff(Fraction(1, p0))]
+    nonmember = graded_membership(x.scale(p0), [y])
+    assert isinstance(nonmember, NonMembership) and nonmember.verify()
 
 
 def test_modular_solve_moves_past_a_stable_wrong_candidate():
@@ -641,10 +657,10 @@ def test_one_elimination_per_embedding_per_system(monkeypatch):
         calls.append(args[0].shape)
         return rref(*args)
 
-    def counting_solve(cols, targets, nrows, d, accept):
+    def counting_solve(cols, targets, nrows, d, accept, *rest, **kw):
         quad = d is not None and any(b for _, vec in cols + targets for _, b in vec.values())
         expected.append(2 if quad else 1)
-        return solve(cols, targets, nrows, d, accept)
+        return solve(cols, targets, nrows, d, accept, *rest, **kw)
 
     monkeypatch.setattr(eng, "_rref_mod", counting_rref)
     monkeypatch.setattr(eng, "_modular_solve", counting_solve)
@@ -666,7 +682,13 @@ def test_rat_reconstruct_past_float_range():
     assert eng._rat_reconstruct(r, m) == frac
 
 
-def _past_every_prime_target():
+def test_membership_with_coefficients_past_every_prime(monkeypatch):
+    # the cofactors need far more than 48 p-adic digits, so lifting runs
+    # past 48 steps, and it alone decides: the exact kernel is not reached
+    def no_exact(*args, **kwargs):
+        raise AssertionError("exact solve reached")
+
+    monkeypatch.setattr(eng, "solve_linear", no_exact)
     xr = PolyRing(("x", "y", "z"))
     x, y, z = xr.gens()
     rng = random.Random(3)
@@ -674,25 +696,9 @@ def _past_every_prime_target():
         mon: Fraction(rng.getrandbits(700) + 1, rng.getrandbits(600) + 1)
         for mon in xr.monomials(3)
     }
-    return xr.from_dict(terms), [x, y, z]
-
-
-def test_membership_with_coefficients_past_every_prime():
-    # the cofactors need far more than 48 p-adic digits, so lifting runs
-    # past 48 steps and reconstructs only when the step count doubles
-    target, gens = _past_every_prime_target()
+    target = xr.from_dict(terms)
     assert len(target.t) == 10
-    res = graded_membership(target, gens)
-    assert isinstance(res, Witness) and res.verify()
-
-
-def test_lifting_alone_decides_past_48_steps(monkeypatch):
-    def no_exact(*args, **kwargs):
-        raise AssertionError("exact solve reached")
-
-    target, gens = _past_every_prime_target()
-    monkeypatch.setattr(eng, "solve_linear", no_exact)
-    res = graded_membership(target, gens)
+    res = graded_membership(target, [x, y, z])
     assert isinstance(res, Witness) and res.verify()
 
 
