@@ -85,10 +85,10 @@ def verify_generators(table):
     On the arrangement side they also make each h_i = m^i_l / m^l_l
     invariant modulo delta, so no reflection is applied here.  Let g be the
     matrix of a simple reflection s, s(f)(x) = f(g x), and let the basic
-    invariants satisfy p o g = p, which `catalog._build_irreducible` checks
-    for every datum it builds (a datum read from a fixture is taken as
-    given).  The chain rule gives J(g x) g = J(x), so the adjugate M of J^t
-    satisfies M(g x) = det(g)^-1 M(x) g^t and
+    invariants satisfy p o g = p, which `catalog._certified_irreducible`
+    checks for every datum, built or read from a fixture.  The chain rule
+    gives J(g x) g = J(x), so the adjugate M of J^t satisfies
+    M(g x) = det(g)^-1 M(x) g^t and
     s(m^i_l) m^l_l - m^i_l s(m^l_l)
         = det(g)^-1 sum_k g_lk (m^i_k m^l_l - m^i_l m^l_k),
     where each bracket is -q_ik delta by the cross identity at (i, k)."""

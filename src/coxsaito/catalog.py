@@ -14,13 +14,17 @@ Points off finitely many hyperplanes are searched on the moment curve
 arrangement polynomial is the product of one linear form per mirror.  The
 basic invariants are built from classical formulas, from power sums over
 the mirrors (F, H and the even dihedral types) or from orbit sums at
-points of the moment curve (the odd dihedral types), checked invariant
-under each simple reflection (one `Substitution` x -> M x per reflection,
-shared by every invariant) and certified by det(Jacobian) being a nonzero
-constant multiple of the arrangement polynomial.  A product is assembled
-from its factor datums (`build_product`, which moves each factor's
-invariants to its own variables by substitution), memoized ones under
-`build_datum`.
+points of the moment curve (the odd dihedral types), and checked
+homogeneous of the type's degrees and invariant under each simple
+reflection (one `Substitution` x -> M x per reflection, shared by every
+invariant).  By Steinberg's theorem their Jacobian determinant is then
+c times the arrangement polynomial once the exponents sum to the mirror
+count, and `_assemble` takes c from the values of both at one point on no
+mirror; a nonzero c certifies the invariants as basic.  A product is
+assembled from its factor datums (`build_product`, which moves each
+factor's invariants to its own variables by substitution), memoized ones
+under `build_datum`.  A datum read from a fixture (`datum_from_json`) is
+rebuilt from the fixture's invariants and certified the same way.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .engine import solve_linear
 from .poly import Poly, PolyRing, Substitution, dot, product
 from .polymatrix import jacobian
-from .scalars import Quad, integer_parts, invert, scalar_from_json, scalar_to_json
+from .scalars import Quad, integer_parts, invert, scalar_to_json
 
 
 class UnsupportedTypeError(ValueError):
@@ -203,17 +207,24 @@ def moment_points(n):
     return ([k**i for i in range(1, n + 1)] for k in count(1))
 
 
-def _group_order(gens, forms, ring, order):
-    """|W| as the orbit size of a point on no mirror: such a point lies in
-    an open chamber, and W acts simply transitively on the chambers, so its
-    stabilizer is trivial.  The point is the first point of the moment
-    curve off every mirror; order bounds the orbit search."""
+def _regular_point(forms, ring):
+    """(x0, evaluation at x0) for the first point x0 of the moment curve on
+    no mirror."""
     for c in islice(moment_points(ring.n), len(forms) * (ring.n - 1) + 1):
         point = [ring.coeff(k) for k in c]
         at = Substitution(ring, point, None)
         if all(at(f) for f in forms):
-            return len(_orbit([point], gens, ring.coeff(0), order))
+            return point, at
     raise RuntimeError("a mirror form vanishes on the whole space")
+
+
+def _group_order(gens, forms, ring, order):
+    """|W| as the orbit size of a point on no mirror: such a point lies in
+    an open chamber, and W acts simply transitively on the chambers, so its
+    stabilizer is trivial.  The point is `_regular_point`'s; order bounds
+    the orbit search."""
+    point, _at = _regular_point(forms, ring)
+    return len(_orbit([point], gens, ring.coeff(0), order))
 
 
 def _normalize_direction(vec):
@@ -464,6 +475,16 @@ def canonical_name(factors):
 
 
 def _build_irreducible(tag, param):
+    """The datum of one irreducible type with its classical invariants."""
+    return _certified_irreducible(tag, param)
+
+
+def _certified_irreducible(tag, param, invariants=None):
+    """The datum of one irreducible type: its group order, found by orbit
+    search, checked against the classical order and the degrees; its
+    invariants, the classical ones unless given as JSON polynomials (a
+    fixture's), checked homogeneous of the type's degrees and fixed by every
+    simple reflection; then `_assemble`."""
     rank, d, gram, simple_roots, degrees = _type_data(tag, param)
     ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
     gram = [[ring.coeff(c) for c in row] for row in gram]
@@ -476,12 +497,7 @@ def _build_irreducible(tag, param):
     for r in all_roots:
         mirrors.setdefault(_normalize_direction(r), r)
     mirror_roots = list(mirrors.values())
-    n_mirrors = len(mirror_roots)
     exps = [w - 1 for w in degrees]
-    if sum(exps) != n_mirrors:
-        raise RuntimeError(
-            f"{tag}{param}: mirror count {n_mirrors} != exponent sum {sum(exps)}"
-        )
     h = max(degrees)
     for i in range(rank):
         if exps[i] + exps[rank - 1 - i] != h:
@@ -506,11 +522,14 @@ def _build_irreducible(tag, param):
         "mirror_roots": mirror_roots,
         "generators": gens,
     }
-    invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]
+    if invariants is None:
+        invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]
+    else:
+        invariants = [Poly.from_json(p, ring) for p in invariants]
+    if [p.whomog_degree() for p in invariants] != degrees:
+        raise RuntimeError(f"{tag}{param}: invariants are not homogeneous of degrees {degrees}")
     reflections = [_linear_map(ring, g) for g in gens]
-    for p, w in zip(invariants, degrees):
-        if p.whomog_degree() != w:
-            raise RuntimeError(f"{tag}{param}: invariant has wrong degree")
+    for p in invariants:
         if any(s(p) != p for s in reflections):
             raise RuntimeError(f"{tag}{param}: candidate invariant not invariant")
 
@@ -562,14 +581,23 @@ def build_product(parts):
 
 
 def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, invariants, factors=()):
-    """The datum, once det J = c * delta holds for a nonzero constant c."""
-    delta = product(forms, ring)
-    det = jacobian(invariants, ring).det()
+    """The datum, with det J = c * delta for a nonzero constant c certified
+    by Steinberg's theorem (Humphreys, Reflection Groups and Coxeter Groups,
+    3.13).  The caller has checked that the invariants are homogeneous of
+    the given degrees and fixed by W.  By the chain rule det J is then
+    anti-invariant, so it vanishes on every mirror and each mirror form
+    divides it; the forms are pairwise non-proportional, so delta divides
+    it.  When sum(d_i - 1) is the mirror count N, checked here, both have
+    degree N, so det J = c * delta with c = det J(x0) / delta(x0) at the
+    `_regular_point` x0, and c != 0 makes the invariants algebraically
+    independent.  J is evaluated at x0 and never expanded."""
+    n_exp = sum(degrees) - len(degrees)
+    if n_exp != len(forms):
+        raise RuntimeError(f"{name}: exponent sum {n_exp} != mirror count {len(forms)}")
+    _point, at = _regular_point(forms, ring)
+    det = jacobian(invariants, ring).map(lambda p: ring.const(at(p))).det().constant_value()
     if not det:
         raise RuntimeError(f"{name}: invariants are algebraically dependent")
-    c = det.exact_div(delta)
-    if not c.is_constant():
-        raise RuntimeError(f"{name}: det J is not a constant multiple of delta")
     return CoxeterDatum(
         name=name,
         rank=ring.n,
@@ -579,11 +607,11 @@ def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, inva
         simple_roots=simple_roots,
         roots=roots,
         mirror_forms=forms,
-        delta=delta,
+        delta=product(forms, ring),
         degrees=degrees,
         group_order=order,
         invariants=invariants,
-        jac_const=c.constant_value(),
+        jac_const=det / prod(at(f) for f in forms),
         p_ring=PolyRing([f"p{i+1}" for i in range(ring.n)], d=ring.d, weights=degrees),
         irreducible=not factors,
         factors=list(factors),
@@ -657,37 +685,20 @@ def datum_to_json(datum):
     }
 
 
-def datum_from_json(doc):
-    """Rebuild an irreducible datum from a fixture."""
-    d = doc["field"].get("d")
-    rank = doc["rank"]
-    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
-
-    def mat(rows):
-        return [[scalar_from_json(c, d=d) for c in row] for row in rows]
-
-    gram = mat(doc["gram"])
-    gram_dual = mat(doc["gram_dual"])
-    simple_roots = mat(doc["simple_roots"])
-    roots = mat(doc["roots"])
-    degrees = list(doc["degrees"])
-    return CoxeterDatum(
-        name=doc["type"],
-        rank=rank,
-        ring=ring,
-        gram=gram,
-        gram_dual=gram_dual,
-        simple_roots=simple_roots,
-        roots=roots,
-        mirror_forms=_mirror_forms(ring, gram, roots),
-        delta=Poly.from_json(doc["delta"], ring),
-        degrees=degrees,
-        group_order=doc["group_order"],
-        invariants=[Poly.from_json(p, ring) for p in doc["invariants"]],
-        jac_const=scalar_from_json(doc["jac_const"], d=d),
-        p_ring=PolyRing([f"p{i+1}" for i in range(rank)], d=d, weights=degrees),
-        irreducible=True,
-    )
+def datum_from_json(doc, name):
+    """The datum of the irreducible type name from its fixture doc.  Only
+    the type and the invariants are read: the datum is rebuilt with those
+    invariants and certified as a fresh build is
+    (`_certified_irreducible`), and every other field of doc must equal the
+    certified datum's (ValueError otherwise; KeyError for a missing one)."""
+    if doc["type"] != name:
+        raise ValueError(f"fixture records type {doc['type']}, not {name}")
+    ((tag, param),) = parse_type(name)
+    datum = _certified_irreducible(tag, param, doc["invariants"])
+    for key, value in datum_to_json(datum).items():
+        if key not in ("type", "invariants") and doc[key] != value:
+            raise ValueError(f"fixture field {key!r} differs from the certified datum's")
+    return datum
 
 
 def save_fixture(datum, path):

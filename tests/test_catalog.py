@@ -13,7 +13,7 @@ from coxsaito.catalog import (
     stabilizer_components,
 )
 from coxsaito.poly import PolyRing
-from coxsaito.polymatrix import jacobian
+from coxsaito.polymatrix import PolyMatrix, jacobian
 from coxsaito.scalars import Quad
 from oracles import is_invariant, reference_orbit
 
@@ -141,6 +141,37 @@ def test_product_datum():
     assert mixed.mirror_count == 5
     J = jacobian(mixed.invariants, mixed.ring)
     assert J.det() == mixed.delta.scale(mixed.jac_const)
+
+
+STEINBERG_TYPES = (
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3"]
+    + [f"I2({k})" for k in (3, 4, 5, 6, 8, 10, 12)]
+    + ["B2xA1", "A1xI2(5)", "B2xA2"]
+)
+
+
+@pytest.mark.parametrize("name", STEINBERG_TYPES)
+def test_steinberg_constant_matches_the_cofactor_expansion(name):
+    # the datum's constant is det J / delta at one point; the expanded
+    # determinant is the oracle
+    d = build_datum(name)
+    assert d.jac_const
+    assert jacobian(d.invariants, d.ring).det() == d.delta.scale(d.jac_const)
+
+
+def test_building_a_datum_expands_no_determinant(monkeypatch):
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    expanded = []
+    real = PolyMatrix.det
+
+    def det(self):
+        expanded.extend(p for row in self.e for p in row if not p.is_constant())
+        return real(self)
+
+    monkeypatch.setattr(PolyMatrix, "det", det)
+    for name in ("F4", "H3"):
+        assert build_datum(name).jac_const
+    assert not expanded
 
 
 def test_product_factors_are_the_memoized_datums(monkeypatch):

@@ -202,6 +202,61 @@ def test_corrupt_fixture_is_read_once_and_named(tmp_path, monkeypatch):
         assert str(path) in c["detail"]
 
 
+def test_fixture_of_another_type_is_refused(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "B3.datum.json"
+    catalog.save_fixture(catalog.build_datum("A3"), path)
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    out = tmp_path / "b3.json"
+    argv = ["run", "--type", "B3", "--suite", "datum,grc-A", "--cache", str(cache),
+            "--out", str(out)]
+    assert main(argv) == 3
+    doc = json.loads(out.read_text())
+    assert doc["type"] == "B3"
+    assert [c["check"] for c in doc["checks"]] == ["datum", "grc-A"]
+    for c in doc["checks"]:
+        assert c["verdict"] == "error"
+        assert c["detail"].startswith("ValueError: fixture records type A3, not B3")
+        assert str(path) in c["detail"]
+
+
+def _tampered_constant(doc):
+    doc["jac_const"] = {"a": ["5", "1"]}
+
+
+def _tampered_invariant(doc):
+    # x1 x2^3 keeps the degree but is moved by the reflection x2 -> -x2
+    doc["invariants"][1]["terms"].append({"exp": [1, 3], "coeff": {"a": ["1", "1"]}})
+
+
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        (_tampered_constant, "ValueError: fixture field 'jac_const' differs"),
+        (_tampered_invariant, "RuntimeError: B2: candidate invariant not invariant"),
+    ],
+    ids=["jac-const", "invariant"],
+)
+def test_tampered_fixture_is_refused_on_load(tamper, detail, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "B2.datum.json"
+    catalog.save_fixture(catalog.build_datum("B2"), path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    out = tmp_path / "b2.json"
+    argv = ["run", "--type", "B2", "--suite", "datum", "--cache", str(cache), "--out", str(out)]
+    assert main(argv) == 3
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["verdict"] == "error"
+    assert check["detail"].startswith(detail)
+    assert str(path) in check["detail"]
+    assert not check["witnesses"]
+
+
 def test_budget_steps_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--type", "A2", "--suite", "datum", "--budget-steps", "5"])

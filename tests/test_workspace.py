@@ -77,6 +77,24 @@ def test_datum_disk_cache(tmp_path, ws):
     cat._DATUM_CACHE.pop("B2", None)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)", "H3", "D4", "F4"],
+)
+def test_every_valid_fixture_loads_back(name, tmp_path, monkeypatch):
+    # over Q, Q(sqrt 2) and Q(sqrt 5): a fixture passes the certification
+    # a fresh build passes, and gives back the datum it records
+    datum = cat.build_datum(name)
+    cat.save_fixture(datum, tmp_path / f"{name}.datum.json")
+
+    def refuse(tag, param):
+        raise AssertionError("the datum was built, not read")
+
+    monkeypatch.setattr(cat, "_build_irreducible", refuse)
+    loaded = Workspace(cache_dir=str(tmp_path)).datum(name)
+    assert cat.datum_to_json(loaded) == cat.datum_to_json(datum)
+
+
 @pytest.mark.parametrize("name,factors", [("A2xA2", 1), ("B2xA2", 2)])
 def test_product_builds_each_factor_once(name, factors, monkeypatch):
     monkeypatch.setattr(cat, "_DATUM_CACHE", {})
