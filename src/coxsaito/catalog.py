@@ -23,8 +23,8 @@ count, and `_assemble` takes c from the values of both at one point on no
 mirror; a nonzero c certifies the invariants as basic.  A product is
 assembled from its factor datums (`build_product`, which moves each
 factor's invariants to its own variables by substitution), memoized ones
-under `build_datum`.  A datum read from a fixture (`datum_from_json`) is
-rebuilt from the fixture's invariants and certified the same way.
+under `build_datum`.  Every datum is built and certified this way: a
+fixture (`datum_to_json`) is written, never read back.
 """
 
 from __future__ import annotations
@@ -208,22 +208,22 @@ def moment_points(n):
 
 
 def _regular_point(forms, ring):
-    """(x0, evaluation at x0) for the first point x0 of the moment curve on
-    no mirror."""
+    """(x0, evaluation at x0, the forms' values at x0) for the first point
+    x0 of the moment curve on no mirror."""
     for c in islice(moment_points(ring.n), len(forms) * (ring.n - 1) + 1):
         point = [ring.coeff(k) for k in c]
         at = Substitution(ring, point, None)
-        if all(at(f) for f in forms):
-            return point, at
+        values = [at(f) for f in forms]
+        if all(values):
+            return point, at, values
     raise RuntimeError("a mirror form vanishes on the whole space")
 
 
-def _group_order(gens, forms, ring, order):
-    """|W| as the orbit size of a point on no mirror: such a point lies in
-    an open chamber, and W acts simply transitively on the chambers, so its
-    stabilizer is trivial.  The point is `_regular_point`'s; order bounds
-    the orbit search."""
-    point, _at = _regular_point(forms, ring)
+def _group_order(gens, point, ring, order):
+    """|W| as the orbit size of a point on no mirror, such as
+    `_regular_point`'s: it lies in an open chamber, and W acts simply
+    transitively on the chambers, so its stabilizer is trivial.  order
+    bounds the orbit search."""
     return len(_orbit([point], gens, ring.coeff(0), order))
 
 
@@ -475,16 +475,11 @@ def canonical_name(factors):
 
 
 def _build_irreducible(tag, param):
-    """The datum of one irreducible type with its classical invariants."""
-    return _certified_irreducible(tag, param)
-
-
-def _certified_irreducible(tag, param, invariants=None):
     """The datum of one irreducible type: its group order, found by orbit
-    search, checked against the classical order and the degrees; its
-    invariants, the classical ones unless given as JSON polynomials (a
-    fixture's), checked homogeneous of the type's degrees and fixed by every
-    simple reflection; then `_assemble`."""
+    search from the `_regular_point` x0, checked against the classical order
+    and the degrees; its classical invariants, checked homogeneous of the
+    type's degrees and fixed by every simple reflection; then `_assemble`
+    at the same x0."""
     rank, d, gram, simple_roots, degrees = _type_data(tag, param)
     ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
     gram = [[ring.coeff(c) for c in row] for row in gram]
@@ -504,7 +499,8 @@ def _certified_irreducible(tag, param, invariants=None):
             raise RuntimeError(f"{tag}{param}: exponent symmetry broken")
 
     forms = _mirror_forms(ring, gram, mirror_roots)
-    order = _group_order(gens, forms, ring, expected)
+    point, at, values = _regular_point(forms, ring)
+    order = _group_order(gens, point, ring, expected)
     if order != expected:
         raise RuntimeError(
             f"{tag}{param}: group has order {order}, expected {expected}"
@@ -522,10 +518,7 @@ def _certified_irreducible(tag, param, invariants=None):
         "mirror_roots": mirror_roots,
         "generators": gens,
     }
-    if invariants is None:
-        invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]
-    else:
-        invariants = [Poly.from_json(p, ring) for p in invariants]
+    invariants = [p.primitive() for p in _invariants_for(tag, param, ring, stub)]
     if [p.whomog_degree() for p in invariants] != degrees:
         raise RuntimeError(f"{tag}{param}: invariants are not homogeneous of degrees {degrees}")
     reflections = [_linear_map(ring, g) for g in gens]
@@ -535,7 +528,7 @@ def _certified_irreducible(tag, param, invariants=None):
 
     return _assemble(
         canonical_name([(tag, param)]), ring, gram, simple_roots, mirror_roots,
-        forms, degrees, order, invariants,
+        forms, at, values, degrees, order, invariants,
     )
 
 
@@ -573,14 +566,16 @@ def build_product(parts):
         factor_list.append((p, offset))
         offset += p.rank
 
+    forms = _mirror_forms(ring, gram, mirror_roots)
+    _point, at, values = _regular_point(forms, ring)
     return _assemble(
         "x".join(p.name for p in parts), ring, gram, simple_roots, mirror_roots,
-        _mirror_forms(ring, gram, mirror_roots), degrees, order, invariants,
-        factor_list,
+        forms, at, values, degrees, order, invariants, factor_list,
     )
 
 
-def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, invariants, factors=()):
+def _assemble(name, ring, gram, simple_roots, roots, forms, at, values, degrees, order,
+              invariants, factors=()):
     """The datum, with det J = c * delta for a nonzero constant c certified
     by Steinberg's theorem (Humphreys, Reflection Groups and Coxeter Groups,
     3.13).  The caller has checked that the invariants are homogeneous of
@@ -589,12 +584,12 @@ def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, inva
     divides it; the forms are pairwise non-proportional, so delta divides
     it.  When sum(d_i - 1) is the mirror count N, checked here, both have
     degree N, so det J = c * delta with c = det J(x0) / delta(x0) at the
-    `_regular_point` x0, and c != 0 makes the invariants algebraically
+    `_regular_point` x0, whose evaluation at and mirror-form values the
+    caller passes, and c != 0 makes the invariants algebraically
     independent.  J is evaluated at x0 and never expanded."""
     n_exp = sum(degrees) - len(degrees)
     if n_exp != len(forms):
         raise RuntimeError(f"{name}: exponent sum {n_exp} != mirror count {len(forms)}")
-    _point, at = _regular_point(forms, ring)
     det = jacobian(invariants, ring).map(lambda p: ring.const(at(p))).det().constant_value()
     if not det:
         raise RuntimeError(f"{name}: invariants are algebraically dependent")
@@ -611,7 +606,7 @@ def _assemble(name, ring, gram, simple_roots, roots, forms, degrees, order, inva
         degrees=degrees,
         group_order=order,
         invariants=invariants,
-        jac_const=det / prod(at(f) for f in forms),
+        jac_const=det / prod(values),
         p_ring=PolyRing([f"p{i+1}" for i in range(ring.n)], d=ring.d, weights=degrees),
         irreducible=not factors,
         factors=list(factors),
@@ -683,22 +678,6 @@ def datum_to_json(datum):
         "invariants": [p.to_json() for p in datum.invariants],
         "jac_const": scalar_to_json(datum.jac_const),
     }
-
-
-def datum_from_json(doc, name):
-    """The datum of the irreducible type name from its fixture doc.  Only
-    the type and the invariants are read: the datum is rebuilt with those
-    invariants and certified as a fresh build is
-    (`_certified_irreducible`), and every other field of doc must equal the
-    certified datum's (ValueError otherwise; KeyError for a missing one)."""
-    if doc["type"] != name:
-        raise ValueError(f"fixture records type {doc['type']}, not {name}")
-    ((tag, param),) = parse_type(name)
-    datum = _certified_irreducible(tag, param, doc["invariants"])
-    for key, value in datum_to_json(datum).items():
-        if key not in ("type", "invariants") and doc[key] != value:
-            raise ValueError(f"fixture field {key!r} differs from the certified datum's")
-    return datum
 
 
 def save_fixture(datum, path):

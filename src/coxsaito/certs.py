@@ -59,12 +59,11 @@ class Certificate:
 
 def failure_verdict(exc):
     """(verdict, detail) for an exception that ended a check: fail for a
-    refuted condition, error for anything else, with the exception's notes
-    appended."""
+    refuted condition, error, named by the exception's type, for anything
+    else."""
     if isinstance(exc, CheckFailure):
         return "fail", str(exc)
-    notes = getattr(exc, "__notes__", ())
-    return "error", "; ".join([f"{type(exc).__name__}: {exc}", *notes])
+    return "error", f"{type(exc).__name__}: {exc}"
 
 
 def run_check(name, ctype, fn):

@@ -6,7 +6,8 @@
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 usage error,
 unsupported request or malformed report; 3 a check ended in an error (an
-unexpected exception, such as a corrupt fixture) and none failed.
+unexpected exception, such as a membership that no prime settles) and none
+failed.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def cmd_run(args):
     if target.is_dir():
         print(f"error: report path {out} is a directory", file=sys.stderr)
         return 2
-    ws = Workspace(cache_dir=args.cache)
+    ws = Workspace()
     certs = []
     for s in suites:
         certs.extend(ws.run_suite(name, s))
@@ -120,7 +121,7 @@ def cmd_fixture(args):
         print(f"error: cannot write fixtures under {out}: {existing} is not a directory",
               file=sys.stderr)
         return 2
-    ws = Workspace(cache_dir=args.cache)
+    ws = Workspace()
     paths = ws.emit_fixtures(name, out)
     for p in paths:
         print(p)
@@ -153,13 +154,11 @@ def build_parser():
     run.add_argument("--suite", help="comma-separated suite list (default: all)")
     run.add_argument("--tier", choices=("fast", "long", "stretch"), default="fast")
     run.add_argument("--out", help="report path")
-    run.add_argument("--cache", help="cache directory")
     run.set_defaults(fn=cmd_run)
 
     fx = sub.add_parser("fixture", help="emit datum and Saito fixtures as JSON")
     fx.add_argument("--type", required=True)
     fx.add_argument("--out", help="output directory (default: fixtures)")
-    fx.add_argument("--cache", help="cache directory")
     fx.set_defaults(fn=cmd_fixture)
 
     vf = sub.add_parser("verify", help="re-verify every witness in a report")

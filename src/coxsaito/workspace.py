@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from . import catalog
 from .algebra import (
     build_mul_table,
     check_boolean_split,
@@ -16,7 +15,7 @@ from .algebra import (
     check_quotient_rule,
     verify_generators,
 )
-from .catalog import build_datum
+from .catalog import build_datum, save_fixture
 from .certs import Certificate, CheckFailure, det_payload, failure_verdict, run_check, zero_combo_payload
 from .freediv import (
     adjoint_divisor,
@@ -58,8 +57,8 @@ ALL_SUITES = (
 
 def check_datum(datum):
     """The datum's constants and its Jacobian identity det J = jac_const *
-    delta as a payload.  The datum was certified where it was built or read
-    (`catalog._assemble`, `catalog.datum_from_json`)."""
+    delta as a payload.  The datum was certified where it was built
+    (`catalog._assemble`)."""
 
     def body():
         J = jacobian(datum.invariants, datum.ring)
@@ -159,8 +158,7 @@ class Workspace:
     check that needs them.
     """
 
-    def __init__(self, cache_dir=None):
-        self.cache_dir = cache_dir
+    def __init__(self):
         self._memo = {}
 
     def _once(self, key, build):
@@ -169,33 +167,7 @@ class Workspace:
         return self._memo[key]
 
     def datum(self, name):
-        got = self._once(("datum", name), lambda: self._load_datum(name))
-        if isinstance(got, Exception):
-            raise got
-        return got
-
-    def _load_datum(self, name):
-        if not self.cache_dir:
-            return build_datum(name)
-        factors = catalog.parse_type(name)
-        if len(factors) > 1:
-            # fixtures hold irreducible data only: a product is assembled
-            # from this workspace's factor datums, each read from its fixture
-            return catalog.build_product([self.datum(catalog.canonical_name([f])) for f in factors])
-        path = Path(self.cache_dir) / f"{name}.datum.json"
-        if path.exists():
-            try:
-                with open(path) as fh:
-                    return catalog.datum_from_json(json.load(fh), name)
-            except Exception as exc:
-                # a bad fixture is remembered, so it is read once and every
-                # check that needs it names the file to delete
-                exc.add_note(f"fixture {path}")
-                return exc
-        got = build_datum(name)
-        Path(self.cache_dir).mkdir(parents=True, exist_ok=True)
-        catalog.save_fixture(got, path)
-        return got
+        return self._once(("datum", name), lambda: build_datum(name))
 
     def saito(self, name):
         return self._once(
@@ -351,7 +323,7 @@ class Workspace:
         datum = self.datum(name)
         paths = []
         p1 = out_dir / f"{name}.datum.json"
-        catalog.save_fixture(datum, p1)
+        save_fixture(datum, p1)
         paths.append(p1)
         if datum.irreducible:
             p2 = out_dir / f"{name}.saito.json"

@@ -174,6 +174,23 @@ def test_building_a_datum_expands_no_determinant(monkeypatch):
     assert not expanded
 
 
+def test_each_build_searches_one_regular_point(monkeypatch):
+    # the group order and the Jacobian constant share one point x0
+    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+    searches = []
+    real = catalog._regular_point
+    monkeypatch.setattr(
+        catalog, "_regular_point", lambda forms, ring: searches.append(ring.n) or real(forms, ring)
+    )
+    for name in ("A1", "B3", "H3", "I2(5)"):
+        searches.clear()
+        assert build_datum(name).jac_const
+        assert len(searches) == 1, name
+    searches.clear()
+    build_datum("B3xA1")
+    assert searches == [4]  # the product's own search; its factors are memoized
+
+
 def test_product_factors_are_the_memoized_datums(monkeypatch):
     monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
     d = build_datum("A2xA2")
@@ -244,7 +261,8 @@ def test_group_order_is_the_expected_order(tag, param):
     order = catalog.EXPECTED_ORDER[tag](param)
     roots = catalog._orbit(simple_roots, gens, ring.coeff(0), order)
     forms = catalog._mirror_forms(ring, gram, roots)
-    assert catalog._group_order(gens, forms, ring, order) == order
+    point, _at, _values = catalog._regular_point(forms, ring)
+    assert catalog._group_order(gens, point, ring, order) == order
     point = [_generic_point(ring)]
     assert len(catalog._orbit(point, gens, ring.coeff(0), order)) == order
 

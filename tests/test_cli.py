@@ -55,19 +55,6 @@ def test_run_selected_suites(tmp_path):
     assert "fibers" not in names
 
 
-def test_product_runs_twice_into_one_cache(tmp_path, monkeypatch):
-    # each run starts with an empty in-memory catalog, as a new process
-    # does, so the second one reads what the first left in the cache
-    argv = ["run", "--type", "B2xA1", "--suite", "datum,saito,grc-A", "--tier", "fast",
-            "--cache", str(tmp_path / "cache")]
-    for k in range(2):
-        monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
-        out = tmp_path / f"run{k}.json"
-        assert main(argv + ["--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert all(c["verdict"] == "pass" for c in doc["checks"])
-
-
 def test_unsupported_type_is_usage_error(capsys):
     rc = main(["run", "--type", "E6", "--suite", "hrc"])
     assert rc == 2
@@ -132,129 +119,22 @@ def test_fixture_under_a_regular_file_is_usage_error(path, tmp_path, monkeypatch
     assert (tmp_path / "taken").read_text() == "keep"
 
 
-def _truncated(path):
-    path.write_text('{"type": "B2"')
-
-
-def _without_gram(path):
-    doc = json.loads(path.read_text())
-    del doc["gram"]
-    path.write_text(json.dumps(doc))
-
-
-def _negative_exponent(path):
-    doc = json.loads(path.read_text())
-    doc["invariants"][0]["terms"][0]["exp"][0] = -1
-    path.write_text(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "corrupt, detail",
-    [
-        (_truncated, "JSONDecodeError: "),
-        (_without_gram, "KeyError: 'gram'"),
-        (_negative_exponent, "ValueError: malformed exponent"),
-    ],
-    ids=["truncated", "no-gram", "negative-exponent"],
-)
-def test_corrupt_fixture_gives_error_verdicts(corrupt, detail, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "B2.datum.json"
-    catalog.save_fixture(catalog.build_datum("B2"), path)
-    corrupt(path)
-    # an empty in-memory catalog, as in a new process, so the fixture is read
+def test_build_error_gives_error_verdicts(tmp_path, monkeypatch):
+    # an empty in-memory catalog, as in a new process, so the datum is built
     monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
+
+    def broken(tag, param):
+        raise RuntimeError(f"{tag}{param}: no datum")
+
+    monkeypatch.setattr(catalog, "_build_irreducible", broken)
     out = tmp_path / "b2.json"
-    argv = ["run", "--type", "B2", "--suite", "datum,saito", "--cache", str(cache),
-            "--out", str(out)]
-    assert main(argv) == 3
+    assert main(["run", "--type", "B2", "--suite", "datum,saito", "--out", str(out)]) == 3
     checks = json.loads(out.read_text())["checks"]
     assert [c["check"] for c in checks] == ["datum", "saito"]
-    assert all(c["verdict"] == "error" and c["detail"].startswith(detail) for c in checks)
-    assert all(not c["witnesses"] for c in checks)
-
-
-def test_corrupt_fixture_is_read_once_and_named(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "B2.datum.json"
-    _truncated(path)
-    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
-    reads = []
-    load = json.load
-
-    def counting_load(fh, **kw):
-        reads.append(fh.name)
-        return load(fh, **kw)
-
-    monkeypatch.setattr(json, "load", counting_load)
-    out = tmp_path / "b2.json"
-    argv = ["run", "--type", "B2", "--suite", "datum,saito,grc-A,grc-D", "--cache", str(cache),
-            "--out", str(out)]
-    assert main(argv) == 3
-    assert reads == [str(path)]
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["check"] for c in checks] == ["datum", "saito", "grc-A", "grc-D"]
     for c in checks:
         assert c["verdict"] == "error"
-        assert c["detail"].startswith("JSONDecodeError: ")
-        assert str(path) in c["detail"]
-
-
-def test_fixture_of_another_type_is_refused(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "B3.datum.json"
-    catalog.save_fixture(catalog.build_datum("A3"), path)
-    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
-    out = tmp_path / "b3.json"
-    argv = ["run", "--type", "B3", "--suite", "datum,grc-A", "--cache", str(cache),
-            "--out", str(out)]
-    assert main(argv) == 3
-    doc = json.loads(out.read_text())
-    assert doc["type"] == "B3"
-    assert [c["check"] for c in doc["checks"]] == ["datum", "grc-A"]
-    for c in doc["checks"]:
-        assert c["verdict"] == "error"
-        assert c["detail"].startswith("ValueError: fixture records type A3, not B3")
-        assert str(path) in c["detail"]
-
-
-def _tampered_constant(doc):
-    doc["jac_const"] = {"a": ["5", "1"]}
-
-
-def _tampered_invariant(doc):
-    # x1 x2^3 keeps the degree but is moved by the reflection x2 -> -x2
-    doc["invariants"][1]["terms"].append({"exp": [1, 3], "coeff": {"a": ["1", "1"]}})
-
-
-@pytest.mark.parametrize(
-    "tamper, detail",
-    [
-        (_tampered_constant, "ValueError: fixture field 'jac_const' differs"),
-        (_tampered_invariant, "RuntimeError: B2: candidate invariant not invariant"),
-    ],
-    ids=["jac-const", "invariant"],
-)
-def test_tampered_fixture_is_refused_on_load(tamper, detail, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "B2.datum.json"
-    catalog.save_fixture(catalog.build_datum("B2"), path)
-    doc = json.loads(path.read_text())
-    tamper(doc)
-    path.write_text(json.dumps(doc))
-    monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
-    out = tmp_path / "b2.json"
-    argv = ["run", "--type", "B2", "--suite", "datum", "--cache", str(cache), "--out", str(out)]
-    assert main(argv) == 3
-    (check,) = json.loads(out.read_text())["checks"]
-    assert check["verdict"] == "error"
-    assert check["detail"].startswith(detail)
-    assert str(path) in check["detail"]
-    assert not check["witnesses"]
+        assert c["detail"] == "RuntimeError: B2: no datum"
+        assert not c["witnesses"]
 
 
 def test_budget_steps_is_usage_error(capsys):
@@ -262,6 +142,17 @@ def test_budget_steps_is_usage_error(capsys):
         main(["run", "--type", "A2", "--suite", "datum", "--budget-steps", "5"])
     assert exc.value.code == 2
     assert "--budget-steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "--type", "A2", "--suite", "datum"], ["fixture", "--type", "A1"]],
+                         ids=["run", "fixture"])
+def test_cache_is_usage_error(argv, tmp_path, capsys):
+    # every datum is built: there is no fixture directory to read
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out"), "--cache", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _benchmark_workloads():

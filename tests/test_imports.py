@@ -14,7 +14,9 @@ the language calls them.
 
 Every field of a `@dataclass` in the package is read, as an attribute
 load, somewhere in the package or its tests, so that state nothing needs
-does not stay behind.
+does not stay behind.  Likewise every option a `cli` subparser declares is
+read as `args.<dest>` in `cli.py`, so that an option does not outlive its
+reader.
 
 No module writes into a polynomial's term view `.t`: it is built from the
 integer form on first read, so a write there would leave the two out of
@@ -152,6 +154,58 @@ def test_every_dataclass_field_is_read():
         if name not in read
     ]
     assert not unread, f"dataclass fields never read: {', '.join(unread)}"
+
+
+def option_dests(tree):
+    """(dest, line) for every `add_argument` call: its `dest` keyword, or
+    else its first long option (its first name if it has none) without the
+    leading dashes and with `-` read as `_`, as argparse derives it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr != "add_argument":
+                continue
+            dest = next((k.value.value for k in node.keywords if k.arg == "dest"), None)
+            if dest is None:
+                names = [a.value for a in node.args]
+                name = next((n for n in names if n.startswith("--")), names[0])
+                dest = name.lstrip("-").replace("-", "_")
+            yield dest, node.lineno
+
+
+def args_reads(tree):
+    """Every attribute loaded from a name `args`."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_cli_option_is_read():
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = args_reads(tree)
+    unread = [f"{dest} (line {line})" for dest, line in option_dests(tree) if dest not in read]
+    assert not unread, f"cli options never read: {', '.join(unread)}"
+
+
+def test_option_lint_sees_every_kind_of_declaration():
+    tree = ast.parse(
+        "p.add_argument('--type')\n"
+        "p.add_argument('--cache-dir', help='directory')\n"
+        "p.add_argument('report')\n"
+        "p.add_argument('-o', '--out-file')\n"
+        "p.add_argument('-s', dest='seed')\n"
+        "def cmd(args):\n"
+        "    args.type = args.out_file\n"
+        "    return args.report, args.seed\n"
+    )
+    read = args_reads(tree)
+    # a store into args.type is no read
+    assert sorted(d for d, _line in option_dests(tree) if d not in read) == ["cache_dir", "type"]
 
 
 # methods that change a dict in place

@@ -64,37 +64,6 @@ def test_discriminant_minor_ideal_dimension(ws):
     assert krull_dimension(t.all_minors()) == 1
 
 
-def test_datum_disk_cache(tmp_path, ws):
-    w1 = Workspace(cache_dir=str(tmp_path))
-    d1 = w1.datum("B2")
-    assert (tmp_path / "B2.datum.json").exists()
-    cat._DATUM_CACHE.pop("B2", None)
-    w2 = Workspace(cache_dir=str(tmp_path))
-    d2 = w2.datum("B2")
-    assert d2.delta == d1.delta
-    assert d2.invariants == d1.invariants
-    assert d2.group_order == 8
-    cat._DATUM_CACHE.pop("B2", None)
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)", "H3", "D4", "F4"],
-)
-def test_every_valid_fixture_loads_back(name, tmp_path, monkeypatch):
-    # over Q, Q(sqrt 2) and Q(sqrt 5): a fixture passes the certification
-    # a fresh build passes, and gives back the datum it records
-    datum = cat.build_datum(name)
-    cat.save_fixture(datum, tmp_path / f"{name}.datum.json")
-
-    def refuse(tag, param):
-        raise AssertionError("the datum was built, not read")
-
-    monkeypatch.setattr(cat, "_build_irreducible", refuse)
-    loaded = Workspace(cache_dir=str(tmp_path)).datum(name)
-    assert cat.datum_to_json(loaded) == cat.datum_to_json(datum)
-
-
 @pytest.mark.parametrize("name,factors", [("A2xA2", 1), ("B2xA2", 2)])
 def test_product_builds_each_factor_once(name, factors, monkeypatch):
     monkeypatch.setattr(cat, "_DATUM_CACHE", {})
@@ -107,26 +76,6 @@ def test_product_builds_each_factor_once(name, factors, monkeypatch):
     for suite in ("datum", "saito", "grc-A"):
         assert all(c.verdict == "pass" for c in w.run_suite(name, suite))
     assert len(built) == len(set(built)) == factors
-
-
-def test_product_under_cache_uses_the_factor_fixtures(tmp_path, monkeypatch):
-    monkeypatch.setattr(cat, "_DATUM_CACHE", {})
-    built_json = json.dumps(cat.datum_to_json(cat.build_datum("B2xA1")), sort_keys=True)
-    Workspace(cache_dir=str(tmp_path)).datum("B2xA1")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["A1.datum.json", "B2.datum.json"]
-    monkeypatch.setattr(cat, "_DATUM_CACHE", {})
-    built = []
-    real = cat._build_irreducible
-    monkeypatch.setattr(
-        cat, "_build_irreducible", lambda tag, param: built.append((tag, param)) or real(tag, param)
-    )
-    w = Workspace(cache_dir=str(tmp_path))
-    prod = w.datum("B2xA1")
-    for suite in ("datum", "saito", "grc-A"):
-        assert all(c.verdict == "pass" for c in w.run_suite("B2xA1", suite))
-    assert not built
-    assert all(part is w.datum(part.name) for part, _off in prod.factors)
-    assert json.dumps(cat.datum_to_json(prod), sort_keys=True) == built_json
 
 
 def test_report_round_trip(tmp_path, ws):
