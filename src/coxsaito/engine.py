@@ -36,8 +36,12 @@ The exact kernel (`echelon`, `reduce_row` and `back_substitute`) runs
 every other exact scalar elimination: solves, ranks and nullspaces.
 
 Buchberger's algorithm serves the reducedness test alone (through the
-dimension of the singular locus).  Its normal forms, and the univariate
-gcds of the codimension-two test, are all division by `Poly.reduce`.
+dimension of the singular locus).  The codimension-two test is a
+single one-sided search: a seeded plane cut, then pairs of random combinations
+of the cut generators, one of which certifies the claim once it cuts out
+finitely many points; a search that certifies nothing refutes nothing.
+Buchberger's normal forms, and the univariate gcds of the
+codimension-two test, are all division by `Poly.reduce`.
 """
 
 from __future__ import annotations
@@ -714,12 +718,9 @@ def groebner(gens):
     gens = [g for g in gens if g]
     if not gens:
         return []
-    ring = gens[0].ring
-    key = ring.term_key
-
     G = []
     sugars = []
-    for g in sorted(gens, key=lambda h: key(h.leading()[0])):
+    for g in sorted(gens, key=lambda h: max(h.num)):
         r = g.reduce(G)[1]
         if r:
             G.append(r.monic())
@@ -799,7 +800,7 @@ def groebner(gens):
         r = g.reduce(others)[1]
         if r:
             final.append(r.monic())
-    final.sort(key=lambda h: key(h.leading()[0]), reverse=True)
+    final.sort(key=lambda h: max(h.num), reverse=True)
     return final
 
 
@@ -887,46 +888,40 @@ def _pair_cuts_out_points(f, g):
 
 
 def codim_at_least_two(gens):
-    """Sound one-sided test that V(gens) has codimension >= 2.
+    """Sound one-sided test that V(gens) has codimension >= 2, for
+    (weighted) homogeneous generators, or any generators in two variables.
 
-    The variety is a (weighted) cone, so cutting with a linear 2-plane
-    through the origin can only drop the dimension by the cut codimension;
-    finiteness of the section is then certified by a coprime pair among
-    the restricted generators (trivial common content plus a constant gcd
-    at a point where a leading coefficient survives)."""
+    A nonzero constant generator certifies at once; in one variable there
+    is nothing else to decide, since a cone without one holds the origin.
+    Otherwise every component of the cone passes through the origin, so a
+    linear 2-plane through it cuts the dimension by at most the plane's
+    codimension, and finitely many points in the section certify the
+    claim.  Each attempt cuts with a seeded plane (a ring of two variables
+    is its own plane) and tests pairs of random combinations of the cut
+    generators, whose common points contain the section's, by
+    `_pair_cuts_out_points`.  Single generators often share factors
+    (mirrors inside minors); two random combinations of a finite section
+    cut out finitely many points off finitely many proper subspaces of
+    coefficients.  A plane map of rank below 2 never certifies: every
+    restriction is then zero or divisible by one linear form, which every
+    combination shares."""
     gens = [g for g in gens if g]
-    if not gens:
+    if any(g.is_constant() for g in gens):
+        return True
+    if not gens or gens[0].ring.n < 2:
         return False
     ring = gens[0].ring
-    n = ring.n
     rng = random.Random(1)
-    plane_ring = PolyRing(("u_", "v_"), d=ring.d)
-    for attempt in range(6):
-        if n > 2:
-            images = []
-            for _i in range(n):
-                a = rng.randint(-7, 7)
-                b = rng.randint(-7, 7)
-                images.append(plane_ring.linear_form([a, b]))
+    plane = PolyRing(("u_", "v_"), d=ring.d)
+    for _ in range(6):
+        if ring.n > 2:
+            images = [plane.linear_form([rng.randint(-7, 7), rng.randint(-7, 7)]) for _ in range(ring.n)]
             cut = [g.subst(images).primitive() for g in gens]
         else:
-            if attempt > 0:
-                break
             cut = [g.primitive() for g in gens]
-        cut = [g for g in cut if g]
-        cut.sort(key=lambda h: len(h.num))
-        for i in range(len(cut)):
-            for j in range(i + 1, min(len(cut), i + 4)):
-                if _pair_cuts_out_points(cut[i], cut[j]):
-                    return True
-        # individual generators may share factors (mirrors inside minors);
-        # two random combinations behave like a regular sequence
+        zero = cut[0].ring.zero()
         for _ in range(4):
-            f = plane_ring.zero() if n > 2 else ring.zero()
-            g = f
-            for c in cut:
-                f = f + c.scale(rng.randint(-5, 5))
-                g = g + c.scale(rng.randint(-5, 5))
+            f, g = (sum((c.scale(rng.randint(-5, 5)) for c in cut), zero) for _ in range(2))
             if f and g and _pair_cuts_out_points(f.primitive(), g.primitive()):
                 return True
     return False
@@ -946,7 +941,9 @@ def squarefree_test(f):
 
 
 def _gcd(a, b):
-    """A gcd of two univariate polynomials, by Euclid's algorithm."""
+    """A gcd of two univariate polynomials, by Euclid's algorithm; each
+    remainder is taken primitive, a nonzero multiple, so that its
+    coefficients do not grow."""
     while b:
-        a, b = b, a.reduce([b])[1]
+        a, b = b, a.reduce([b])[1].primitive()
     return a

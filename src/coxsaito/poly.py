@@ -48,20 +48,6 @@ from .scalars import Quad, coerce, integer_parts, parts_from_json
 FIELD_BITS = 16  # width of each packed key field
 
 
-def grevlex_key(exp):
-    """Sort key; max() of these over a support picks the grevlex leading term."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-def wgrevlex_key(weights):
-    """Weighted-degree-first variant for weighted rings."""
-
-    def key(exp):
-        return (sum(w * e for w, e in zip(weights, exp)), grevlex_key(exp))
-
-    return key
-
-
 @cache
 def _packing(weights):
     """(units, limit, field struct) of the keys of the rings with these
@@ -80,7 +66,7 @@ class PolyRing:
     """Shared context: variable names, coefficient field, grading weights,
     and the packing of exponent vectors into keys."""
 
-    __slots__ = ("names", "n", "d", "weights", "_mons", "_key", "units", "_limit", "_fields")
+    __slots__ = ("names", "n", "d", "weights", "_mons", "units", "_limit", "_fields")
 
     def __init__(self, names, d=None, weights=None):
         self.names = tuple(names)
@@ -92,10 +78,6 @@ class PolyRing:
         if not all(type(w) is int and w > 0 for w in self.weights):
             raise ValueError("grading weights must be positive integers")
         self._mons = {}
-        if all(w == 1 for w in self.weights):
-            self._key = grevlex_key
-        else:
-            self._key = wgrevlex_key(self.weights)
         self.units, self._limit, self._fields = _packing(self.weights)
 
     def __eq__(self, other):
@@ -112,9 +94,6 @@ class PolyRing:
     def __repr__(self):
         field = "Q" if self.d is None else f"Q(sqrt{self.d})"
         return f"PolyRing({','.join(self.names)}; {field})"
-
-    def term_key(self, exp):
-        return self._key(exp)
 
     # -- packed keys ------------------------------------------------------
 

@@ -23,6 +23,14 @@ def is_invariant(datum, f):
     return all(s(f) == f for s in reflections(datum))
 
 
+def term_key(ring, exp):
+    """Sort key of the ring's term order, written out on exponent vectors:
+    weighted degree, then degree, then reverse lexicographic (the larger
+    last exponent is the smaller term); max() over a support picks the
+    leading term."""
+    return (sum(w * e for w, e in zip(ring.weights, exp)), sum(exp), tuple(-e for e in reversed(exp)))
+
+
 def _mat_vec(mat, vec, zero):
     return [sum((mat[i][j] * vec[j] for j in range(len(vec))), zero) for i in range(len(mat))]
 

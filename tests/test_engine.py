@@ -250,6 +250,42 @@ def test_pair_sharing_a_curve_is_never_cut_to_points(d, seed):
     assert eng._pair_cuts_out_points(u * u - v, v * v - u.scale(2) + shift)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 5]), st.sampled_from([2, 3]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_generators_sharing_a_factor_are_never_certified(d, n, k, seed):
+    # k generators h f_i share the hypersurface h = 0, of codimension 1, so
+    # no plane cut and no combination may certify them.  In three variables
+    # the cut is sound for cones, so there every polynomial is homogeneous;
+    # in two the ring is its own plane and any polynomials will do.  With a
+    # nonzero constant added the ideal is the unit ideal, which is certified
+    rng = random.Random(seed)
+    ring = PolyRing(("u", "v", "w")[:n], d=d)
+
+    def coeff():
+        a = rng.randint(-4, 4)
+        return ring.coeff(a if d is None else Quad(a, rng.randint(-2, 2), d))
+
+    def poly(low, high):
+        degrees = [high] if n == 3 else range(low, high + 1)
+        return ring.from_dict({e: coeff() for k in degrees for e in ring.monomials(k)})
+
+    h = poly(0, rng.randint(1, 2))
+    if h.is_constant():
+        h = h + ring.gen(rng.randrange(n))
+    gens = [h * poly(0, rng.randint(0, 2)) for _ in range(k)]
+    assert not codim_at_least_two(gens)
+    gens.insert(rng.randint(0, k), ring.one().scale(coeff() or ring.coeff(1)))
+    assert codim_at_least_two(gens)
+
+
+def test_codim_in_one_variable_is_decided_exactly():
+    r1 = PolyRing(("x",))
+    (x,) = r1.gens()
+    assert not codim_at_least_two([x])
+    assert not codim_at_least_two([x * x, x.scale(3)])
+    assert codim_at_least_two([x, r1.one()])
+
+
 def test_squarefree(ring):
     x, y = ring.gens()
     assert not squarefree_test(x * x)

@@ -133,6 +133,13 @@ def test_distinguished_monomials():
         assert cert.verdict == "pass", (name, cert.detail)
 
 
+@pytest.mark.parametrize("name", ["D5", "B5", "A5"])
+def test_distinguished_monomials_past_rank_four(name):
+    sd = Workspace().saito(name)
+    cert = check_distinguished_monomials(normalize_linear_part(sd))
+    assert cert.verdict == "pass", cert.detail
+
+
 def test_b3_published_fixture():
     d, sd, tD, cache = setup("B3")
     cert = check_b3_fixture(tD)
@@ -201,3 +208,13 @@ def test_adjoint_reducedness_is_tested_once_per_type(monkeypatch):
     assert all(c.verdict == "pass" for c in certs)
     table = ws.minor_table("A3", DISCRIMINANT)
     assert tested == [corner_minor(table), table.saito.disc]
+
+
+def test_inconclusive_codim_two_is_an_error(monkeypatch):
+    # a search that does not certify disc and adjoint free of a common
+    # component refutes nothing, so free-divisor-sum ends in an error
+    monkeypatch.setattr(freediv, "codim_at_least_two", lambda gens: False)
+    certs = {c.name: c for c in Workspace().run_suite("A2", "freediv")}
+    cert = certs["free-divisor-sum"]
+    assert cert.verdict == "error"
+    assert cert.detail.startswith("EngineError: ") and "inconclusive" in cert.detail

@@ -1,5 +1,6 @@
 import pytest
 
+import coxsaito.rankcond as rankcond
 from coxsaito.catalog import build_datum
 from coxsaito.engine import NonMembership, Witness, graded_membership
 from coxsaito.rankcond import (
@@ -12,6 +13,7 @@ from coxsaito.rankcond import (
     equivalence_probe,
 )
 from coxsaito.saito import build_saito
+from coxsaito.workspace import Workspace
 
 
 _CACHE = {}
@@ -163,3 +165,12 @@ def test_equivalence_probe():
     fake_fail = Certificate(name="grc-A", ctype="A2", verdict="fail")
     probe2 = equivalence_probe(hrc, drc, fake_fail, "A2")
     assert probe2.verdict == "fail"
+
+
+def test_inconclusive_codim_two_is_an_error(monkeypatch):
+    # the codimension-two test is one-sided: a search that certifies
+    # nothing refutes nothing, so the suite ends in an error, not a fail
+    monkeypatch.setattr(rankcond, "codim_at_least_two", lambda gens: False)
+    [cert] = Workspace().run_suite("A2", "grc-A")
+    assert cert.verdict == "error"
+    assert cert.detail.startswith("EngineError: ") and "inconclusive" in cert.detail
