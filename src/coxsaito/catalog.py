@@ -464,6 +464,14 @@ def parse_type(name):
             factors.append(("F", 4))
         else:
             raise UnsupportedTypeError(f"unsupported Coxeter type {part!r}")
+    # a product is realized over one field: Q, or a single Q(sqrt d)
+    fields = {5 if tag == "H" else _DIHEDRAL_FIELD[k] if tag == "I2" else None for tag, k in factors}
+    fields.discard(None)
+    if len(fields) > 1:
+        raise UnsupportedTypeError(
+            "product mixes incompatible quadratic fields "
+            + " and ".join(f"Q(sqrt {d})" for d in sorted(fields))
+        )
     return factors
 
 
@@ -535,11 +543,9 @@ def _build_irreducible(tag, param):
 def build_product(parts):
     """The product datum of the factor datums parts, which it holds as its
     factors."""
-    fields = {p.ring.d for p in parts} - {None}
-    if len(fields) > 1:
-        raise UnsupportedTypeError("product mixes incompatible quadratic fields")
     rank = sum(p.rank for p in parts)
-    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=next(iter(fields), None))
+    d = next((p.ring.d for p in parts if p.ring.d), None)  # parse_type allows one field
+    ring = PolyRing([f"x{i+1}" for i in range(rank)], d=d)
     zero = ring.coeff(0)
 
     gram = []

@@ -195,8 +195,6 @@ def verify_payload_item(item):
         quotient = Poly.from_json(item["quotient"], ring)
         return f == quotient * divisor
     if kind == "zero_combo":
-        if not item["terms"]:
-            return True
         ring = _ring_of(item["terms"][0][0])
         pairs = [(Poly.from_json(a, ring), Poly.from_json(b, ring)) for a, b in item["terms"]]
         return not dot(pairs, ring)

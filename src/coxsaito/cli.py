@@ -55,10 +55,8 @@ def required_tier(name, suite):
         return "long"
     if name == "F4":
         return "long" if suite in _F4_LONG_SUITES else "stretch"
-    if name in ("A5", "H4"):
-        return "stretch"
-    # small ranks not listed explicitly run at the fast tier
-    return "fast"
+    # A5, H4 and every type not listed above, all of rank 5 or more
+    return "stretch"
 
 
 def cmd_run(args):

@@ -7,14 +7,17 @@ order (the order of the packed keys), so a separating functional does not
 depend on the order in which terms were stored.  Each column is a
 generator times a cofactor monomial, read straight off the generator's
 integer form: its numerators, under keys shifted by the monomial's key,
-over its denominator.  Every such system, over Q or Q(sqrt d), is solved
-first by one elimination modulo a word-size prime (once per embedding of
-sqrt d, and over Q when no entry has a surd part) and p-adic lifting
-with rational reconstruction (Dixon); a target a prime finds
-inconsistent gets its separating functional the same way, from the
-transposed system, whose equations are the columns times their
-denominators, lifted from that prime on.  The modular kernel
-(`_rref_mod`) eliminates forward only, on the columns right of each
+over its denominator.  The system has one sparse form, built once: a
+(row, column, numerator) triple per nonzero entry and one denominator
+per column, the targets' columns after the unknowns'.  Every such
+system, over Q or Q(sqrt d), is solved by one elimination modulo a
+word-size prime (once per embedding of sqrt d, and over Q when no entry
+has a surd part) and p-adic lifting with rational reconstruction
+(Dixon); for a target a prime finds inconsistent, `_modular_solve`
+forms the transposed system from the same triples (row and column
+swapped, the target's equation asking for its denominator) and lifts its
+separating functional the same way, from that prime on.  The modular
+kernel (`_rref_mod`) eliminates forward only, on the columns right of each
 pivot's, reduces mod p only once every 2^62 // p^2 updates (int64
 cannot overflow in between), back-substitutes on the right-hand sides
 alone, and leaves in the pivot columns the LU factors of the pivot rows
@@ -389,14 +392,16 @@ def _solve_mod(F, X, p):
     return X
 
 
-def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
+def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=0):
     """Solve for several right-hand sides by one elimination modulo a
     word-size prime and p-adic lifting (Dixon's method).
 
-    cols (one per unknown) and targets are integer sparse vectors (D,
-    {row: numerator}), each entry the numerator over D (an int over Q, the
-    pair (A, B) over Q(sqrt d)).  The first prime eliminates the
-    numerators once per embedding, with every right-hand side
+    The system is one sparse integer form: entries holds a (row, column,
+    numerator) triple for each nonzero entry, an int over Q and the pair
+    (A, B) over Q(sqrt d); the columns are the nun unknowns, then the
+    right-hand sides, and dens holds one positive denominator per column,
+    under which each of its numerators stands.  The first prime eliminates
+    the numerators once per embedding, with every right-hand side
     (`_rref_mod`); its pivots select the nonsingular rank x rank
     subsystem A_RC, whose LU factors the kernel leaves.  Its values of the
     pivot unknowns are the first p-adic digits y_0 of the solution x of
@@ -420,11 +425,18 @@ def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
     the digits converge to the rational solution x, which reconstructs
     once the modulus passes four times the square of its largest numerator
     or denominator, and is then accepted or rejected twice in a row.
-    Primes are tried from the one numbered first.  A target that prime
-    number i finds inconsistent (in its first embedding) goes to refute(t,
-    i), for its answer or None, and if unsettled on to the next prime; with
-    no refute, it is left unsettled.  Returns (answers, inconsistent): the
-    answers, None where there was none, and the targets left inconsistent.
+    Primes are tried from the one numbered first.  A target t that prime
+    number i finds inconsistent (in its first embedding) has its transposed
+    system solved, from prime i on, when a functional callback is given:
+    one unknown per row; one equation per unknown column, its numerators
+    paired to 0 (the column's denominator is a common factor), and one for
+    the target, its numerators paired to its denominator; all with
+    denominator 1.  That solve's candidates go to functional(t, den, nums),
+    which returns the answer built from them (a separating functional) once
+    it checks exactly and raises EngineError otherwise; a target it leaves
+    unsettled goes on to the next prime.  With no functional, such a target
+    is left unsettled.  Returns (answers, inconsistent): the answers, None
+    where there was none, and the targets left inconsistent.
 
     A candidate rejected twice in a row with the same value means the
     subsystem is the wrong one (the prime was unlucky, or the target is
@@ -439,22 +451,12 @@ def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
     first prime whose subsystem still has a solution of the whole system
     gives that solution, verified but on other pivots than the exact
     kernel's."""
-    nun, nrhs = len(cols), len(targets)
-    # (row, column) of each nonzero entry, its rational and surd parts, and
-    # the scale D of each column
-    rows, where, rat, surd, scales = [], [], [], [], []
-    for j, (den, vec) in enumerate(cols + targets):
-        rows += vec
-        where += [j] * len(vec)
-        scales.append(den)
-        if d is None:
-            rat += vec.values()
-        elif vec:
-            a, b = zip(*vec.values())
-            rat += a
-            surd += b
-    quad = any(surd)
-    parts = [rat, surd] if quad else [rat]
+    nrhs = len(dens) - nun
+    rows, where, values = zip(*entries) if entries else ((), (), ())
+    # the rational parts of the numerators, then their surd parts if any
+    parts = [values] if d is None else [[a for a, _ in values], [b for _, b in values]]
+    quad = d is not None and any(parts[1])
+    parts = parts[:1 + quad]
     try:
         ent = np.array(parts, dtype=np.int64)
     except OverflowError:
@@ -512,10 +514,16 @@ def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
             pattern, inconsistent = pat, set()
         bad = set(np.flatnonzero(M[rank:, nun:].any(axis=0)).tolist())
         for t in sorted(bad):
-            if refute is None:
+            if functional is None:
                 inconsistent.add(t)
             elif answers[t] is None:
-                answers[t] = refute(t, i)
+                # the target's column becomes equation nun, asking for its denominator
+                transposed = [(min(c, nun), r, x) for r, c, x in entries if c < nun or c == nun + t]
+                transposed.append((nun, nrows, dens[nun + t] if d is None else (dens[nun + t], 0)))
+                answers[t] = _modular_solve(
+                    transposed, [1] * (nrows + 1), nrows, nun + 1, d,
+                    lambda _, den, nums: functional(t, den, nums), first=i,
+                )[0][0]
         active = [t for t in range(nrhs) if answers[t] is None and t not in inconsistent | bad]
         if not active:
             continue
@@ -566,14 +574,14 @@ def _modular_solve(cols, targets, nrows, d, accept, refute=None, first=0):
                     last[t] = cand
                     # undo the column scaling: x_c = y_c * scale_c / scale_t
                     den = lcm(*(q.denominator for _, v in cand for q in v))
-                    nums = {c: tuple(q.numerator * (den // q.denominator) * scales[c] for q in v)
+                    nums = {c: tuple(q.numerator * (den // q.denominator) * dens[c] for q in v)
                             for c, v in cand}
                     if d is None:
                         nums = {c: a for c, (a,) in nums.items()}
                     elif not quad:
                         nums = {c: (a, 0) for c, (a,) in nums.items()}
                     try:
-                        answers[t] = accept(t, den * scales[nun + t], nums)
+                        answers[t] = accept(t, den * dens[nun + t], nums)
                         active.remove(t)
                     except EngineError:
                         pass  # a wrong reconstruction: lift further
@@ -628,20 +636,17 @@ def graded_membership_batch(targets, gens):
         one = ring.coeff(1)
         return [NonMembership(t, [], ring.from_dict({t.leading()[0]: one})) for t in targets]
 
-    # one column (unknown) per generator times cofactor monomial; one row
-    # per monomial of degree dt in the support, numbered in term order so
-    # that the system does not depend on the order terms were stored in.
-    # Each column is its generator's integer form, shifted.
+    # one column (unknown) per generator times cofactor monomial, then one
+    # per target; one row per monomial of degree dt in the support, numbered
+    # in term order so that the system does not depend on the order terms
+    # were stored in.  Each column is its polynomial's integer form (a
+    # generator's shifted), as triples over the polynomial's denominator.
     cols = [(i, mu) for i, dg in enumerate(gdegs) for mu in ring.monomials(dt - dg)]
     shifts = [ring.pack(mu) for _, mu in cols]
-    support = set().union(*(t.num for t in targets))
-    for (i, _), s in zip(cols, shifts):
-        support.update(k + s for k in gens[i].num)
-    monos = sorted(support, reverse=True)
+    polys = [(gens[i], s) for (i, _), s in zip(cols, shifts)] + [(t, 0) for t in targets]
+    monos = sorted({k + s for f, s in polys for k in f.num}, reverse=True)
     row_index = {k: r for r, k in enumerate(monos)}
-    target_vecs = [(t.den, {row_index[k]: x for k, x in t.num.items()}) for t in targets]
-    col_vecs = [(gens[i].den, {row_index[k + s]: x for k, x in gens[i].num.items()})
-                for (i, _), s in zip(cols, shifts)]
+    entries = [(row_index[k + s], j, x) for j, (f, s) in enumerate(polys) for k, x in f.num.items()]
 
     def witness(t, den, nums):
         # cofactor i holds the numerators of its columns under their shifts
@@ -650,51 +655,16 @@ def graded_membership_batch(targets, gens):
             cof_nums[cols[j][0]][shifts[j]] = x
         return Witness(targets[t], gens, [_reduced(ring, den, c) for c in cof_nums])
 
-    def refute(t, i):
-        return _modular_functional(targets[t], gens, col_vecs, target_vecs[t], monos, i)
+    def functional(t, den, nums):
+        # the functional's numerators, one per row, on that row's monomial
+        values = _reduced(ring, den, {monos[u]: x for u, x in nums.items()})
+        return NonMembership(targets[t], gens, values)
 
-    results, _ = _modular_solve(col_vecs, target_vecs, len(monos), ring.d, witness, refute)
+    results, _ = _modular_solve(entries, [f.den for f, _ in polys], len(cols), len(monos), ring.d,
+                                witness, functional)
     if any(r is None for r in results):
         raise EngineError("no prime settles the membership system")
     return results
-
-
-def _transpose(vecs, nrows):
-    """The rows of the matrix whose columns are the sparse vectors vecs."""
-    rows = [dict() for _ in range(nrows)]
-    for j, vec in enumerate(vecs):
-        for r, c in vec.items():
-            rows[r][j] = c
-    return rows
-
-
-def _functional(target, gens, monos, den, nums):
-    """The functional with numerators nums (unknown -> numerator) over den
-    on the monomials monos, verified."""
-    functional = _reduced(target.ring, den, {monos[u]: x for u, x in nums.items()})
-    return NonMembership(target, gens, functional)
-
-
-def _modular_functional(target, gens, col_vecs, tvec, monos, first):
-    """A separating functional found modulo the primes numbered first and
-    on, or None once one of them finds none.  The system is
-    the transpose of the membership one: one unknown per monomial, every
-    column paired to 0 and the target paired to 1.  Each of its equations
-    is a column of the membership system times that column's denominator,
-    so its entries are the numerators and the target's equation asks for
-    its denominator."""
-    m = len(col_vecs)
-    den, _ = tvec
-    d = target.ring.d
-    rows = _transpose([vec for _, vec in col_vecs + [tvec]], len(monos))
-    return _modular_solve(
-        [(1, row) for row in rows],
-        [(1, {m: den if d is None else (den, 0)})],
-        m + 1,
-        d,
-        lambda _, den, nums: _functional(target, gens, monos, den, nums),
-        first=first,
-    )[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +885,10 @@ def codim_at_least_two(gens):
     plane = PolyRing(("u_", "v_"), d=ring.d)
     for _ in range(6):
         if ring.n > 2:
-            images = [plane.linear_form([rng.randint(-7, 7), rng.randint(-7, 7)]) for _ in range(ring.n)]
+            # a wide range keeps the planes off the arrangement's flats: each
+            # of six planes drawn from [-7, 7] met B5's minor ideal in a line
+            images = [plane.linear_form([rng.randint(-100, 100) for _ in range(2)])
+                      for _ in range(ring.n)]
             cut = [g.subst(images).primitive() for g in gens]
         else:
             cut = [g.primitive() for g in gens]

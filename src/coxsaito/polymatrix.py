@@ -33,40 +33,20 @@ class PolyMatrix:
         i, j = ij
         return self.e[i][j]
 
-    def row(self, i):
-        return list(self.e[i])
-
     def col(self, j):
         return [self.e[i][j] for i in range(self.m)]
 
     def transpose(self):
         return PolyMatrix(self.ring, [[self.e[i][j] for i in range(self.m)] for j in range(self.n)])
 
-    def __add__(self, other):
-        return PolyMatrix(
-            self.ring,
-            [[self.e[i][j] + other.e[i][j] for j in range(self.n)] for i in range(self.m)],
-        )
-
-    def __sub__(self, other):
-        return PolyMatrix(
-            self.ring,
-            [[self.e[i][j] - other.e[i][j] for j in range(self.n)] for i in range(self.m)],
-        )
-
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.n != other.m:
-                raise ValueError("matrix shape mismatch")
-            cols = [other.col(j) for j in range(other.n)]
-            return PolyMatrix(
-                self.ring,
-                [[dot(zip(row, col), self.ring) for col in cols] for row in self.e],
-            )
-        return self.scale(other)
-
-    def scale(self, c):
-        return PolyMatrix(self.ring, [[p * c for p in row] for row in self.e])
+        if self.n != other.m:
+            raise ValueError("matrix shape mismatch")
+        cols = [other.col(j) for j in range(other.n)]
+        return PolyMatrix(
+            self.ring,
+            [[dot(zip(row, col), self.ring) for col in cols] for row in self.e],
+        )
 
     def mul_vec(self, vec):
         if len(vec) != self.n:

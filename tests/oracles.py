@@ -6,7 +6,7 @@ import numpy as np
 
 from coxsaito.catalog import _linear_map, _reflection_matrix
 from coxsaito.engine import solve_linear
-from coxsaito.scalars import Quad, scalar_to_json
+from coxsaito.scalars import Quad, integer_parts, scalar_to_json
 
 
 def reflections(datum):
@@ -98,6 +98,20 @@ def scalars(vec, d):
     if d is None:
         return {k: Fraction(x, den) for k, x in nums.items()}
     return {k: Quad(Fraction(a, den), Fraction(b, den), d) for k, (a, b) in nums.items()}
+
+
+def integer_system(cols, targets, d):
+    """The sparse integer form that `engine._modular_solve` takes, of the
+    system whose columns are the scalar sparse vectors cols (dicts row ->
+    scalar) and whose right-hand sides are targets: (entries, dens, nun),
+    a (row, column, numerator) triple per entry, one denominator per
+    column, unknowns first, and the number of unknowns."""
+    entries, dens = [], []
+    for j, vec in enumerate(cols + targets):
+        den, nums = integer_parts(vec, d)
+        entries += [(r, j, x) for r, x in nums.items()]
+        dens.append(den)
+    return entries, dens, len(cols)
 
 
 def exact_membership(target, gens):

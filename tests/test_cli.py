@@ -30,6 +30,10 @@ def test_required_tiers():
     assert required_tier("F4", "freediv") == "stretch"
     assert required_tier("F4", "lift") == "stretch"
     assert required_tier("H4", "datum") == "stretch"
+    # every type the table leaves out has rank 5 or more
+    assert required_tier("A6", "datum") == "stretch"
+    assert required_tier("B5", "grc-A") == "stretch"
+    assert required_tier("D5", "freediv") == "stretch"
     assert required_tier("B2xA1", "datum") == "fast"
 
 
@@ -62,7 +66,7 @@ def test_unsupported_type_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command, method", [("run", "run_suite"), ("fixture", "emit_fixtures")])
-@pytest.mark.parametrize("name", ["I2(7)", "I2(2)", "A1xI2(9)"])
+@pytest.mark.parametrize("name", ["I2(7)", "I2(2)", "A1xI2(9)", "I2(5)xI2(8)"])
 def test_unsupported_dihedral_order_is_usage_error(command, method, name, tmp_path, monkeypatch,
                                                    capsys):
     _refuse(monkeypatch, method)
@@ -262,6 +266,8 @@ _MUTATIONS = {
     "zero-denominator": lambda doc: _cofactor(doc)["terms"][0]["coeff"].update(a=["1", "0"]),
     "empty-det-matrix": lambda doc: _item(doc, "det_eq")["matrix"].update(entries=[]),
     "empty-zero-combo-pair": lambda doc: _item(doc, "zero_combo")["terms"].__setitem__(0, []),
+    # an identity with no terms claims nothing: it verified with exit 0
+    "zero-combo-no-terms": lambda doc: _item(doc, "zero_combo").update(terms=[]),
     "negative-exponent": lambda doc: _first_exp(doc).__setitem__(0, -1),
     "short-exponent": lambda doc: _first_exp(doc).__delitem__(-1),
     # past the width of a packed key field

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import exact_membership, reference_rref_mod, scalars
+from oracles import exact_membership, integer_system, reference_rref_mod, scalars
 
 import coxsaito.engine as eng
 from coxsaito.algebra import _nullspace
@@ -383,9 +383,7 @@ def test_elimination_kernel_properties(system):
                 raise EngineError("not a solution")
         return cand
 
-    cols = [integer_parts(v, d) for v in cols]
-    tvecs = [integer_parts(v, d) for v in tvecs]
-    answers, _ = eng._modular_solve(cols, tvecs, len(A), d, accept)
+    answers, _ = eng._modular_solve(*integer_system(cols, tvecs, d), len(A), d, accept)
     assert answers == solutions
 
 
@@ -463,15 +461,15 @@ def test_witness_from_integers_matches_one_from_scalars(monkeypatch):
         den, nums = integer_parts({j: v for j, v in values.items() if v}, d)
         six = {j: 6 * n if d is None else (6 * n[0], 6 * n[1]) for j, n in nums.items()}
         monkeypatch.setattr(eng, "_modular_solve",
-                            lambda cols, tvecs, nrows, d_, accept, *rest: ([accept(0, 6 * den, six)], set()))
+                            lambda entries, dens, nun, nrows, d_, accept, *rest: ([accept(0, 6 * den, six)], set()))
         (got,) = graded_membership_batch([target], gens)
         by_scalars = [qring.from_dict({mu: values[j] for j, (i, mu) in enumerate(unknowns) if i == k})
                       for k in range(2)]
         assert got.cofactors == by_scalars == cofactors
 
 
-def _settle_nothing(cols, targets, *args):
-    return [None] * len(targets), set()
+def _settle_nothing(entries, dens, nun, *args):
+    return [None] * (len(dens) - nun), set()
 
 
 def test_modular_path_matches_exact(ring):
@@ -519,16 +517,23 @@ def test_wrong_modular_candidates_raise_engine_error(ring, monkeypatch):
     qtarget, qgens = _quad_nonmember()
     offered = []
 
-    def wrong(cols, tvecs, nrows, d, accept, refute=None, first=0):
+    def offer(accept, t, d):
+        offered.append(t)
+        with pytest.raises(EngineError):
+            accept(t, 1, {0: 7 if d is None else (7, 1)})
+
+    def wrong(entries, dens, nun, nrows, d, accept, functional=None, first=0):
         # offer a wrong candidate for every target and call every target
-        # inconsistent, so the functional path is offered wrong ones too
-        for t in range(len(tvecs)):
-            offered.append(t)
-            with pytest.raises(EngineError):
-                accept(t, 1, {0: 7 if d is None else (7, 1)})
-        if refute is None:
-            return [None] * len(tvecs), set(range(len(tvecs)))
-        return [refute(t, first) for t in range(len(tvecs))], set()
+        # inconsistent, so the functional path is offered wrong ones too:
+        # each target's transposed system has one target, numbered 0
+        nrhs = len(dens) - nun
+        for t in range(nrhs):
+            offer(accept, t, d)
+        if functional is None:
+            return [None] * nrhs, set(range(nrhs))
+        for t in range(nrhs):
+            offer(lambda _, den, nums: functional(t, den, nums), 0, d)
+        return [None] * nrhs, set()
 
     monkeypatch.setattr(eng, "_modular_solve", wrong)
     with pytest.raises(EngineError):
@@ -567,9 +572,7 @@ def test_modular_solve_skips_unlucky_prime():
                 raise EngineError("not a solution")
         return sol
 
-    int_cols = [integer_parts(v, None) for v in cols]
-    int_targets = [integer_parts(v, None) for v in targets]
-    answers, inconsistent = eng._modular_solve(int_cols, int_targets, 2, None, accept)
+    answers, inconsistent = eng._modular_solve(*integer_system(cols, targets, None), 2, None, accept)
     assert answers == [{0: one, 1: one}]
     assert not inconsistent
 
@@ -595,15 +598,16 @@ def test_modular_solve_moves_past_a_stable_wrong_candidate():
     # Over Q(sqrt 5) the same happens at the first prime where 5 is a square
     for d in (None, 5):
         p0 = eng._primes_for(d)[0][0]
-        cols = [(1, {0: 1 if d is None else (1, 0)})]
-        targets = [(1, {0: 1 if d is None else (1, 1), 1: p0 if d is None else (p0, 0)})]
+        one = Fraction(1) if d is None else Quad(1, 0, d)
+        cols = [{0: one}]
+        targets = [{0: one if d is None else Quad(1, 1, d), 1: p0 * one}]
         offered = []
 
         def accept(t, den, nums):
             offered.append((den, nums))
             raise EngineError("not a solution")
 
-        answers, inconsistent = eng._modular_solve(cols, targets, 2, d, accept)
+        answers, inconsistent = eng._modular_solve(*integer_system(cols, targets, d), 2, d, accept)
         assert answers == [None] and inconsistent == {0}
         assert offered == [(1, {0: 1 if d is None else (1, 1)})]
 
@@ -673,9 +677,9 @@ def test_lifting_matches_the_exact_kernel(system):
                 raise EngineError("not a solution")
         return cand
 
-    cols = [integer_parts({i: row[j] for i, row in enumerate(A) if row[j]}, d) for j in range(n)]
-    tvecs = [integer_parts({i: rhs[t] for i, rhs in enumerate(B) if rhs[t]}, d) for t in range(nrhs)]
-    answers, inconsistent = eng._modular_solve(cols, tvecs, len(A), d, accept)
+    cols = [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(n)]
+    tvecs = [{i: rhs[t] for i, rhs in enumerate(B) if rhs[t]} for t in range(nrhs)]
+    answers, inconsistent = eng._modular_solve(*integer_system(cols, tvecs, d), len(A), d, accept)
     assert answers == solutions
     assert inconsistent == {t for t, sol in enumerate(solutions) if sol is None}
 
@@ -693,10 +697,10 @@ def test_one_elimination_per_embedding_per_system(monkeypatch):
         calls.append(args[0].shape)
         return rref(*args)
 
-    def counting_solve(cols, targets, nrows, d, accept, *rest, **kw):
-        quad = d is not None and any(b for _, vec in cols + targets for _, b in vec.values())
+    def counting_solve(entries, dens, nun, nrows, d, *rest, **kw):
+        quad = d is not None and any(x[1] for _, _, x in entries)
         expected.append(2 if quad else 1)
-        return solve(cols, targets, nrows, d, accept, *rest, **kw)
+        return solve(entries, dens, nun, nrows, d, *rest, **kw)
 
     monkeypatch.setattr(eng, "_rref_mod", counting_rref)
     monkeypatch.setattr(eng, "_modular_solve", counting_solve)

@@ -167,6 +167,13 @@ def test_equivalence_probe():
     assert probe2.verdict == "fail"
 
 
+def test_b5_minor_ideal_has_codim_two():
+    # the plane cuts are drawn from a range wide enough that one of them
+    # meets B5's arrangement-side minor ideal in finitely many points
+    [cert] = Workspace().run_suite("B5", "grc-A")
+    assert cert.verdict == "pass"
+
+
 def test_inconclusive_codim_two_is_an_error(monkeypatch):
     # the codimension-two test is one-sided: a search that certifies
     # nothing refutes nothing, so the suite ends in an error, not a fail
