@@ -118,16 +118,16 @@ def verify_generators(table):
     return run_check(name, table.datum.name, body)
 
 
-def build_mul_table(table, mtD=None, cache=None):
+def build_mul_table(table, mtD=None):
     """Structure constants h_i h_j = sum_k c^k_ij h_k modulo the defining
     equation.
 
     On the discriminant side they are solved by graded membership, one
     graded solve per degree class.  On the arrangement side they are pulled
-    back through cache from the discriminant-side table mtD: the two
-    generator systems agree in the fraction ring, so the pulled-back
-    constants satisfy the same congruences, certified here by exact
-    division rather than by a solve.
+    back from the discriminant-side table mtD through the type's pullback
+    map `SaitoData.pull`: the two generator systems agree in the fraction
+    ring, so the pulled-back constants satisfy the same congruences,
+    certified here by exact division rather than by a solve.
     """
     l = table.rank
     ring = table.defining.ring
@@ -139,7 +139,7 @@ def build_mul_table(table, mtD=None, cache=None):
         row[j] = ring.one()
         constants[l - 1][j] = constants[j][l - 1] = row
     if table.side == ARRANGEMENT:
-        found = _pulled_back_constants(table, nums, mtD, cache)
+        found = _pulled_back_constants(table, nums, mtD)
     else:
         found = _solved_constants(table, nums)
     for (i, j), cs in found:
@@ -164,7 +164,7 @@ def _solved_constants(table, nums):
         yield pairs[k], w.cofactors[:l]
 
 
-def _pulled_back_constants(table, nums, mtD, cache):
+def _pulled_back_constants(table, nums, mtD):
     """Yields the discriminant-side constants pulled back to the
     arrangement side.  For each pair the congruence
     n_i n_j = sum_k (C^k o p) n_k n + q delta is certified by exact
@@ -173,11 +173,12 @@ def _pulled_back_constants(table, nums, mtD, cache):
     l = table.rank
     delta = table.defining
     ring = delta.ring
+    pull = table.saito.pull
     den = nums[l - 1]
     neg = [-(nums[k] * den) for k in range(l)]
     for i in range(l - 1):
         for j in range(i, l - 1):
-            cs = [cache(mtD.constants[i][j][k]) for k in range(l)]
+            cs = [pull(mtD.constants[i][j][k]) for k in range(l)]
             rem = dot([(nums[i], nums[j]), *zip(cs, neg)], ring)
             quotient(rem, delta, f"pulled-back constants fail the congruence at ({i+1},{j+1})")
             yield (i, j), cs
@@ -242,18 +243,18 @@ def _gen_degrees(mt):
 # the two comparison identities between the fraction descriptions
 
 
-def check_quotient_rule(sd, table_a, cache):
+def check_quotient_rule(table_a):
     """h_i equals the ratio of discriminant partials: for all i, j the
     congruence d_i(disc) o p * m^l_j == d_l(disc) o p * m^i_j mod delta."""
-    datum = sd.datum
-    l = datum.rank
-    delta = datum.delta
+    sd = table_a.saito
+    l = table_a.rank
+    delta = table_a.defining
 
     def body():
         payload = []
-        dl = cache(sd.disc.diff(l - 1))
+        dl = sd.pull(sd.disc.diff(l - 1))
         for i in range(l):
-            di = cache(sd.disc.diff(i))
+            di = sd.pull(sd.disc.diff(i))
             for j in range(l):
                 lhs = di * table_a.minors[l - 1, j]
                 rhs = dl * table_a.minors[i, j]
@@ -269,25 +270,25 @@ def check_quotient_rule(sd, table_a, cache):
                     )
         return {}, payload
 
-    return run_check("fractions", datum.name, body)
+    return run_check("fractions", table_a.datum.name, body)
 
 
-def check_generator_match(sd, table_a, table_d, cache):
+def check_generator_match(table_a, table_d):
     """The arrangement and discriminant fractional generators agree: the
     pullback of ad(K) satisfies (ad K o p)_il * m^l_l == m^i_l * (ad K o p)_ll
     modulo delta."""
-    datum = sd.datum
-    l = datum.rank
-    delta = datum.delta
+    pull = table_d.saito.pull
+    l = table_a.rank
+    delta = table_a.defining
 
     def body():
         payload = []
         # ad(K_S) is the entrywise pullback of ad(K_R): determinants and
         # adjugates commute with the verified coordinate change
-        M_ll = cache(table_d.minors[l - 1, l - 1])
+        M_ll = pull(table_d.minors[l - 1, l - 1])
         den = table_a.minors[l - 1, l - 1]
         for i in range(l):
-            M_il = cache(table_d.minors[i, l - 1])
+            M_il = pull(table_d.minors[i, l - 1])
             lhs = M_il * den
             rhs = table_a.minors[i, l - 1] * M_ll
             q = quotient(lhs - rhs, delta, f"generator match fails at i={i+1}")
@@ -299,7 +300,7 @@ def check_generator_match(sd, table_a, table_d, cache):
             )
         return {}, payload
 
-    return run_check("generators-match", datum.name, body)
+    return run_check("generators-match", table_a.datum.name, body)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def check_fibers(mt):
 # spot checks for the extreme cases
 
 
-def check_normalization_gap(sd, table_d):
+def check_normalization_gap(sd):
     """For dihedral types with odd Coxeter number: the value semigroup of
     the partial normalization misses degree one, so it is a proper subring
     of the normalization.  The graded dimensions of coker K are computed

@@ -118,7 +118,7 @@ def _mat_inv(mat, zero, one):
         ({j: c for j, c in enumerate(row) if c}, [one if i == k else zero for k in range(n)])
         for i, row in enumerate(mat)
     ]
-    cols = solve_linear(eqs, n, n)
+    cols = solve_linear(eqs, n)
     return [[cols[k].get(i, zero) for k in range(n)] for i in range(n)]
 
 
@@ -456,7 +456,9 @@ def parse_type(name):
             factors.append(("B", num))
         elif tag == "C" and num >= 2:
             factors.append(("B", num))
-        elif tag == "D" and num >= 3:
+        elif tag == "D" and num == 3:
+            factors.append(("A", 3))
+        elif tag == "D" and num >= 4:
             factors.append(("D", num))
         elif tag == "H" and num in (3, 4):
             factors.append(("H", num))

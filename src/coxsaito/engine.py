@@ -223,7 +223,7 @@ def back_substitute(pivots, t=None, sol=None):
     return sol
 
 
-def solve_linear(eqs, nun, nrhs):
+def solve_linear(eqs, nrhs):
     """Solve a sparse linear system with several right-hand sides.
 
     eqs: list of (coeff dict unknown->scalar, rhs list of length nrhs).

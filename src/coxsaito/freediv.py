@@ -202,7 +202,7 @@ def check_free_divisor_sum(table_d):
     return run_check("free-divisor-sum", sd.datum.name, body)
 
 
-def check_lift(table_d, cache):
+def check_lift(table_d):
     """The pullback construction: Gamma J^t (B K'' o p) is a Saito matrix
     for the arrangement plus the preimage of the adjoint divisor."""
     sd = table_d.saito
@@ -211,8 +211,8 @@ def check_lift(table_d, cache):
 
     def body():
         B, detB, _ = basis_change(table_d)
-        W = sd.eta * (B * _kpp(sd)).map(cache)
-        mll_x = cache(mll)
+        W = sd.eta * (B * _kpp(sd)).map(sd.pull)
+        mll_x = sd.pull(mll)
         c, payload = _saito_criterion(
             W, datum.delta, mll_x, "lift-criterion", "lift-log-column"
         )

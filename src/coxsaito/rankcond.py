@@ -188,10 +188,11 @@ def check_grc(table):
     return run_check(name, sd.datum.name, body)
 
 
-def check_drc(datum, sd):
+def check_drc(sd):
     """Last gradient module inside each earlier one, modulo the invariant
     ideal: for j < l every d(p_l)/dx_k has a witness in
     (dp_j/dx_1..dp_j/dx_l) + (p_1..p_l)."""
+    datum = sd.datum
     l = datum.rank
     h = datum.coxeter_number
 
@@ -210,10 +211,11 @@ def check_drc(datum, sd):
     return run_check("drc", datum.name, body)
 
 
-def check_hrc(datum, sd):
+def check_hrc(sd):
     """Hessian rank condition: for each j some Hessian of a complementary
     invariant sends eta_j outside the invariant ideal; the witnessing pair
     and a separating functional are recorded."""
+    datum = sd.datum
     l = datum.rank
     exps = datum.exponents
     h = datum.coxeter_number

@@ -7,8 +7,9 @@ discriminant polynomial is det K in invariant coordinates; its pullback
 identity with the square of the arrangement polynomial follows exactly
 from the verified entrywise pullbacks, so no large expansion is needed.
 Every pullback f o p of a type runs through its one `Substitution`
-(p_i -> the basic invariant p_i as an x-polynomial), which builds the
-pullback of each p-monomial once and keeps it for later polynomials.
+(p_i -> the basic invariant p_i as an x-polynomial), built by
+`build_saito` and kept as `SaitoData.pull`; it builds the pullback of
+each p-monomial once and keeps it for later polynomials.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .polymatrix import PolyMatrix, jacobian
 @dataclass
 class SaitoData:
     datum: CoxeterDatum
+    pull: Substitution  # f -> f o p, the type's one pullback map
     J: PolyMatrix
     eta: PolyMatrix  # Gamma J^t: column j is the field eta_j = Gamma grad p_j
     K_S: PolyMatrix  # J eta, over the coordinate ring
@@ -49,24 +51,22 @@ class SaitoData:
         return self.datum.p_ring
 
 
-def express_in_invariants(f, datum, cache=None):
+def express_in_invariants(f, datum, pull):
     """Write a W-invariant x-polynomial exactly in invariant coordinates.
 
     Each homogeneous part is a graded member of the span of the pullbacks
-    of the p-monomials of its degree (the monomial images of cache, the
-    pullback `Substitution`): the witness's constant cofactors are
+    of the p-monomials of its degree (the monomial images of pull, the
+    type's pullback `Substitution`): the witness's constant cofactors are
     the coefficients and its identity is the pullback identity.  A part
     that is not invariant is a non-member, so a CheckFailure.
     """
-    if cache is None:
-        cache = Substitution(datum.p_ring, datum.invariants, datum.ring)
     p_ring = datum.p_ring
     out = p_ring.zero()
     for d, part in sorted(f.homogeneous_parts().items()):
         mons = p_ring.monomials(d)
         ((_, w),) = members(
             [part],
-            [cache.monomial(mu) for mu in mons],
+            [pull.monomial(mu) for mu in mons],
             lambda _: f"the degree-{d} part is not a polynomial in the basic invariants",
         )
         out = out + p_ring.from_dict(
@@ -79,11 +79,12 @@ def _linear_part(g):
     return g.homogeneous_parts().get(1, g.ring.zero())
 
 
-def build_saito(datum, cache=None):
-    """Assemble and internally verify the full matrix apparatus."""
+def build_saito(datum):
+    """Assemble and internally verify the full matrix apparatus, with the
+    type's pullback map."""
     if not datum.irreducible:
         raise EngineError("saito data is built per irreducible factor")
-    cache = cache or Substitution(datum.p_ring, datum.invariants, datum.ring)
+    pull = Substitution(datum.p_ring, datum.invariants, datum.ring)
     ring = datum.ring
     p_ring = datum.p_ring
     l = datum.rank
@@ -101,7 +102,7 @@ def build_saito(datum, cache=None):
     entries = [[None] * l for _ in range(l)]
     for i in range(l):
         for j in range(i, l):
-            g = express_in_invariants(K_S[i, j], datum, cache)
+            g = express_in_invariants(K_S[i, j], datum, pull)
             wd = g.whomog_degree()
             if g and wd != degrees[i] + degrees[j] - 2:
                 raise CheckFailure(
@@ -135,6 +136,7 @@ def build_saito(datum, cache=None):
     kbar = K_R.map(_linear_part)
     sd = SaitoData(
         datum=datum,
+        pull=pull,
         J=J,
         eta=eta,
         K_S=K_S,

@@ -26,7 +26,6 @@ from .freediv import (
     check_free_divisor_sum,
     check_lift,
 )
-from .poly import Substitution
 from .polymatrix import jacobian
 from .rankcond import (
     ARRANGEMENT,
@@ -152,7 +151,7 @@ def check_discriminant_monic(sd):
 class Workspace:
     """Builds the apparatus per type and runs named suites.
 
-    Every per-type object (Saito data, pullback cache, minor and
+    Every per-type object (Saito data with its pullback map, minor and
     multiplication tables) and every suite's certificates are built once
     per process, in one memo keyed by kind and type, and shared by every
     check that needs them.
@@ -170,16 +169,7 @@ class Workspace:
         return self._once(("datum", name), lambda: build_datum(name))
 
     def saito(self, name):
-        return self._once(
-            ("saito", name),
-            lambda: build_saito(self.datum(name), self.pullback_cache(name)),
-        )
-
-    def pullback_cache(self, name):
-        datum = self.datum(name)
-        return self._once(
-            ("pull", name), lambda: Substitution(datum.p_ring, datum.invariants, datum.ring)
-        )
+        return self._once(("saito", name), lambda: build_saito(self.datum(name)))
 
     def minor_table(self, name, side):
         return self._once(
@@ -191,11 +181,7 @@ class Workspace:
         def build():
             table = self.minor_table(name, side)
             if side == ARRANGEMENT:
-                return build_mul_table(
-                    table,
-                    self.mul_table(name, DISCRIMINANT),
-                    self.pullback_cache(name),
-                )
+                return build_mul_table(table, self.mul_table(name, DISCRIMINANT))
             return build_mul_table(table)
 
         return self._once(("mul", name, side), build)
@@ -241,9 +227,9 @@ class Workspace:
                 certs.append(check_b3_fixture(self.minor_table(name, DISCRIMINANT)))
             return certs
         if suite == "drc":
-            return [check_drc(datum, self.saito(name))]
+            return [check_drc(self.saito(name))]
         if suite == "hrc":
-            hrc = check_hrc(datum, self.saito(name))
+            hrc = check_hrc(self.saito(name))
             (grc_a,) = self.run_suite(name, "grc-A")
             (drc,) = self.run_suite(name, "drc")
             return [hrc, equivalence_probe(hrc, drc, grc_a, name)]
@@ -257,20 +243,12 @@ class Workspace:
         if suite == "fibers":
             return [check_fibers(self.mul_table(name, ARRANGEMENT))]
         if suite == "fractions":
-            return [
-                check_quotient_rule(
-                    self.saito(name),
-                    self.minor_table(name, ARRANGEMENT),
-                    self.pullback_cache(name),
-                )
-            ]
+            return [check_quotient_rule(self.minor_table(name, ARRANGEMENT))]
         if suite == "generators":
             return [
                 check_generator_match(
-                    self.saito(name),
                     self.minor_table(name, ARRANGEMENT),
                     self.minor_table(name, DISCRIMINANT),
-                    self.pullback_cache(name),
                 )
             ]
         if suite == "freediv":
@@ -287,15 +265,10 @@ class Workspace:
                 certs.append(check_distinguished_monomials(sdn))
             h = datum.coxeter_number
             if datum.rank == 2 and h % 2 == 1 and h >= 5:
-                certs.append(check_normalization_gap(self.saito(name), table))
+                certs.append(check_normalization_gap(self.saito(name)))
             return certs
         if suite == "lift":
-            return [
-                check_lift(
-                    self.minor_table(name, DISCRIMINANT),
-                    self.pullback_cache(name),
-                )
-            ]
+            return [check_lift(self.minor_table(name, DISCRIMINANT))]
         raise ValueError(f"unknown suite {suite!r}")
 
     # -- fixtures ------------------------------------------------------------

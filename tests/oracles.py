@@ -132,12 +132,12 @@ def exact_membership(target, gens):
     zero = ring.coeff(0)
     eqs = [({j: im[k] for j, im in enumerate(images) if k in im}, [tvec.get(k, zero)])
            for k in monos]
-    sol = solve_linear(eqs, len(cols), 1)[0]
+    sol = solve_linear(eqs, 1)[0]
     if sol is not None:
         return [ring.from_dict({mu: sol[j] for j, (i, mu) in enumerate(cols) if i == g and j in sol})
                 for g in range(len(gens))]
     row = {k: r for r, k in enumerate(monos)}
     eqs = [({row[k]: c for k, c in im.items()}, [zero]) for im in images]
     eqs.append(({row[k]: c for k, c in tvec.items()}, [ring.coeff(1)]))
-    sol = solve_linear(eqs, len(monos), 1)[0]
+    sol = solve_linear(eqs, 1)[0]
     return ring.from_packed({monos[u]: v for u, v in sol.items()})

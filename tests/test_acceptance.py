@@ -203,8 +203,7 @@ def test_criterion_9_free_divisors(ws):
 
     for name, expr in (("A2", "sigma2"), ("A3", "8 s2 s4 - 9 s3^2 - 2 s2^3")):
         d = ws.datum(name)
-        cache = ws.pullback_cache(name)
-        mll_x = cache(corner_minor(ws.minor_table(name, "discriminant")))
+        mll_x = ws.saito(name).pull(corner_minor(ws.minor_table(name, "discriminant")))
         ring = d.ring
         ys = list(ring.gens()) + [-sum(ring.gens()[1:], ring.gens()[0])]
         s = _elementary_symmetric(ys, ring)

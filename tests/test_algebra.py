@@ -46,7 +46,7 @@ def mul_tables(name):
     if key not in _WS:
         # the arrangement table is pulled back, as the workspace builds it
         mD = build_mul_table(tD)
-        _WS[key] = (build_mul_table(tA, mD, Substitution(d.p_ring, d.invariants, d.ring)), mD)
+        _WS[key] = (build_mul_table(tA, mD), mD)
     return _WS[key]
 
 
@@ -154,9 +154,8 @@ def test_dihedral_discriminant_square_entry():
 def test_quotient_rule_and_generator_match():
     for name in ("A2", "B2", "A3", "B3", "I2(5)"):
         d, sd, tA, tD = setup(name)
-        cache = Substitution(d.p_ring, d.invariants, d.ring)
-        assert check_quotient_rule(sd, tA, cache).verdict == "pass"
-        assert check_generator_match(sd, tA, tD, cache).verdict == "pass"
+        assert check_quotient_rule(tA).verdict == "pass"
+        assert check_generator_match(tA, tD).verdict == "pass"
 
 
 def test_fiber_counts_reference_points():
@@ -234,7 +233,7 @@ def test_sample_points_have_enough_variety():
 
 def test_normalization_gap_for_odd_dihedral():
     d, sd, tA, tD = setup("I2(5)")
-    cert = check_normalization_gap(sd, tD)
+    cert = check_normalization_gap(sd)
     assert cert.verdict == "pass", cert.detail
     assert cert.constants["gaps"][0] == 1
     assert cert.constants["dims"]["1"] == 0
@@ -244,7 +243,7 @@ def test_normalization_gap_for_odd_dihedral():
 
 def test_normalization_gap_rejects_even_types():
     d, sd, tA, tD = setup("I2(6)")
-    cert = check_normalization_gap(sd, tD)
+    cert = check_normalization_gap(sd)
     assert cert.verdict == "fail"
 
 

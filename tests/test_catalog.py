@@ -23,6 +23,7 @@ def test_parse_and_canonical_names():
     assert canonical_name(parse_type("I2(5)")) == "I2(5)"
     assert canonical_name(parse_type("G2")) == "I2(6)"
     assert canonical_name(parse_type("C3")) == "B3"
+    assert canonical_name(parse_type("D3")) == "A3"
     assert canonical_name(parse_type("A1xA1")) == "A1xA1"
 
 

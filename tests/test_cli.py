@@ -35,6 +35,7 @@ def test_required_tiers():
     assert required_tier("B5", "grc-A") == "stretch"
     assert required_tier("D5", "freediv") == "stretch"
     assert required_tier("B2xA1", "datum") == "fast"
+    assert required_tier("D3", "freediv") == "fast"
 
 
 def test_run_a2_fast(tmp_path, capsys):

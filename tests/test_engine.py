@@ -299,10 +299,10 @@ def test_squarefree(ring):
 def test_solve_linear_and_rank():
     one = Fraction(1)
     eqs = [({0: one, 1: one}, [Fraction(3)]), ({0: one, 1: -one}, [Fraction(1)])]
-    sol = solve_linear(eqs, 2, 1)[0]
+    sol = solve_linear(eqs, 1)[0]
     assert sol == {0: Fraction(2), 1: Fraction(1)}
     bad = [({0: one}, [one]), ({0: one}, [Fraction(2)])]
-    assert solve_linear(bad, 1, 1)[0] is None
+    assert solve_linear(bad, 1)[0] is None
     assert rank_of_vectors([{0: one}, {0: one * 2}, {1: one}]) == 2
 
 
@@ -357,7 +357,7 @@ def test_elimination_kernel_properties(system):
     eqs = [({j: c for j, c in enumerate(row) if c}, rhs) for row, rhs in zip(A, B)]
     rank_a = _dense_rank(A)
     assert rank_of_vectors([row for row, _ in eqs]) == rank_a
-    solutions = solve_linear(eqs, n, nrhs)
+    solutions = solve_linear(eqs, nrhs)
     for t, sol in enumerate(solutions):
         aug = [row + [rhs[t]] for row, rhs in zip(A, B)]
         assert (sol is None) == (_dense_rank(aug) > rank_a)
@@ -668,7 +668,7 @@ def test_lifting_matches_the_exact_kernel(system):
     d, A, B = system
     n, nrhs = len(A[0]), len(B[0])
     eqs = [({j: c for j, c in enumerate(row) if c}, rhs) for row, rhs in zip(A, B)]
-    solutions = solve_linear(eqs, n, nrhs)
+    solutions = solve_linear(eqs, nrhs)
 
     def accept(t, den, nums):
         cand = scalars((den, nums), d)

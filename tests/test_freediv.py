@@ -4,6 +4,7 @@ import pytest
 
 import coxsaito.freediv as freediv
 from coxsaito.catalog import _elementary_symmetric, build_datum
+from coxsaito.certs import CheckFailure
 from coxsaito.freediv import (
     adjoint_divisor,
     check_b3_fixture,
@@ -17,7 +18,6 @@ from coxsaito.freediv import (
     published_b3_matrix,
     solve_basis_change,
 )
-from coxsaito.poly import Substitution
 from coxsaito.rankcond import DISCRIMINANT, build_minor_table
 from coxsaito.saito import build_saito, normalize_linear_part
 from coxsaito.workspace import Workspace
@@ -31,7 +31,7 @@ def setup(name):
         d = build_datum(name)
         sd = build_saito(d)
         tD = build_minor_table(sd, DISCRIMINANT)
-        _WS[name] = (d, sd, tD, Substitution(d.p_ring, d.invariants, d.ring))
+        _WS[name] = (d, sd, tD)
     return _WS[name]
 
 
@@ -40,13 +40,13 @@ FAST_TYPES = ("A2", "B2", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)", "A3", "B3
 
 def test_adjoint_divisor_reduced_and_codim_two():
     for name in ("A2", "B2", "B3", "I2(5)"):
-        d, sd, tD, cache = setup(name)
+        d, sd, tD = setup(name)
         cert = adjoint_divisor(tD)
         assert cert.verdict == "pass", (name, cert.detail)
 
 
 def test_rank_two_adjoint_is_the_quadratic():
-    d, sd, tD, cache = setup("I2(5)")
+    d, sd, tD = setup("I2(5)")
     mll = corner_minor(tD)
     p1 = sd.p_ring.gen(0)
     q = mll.exact_div(p1)
@@ -54,8 +54,8 @@ def test_rank_two_adjoint_is_the_quadratic():
 
 
 def test_a2_adjoint_pullback_is_second_symmetric_function():
-    d, sd, tD, cache = setup("A2")
-    mll_x = cache(corner_minor(tD))
+    d, sd, tD = setup("A2")
+    mll_x = sd.pull(corner_minor(tD))
     ring = d.ring
     ys = list(ring.gens()) + [-sum(ring.gens()[1:], ring.gens()[0])]
     sigma = _elementary_symmetric(ys, ring)
@@ -64,8 +64,8 @@ def test_a2_adjoint_pullback_is_second_symmetric_function():
 
 
 def test_a3_adjoint_pullback_closed_form():
-    d, sd, tD, cache = setup("A3")
-    mll_x = cache(corner_minor(tD))
+    d, sd, tD = setup("A3")
+    mll_x = sd.pull(corner_minor(tD))
     ring = d.ring
     ys = list(ring.gens()) + [-sum(ring.gens()[1:], ring.gens()[0])]
     s = _elementary_symmetric(ys, ring)
@@ -76,14 +76,14 @@ def test_a3_adjoint_pullback_closed_form():
 
 def test_derivative_ideal_identity():
     for name in ("A2", "I2(5)", "A3", "B3"):
-        d, sd, tD, cache = setup(name)
+        d, sd, tD = setup(name)
         cert = check_derivative_ideal(tD)
         assert cert.verdict == "pass", (name, cert.detail)
 
 
 def test_basis_change_constant_determinant():
     for name in FAST_TYPES:
-        d, sd, tD, cache = setup(name)
+        d, sd, tD = setup(name)
         B, detB, _w = solve_basis_change(tD)
         assert detB
         # last column is the recorded Euler multiple
@@ -95,22 +95,22 @@ def test_basis_change_constant_determinant():
 
 def test_free_divisor_sum_certificates():
     for name in FAST_TYPES:
-        d, sd, tD, cache = setup(name)
+        d, sd, tD = setup(name)
         cert = check_free_divisor_sum(tD)
         assert cert.verdict == "pass", (name, cert.detail)
 
 
 def test_lift_certificates():
     for name in FAST_TYPES:
-        d, sd, tD, cache = setup(name)
-        cert = check_lift(tD, cache)
+        d, sd, tD = setup(name)
+        cert = check_lift(tD)
         assert cert.verdict == "pass", (name, cert.detail)
 
 
 def test_even_dihedral_lift_splits_into_orbit_factors():
     # with two mirror orbits the arrangement polynomial factors visibly
-    d, sd, tD, cache = setup("I2(6)")
-    cert = check_lift(tD, cache)
+    d, sd, tD = setup("I2(6)")
+    cert = check_lift(tD)
     assert cert.verdict == "pass"
     # the two orbits of I2(6): products over each orbit are invariant
     from coxsaito.poly import product
@@ -128,7 +128,7 @@ def test_even_dihedral_lift_splits_into_orbit_factors():
 
 def test_distinguished_monomials():
     for name in ("A2", "A3", "B3"):
-        d, sd, tD, cache = setup(name)
+        d, sd, tD = setup(name)
         cert = check_distinguished_monomials(normalize_linear_part(sd))
         assert cert.verdict == "pass", (name, cert.detail)
 
@@ -141,7 +141,7 @@ def test_distinguished_monomials_past_rank_four(name):
 
 
 def test_b3_published_fixture():
-    d, sd, tD, cache = setup("B3")
+    d, sd, tD = setup("B3")
     cert = check_b3_fixture(tD)
     assert cert.verdict == "pass", cert.detail
     assert cert.constants["det_ratio"] == "81"
@@ -149,7 +149,7 @@ def test_b3_published_fixture():
 
 
 def test_b3_published_matrix_row_structure():
-    d, sd, tD, cache = setup("B3")
+    d, sd, tD = setup("B3")
     A = published_b3_matrix(sd.p_ring)
     # first column is the weighted Euler field
     x, y, z = sd.p_ring.gens()
@@ -162,7 +162,7 @@ def test_b3_published_matrix_row_structure():
 
 
 def test_b3_fixture_catches_tampering():
-    d, sd, tD, cache = setup("B3")
+    d, sd, tD = setup("B3")
     cert = check_b3_fixture(tD)
     from coxsaito.certs import verify_payload_item
 
@@ -178,7 +178,7 @@ def test_b3_fixture_catches_tampering():
 def test_non_dividing_determinant_is_a_fail_verdict(case):
     # each check divides a determinant by its divisor; an extra factor in
     # the divisor makes that division inexact, which is a refuted claim
-    d, sd, tD, cache = setup("B3")
+    d, sd, tD = setup("B3")
     disc_times_p1 = replace(tD, saito=replace(sd, disc=sd.disc * sd.p_ring.gen(0)))
     delta_times_x1 = replace(
         tD, saito=replace(sd, datum=replace(d, delta=d.delta * d.ring.gen(0)))
@@ -186,7 +186,7 @@ def test_non_dividing_determinant_is_a_fail_verdict(case):
     cert = {
         "free-divisor-sum": lambda: check_free_divisor_sum(disc_times_p1),
         "published-fixture": lambda: check_b3_fixture(disc_times_p1),
-        "arrangement-lift": lambda: check_lift(delta_times_x1, cache),
+        "arrangement-lift": lambda: check_lift(delta_times_x1),
     }[case]()
     assert cert.name == case
     assert cert.verdict == "fail"
@@ -218,3 +218,25 @@ def test_inconclusive_codim_two_is_an_error(monkeypatch):
     cert = certs["free-divisor-sum"]
     assert cert.verdict == "error"
     assert cert.detail.startswith("EngineError: ") and "inconclusive" in cert.detail
+
+
+def test_failed_basis_change_is_replayed_to_every_check(monkeypatch):
+    # basis-change, free-divisor-sum and arrangement-lift all need B; a
+    # solve that fails runs once, and each of them reads its failure
+    calls = []
+
+    def failing(table_d):
+        calls.append(table_d)
+        raise CheckFailure("no logarithmic field realizes minor 1")
+
+    monkeypatch.setattr(freediv, "solve_basis_change", failing)
+    ws = Workspace()
+    certs = {c.name: c for c in ws.run_suite("A2", "freediv") + ws.run_suite("A2", "lift")}
+    needs_b = {"basis-change", "free-divisor-sum", "arrangement-lift"}
+    assert needs_b < set(certs)
+    for name, cert in certs.items():
+        if name in needs_b:
+            assert (cert.verdict, cert.detail) == ("fail", "no logarithmic field realizes minor 1")
+        else:
+            assert cert.verdict == "pass", (name, cert.detail)
+    assert len(calls) == 1

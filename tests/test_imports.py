@@ -18,6 +18,10 @@ does not stay behind.  Likewise every option a `cli` subparser declares is
 read as `args.<dest>` in `cli.py`, so that an option does not outlive its
 reader.
 
+Every parameter of a function or lambda in the package is read in its
+body (`self`, `cls` and `_name` are exempt), so that an argument no code
+needs is not passed along.
+
 No module writes into a polynomial's term view `.t`: it is built from the
 integer form on first read, so a write there would leave the two out of
 step."""
@@ -50,6 +54,68 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def unused_parameters(tree):
+    """(function, parameter, line) for every parameter of a function or
+    lambda that its body never loads, nested functions included.  `self`,
+    `cls` and names starting with `_` are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for arg in params:
+            if arg.arg in ("self", "cls") or arg.arg.startswith("_"):
+                continue
+            if arg.arg not in read:
+                yield name, arg.arg, arg.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [f"{fn}({arg}) (line {line})" for fn, arg, line in unused_parameters(tree)]
+    assert not unused, f"{path.name} has parameters it never reads: {', '.join(unused)}"
+
+
+def test_parameter_lint_sees_every_kind_of_parameter():
+    tree = ast.parse(
+        "def f(a, b, /, c, d=1, *args, e, g=2, **kwargs):\n"
+        "    return b, d, g\n"
+        "class C:\n"
+        "    def m(self, x, _y):\n"
+        "        def inner():\n"
+        "            return x\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def k(cls, z):\n"
+        "        z = 1\n"
+        "        return cls\n"
+        "h = lambda u, v, *w, t, **q: v\n"
+    )
+    # a store into z before any read is no read of the parameter
+    assert sorted((fn, arg) for fn, arg, _line in unused_parameters(tree)) == [
+        ("<lambda>", "q"),
+        ("<lambda>", "t"),
+        ("<lambda>", "u"),
+        ("<lambda>", "w"),
+        ("f", "a"),
+        ("f", "args"),
+        ("f", "c"),
+        ("f", "e"),
+        ("f", "kwargs"),
+        ("k", "z"),
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -107,7 +107,7 @@ def test_drc():
     for name in ("A3", "B3", "D4"):
         d = build_datum(name)
         sd = _CACHE.get(name) or build_saito(d)
-        cert = check_drc(d, sd)
+        cert = check_drc(sd)
         assert cert.verdict == "pass", cert.detail
         # one witness per (j < l, partial)
         assert len(cert.payload) == (d.rank - 1) * d.rank
@@ -126,7 +126,7 @@ def test_drc_first_direction_trivial():
 def test_hrc_yields_pairs_and_functionals():
     d = build_datum("B3")
     sd = _CACHE.get("B3") or build_saito(d)
-    cert = check_hrc(d, sd)
+    cert = check_hrc(sd)
     assert cert.verdict == "pass", cert.detail
     pairs = cert.constants["witness_pairs"]
     assert len(pairs) == 3
@@ -143,7 +143,7 @@ def test_hrc_yields_pairs_and_functionals():
 def test_hrc_d4_searches_repeated_exponents():
     d = build_datum("D4")
     sd = _CACHE.get("D4") or build_saito(d)
-    cert = check_hrc(d, sd)
+    cert = check_hrc(sd)
     assert cert.verdict == "pass"
     pairs = cert.constants["witness_pairs"]
     js = {j for _i, j, _e in pairs}
@@ -154,8 +154,8 @@ def test_equivalence_probe():
     d = build_datum("A2")
     sd = _CACHE.get("A2") or build_saito(d)
     tA = table("A2", ARRANGEMENT)
-    hrc = check_hrc(d, sd)
-    drc = check_drc(d, sd)
+    hrc = check_hrc(sd)
+    drc = check_drc(sd)
     grc = check_grc(tA)
     probe = equivalence_probe(hrc, drc, grc, "A2")
     assert probe.verdict == "pass"

@@ -154,17 +154,18 @@ def test_invariant_coordinates_and_plane_cuts_build_no_coefficient_view(monkeypa
 
 def test_express_rejects_non_invariant():
     d = build_datum("A2")
+    pull = Substitution(d.p_ring, d.invariants, d.ring)
     with pytest.raises(CheckFailure):
-        express_in_invariants(d.ring.gen(0), d)
+        express_in_invariants(d.ring.gen(0), d, pull)
     # an invariant part next to a non-invariant one of another degree
     with pytest.raises(CheckFailure):
-        express_in_invariants(d.invariants[0] + d.ring.gen(0) ** 3, d)
+        express_in_invariants(d.invariants[0] + d.ring.gen(0) ** 3, d, pull)
 
 
 @pytest.mark.parametrize("name", ["B3", "I2(5)"])
 def test_pullback_cache_matches_substitution(name):
-    d = build_datum(name)
-    cache = Substitution(d.p_ring, d.invariants, d.ring)
+    sd = get(name)
+    d = sd.datum
     rng = random.Random(11)
     for _ in range(4):
         g = d.p_ring.from_dict(
@@ -179,7 +180,7 @@ def test_pullback_cache_matches_substitution(name):
             expected = expected + product(
                 (p**k for p, k in zip(d.invariants, e)), d.ring
             ).scale(c)
-        assert cache(g) == expected
+        assert sd.pull(g) == expected
 
 
 def test_hessian_of_quadratic_invariant():

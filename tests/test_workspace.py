@@ -9,6 +9,7 @@ import pytest
 import coxsaito.catalog as cat
 from coxsaito import freediv, rankcond, saito, workspace
 from coxsaito.engine import groebner, krull_dimension
+from coxsaito.poly import Substitution
 from coxsaito.workspace import (
     Workspace,
     check_datum,
@@ -142,10 +143,23 @@ def test_shared_objects_built_once_per_type(monkeypatch):
     ws = Workspace()
     quotients = _count_calls(monkeypatch, saito, "logarithmic_quotients")
     solves = _count_calls(monkeypatch, freediv, "solve_basis_change")
-    for suite in ("saito", "grc-A", "freediv", "lift"):
+    maps = []
+    init = Substitution.__init__
+
+    def recorded(self, source, images, target):
+        maps.append((source, target))
+        init(self, source, images, target)
+
+    monkeypatch.setattr(Substitution, "__init__", recorded)
+    suites = ("saito", "grc-A", "algebra", "fractions", "generators", "freediv", "lift")
+    for suite in suites:
         assert all(c.verdict == "pass" for c in ws.run_suite("B2", suite))
     assert len(quotients) == 1
     assert len(solves) == 1
+    # every pullback f o p runs through the one map SaitoData.pull
+    datum = ws.datum("B2")
+    pullbacks = [m for m in maps if m[0] is datum.p_ring and m[1] is datum.ring]
+    assert len(pullbacks) == 1
 
 
 def test_inexact_logarithmic_division_is_a_fail_verdict():
