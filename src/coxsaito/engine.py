@@ -58,7 +58,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .poly import Poly, PolyRing, _reduced, dot, poly_pairing
+from .poly import Poly, PolyRing, _reduced, as_poly, dot, poly_pairing
 
 
 class EngineError(ValueError):
@@ -99,9 +99,12 @@ class Witness:
 
     @staticmethod
     def from_json(obj, ring):
+        """The witness obj records, verified; its target and generators
+        may be polynomials already parsed (`as_poly`), its cofactors are
+        JSON."""
         return Witness(
-            Poly.from_json(obj["target"], ring),
-            [Poly.from_json(g, ring) for g in obj["gens"]],
+            as_poly(obj["target"], ring),
+            [as_poly(g, ring) for g in obj["gens"]],
             [Poly.from_json(c, ring) for c in obj["cofactors"]],
         )
 
@@ -143,10 +146,12 @@ class NonMembership:
 
     @staticmethod
     def from_json(obj, ring):
+        """The certificate obj records, verified; each polynomial may be
+        one already parsed (`as_poly`)."""
         return NonMembership(
-            Poly.from_json(obj["target"], ring),
-            [Poly.from_json(g, ring) for g in obj["gens"]],
-            Poly.from_json(obj["functional"], ring),
+            as_poly(obj["target"], ring),
+            [as_poly(g, ring) for g in obj["gens"]],
+            as_poly(obj["functional"], ring),
         )
 
 
@@ -424,7 +429,11 @@ def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=
     exactly and raises EngineError otherwise.  Lifting has no step cap:
     the digits converge to the rational solution x, which reconstructs
     once the modulus passes four times the square of its largest numerator
-    or denominator, and is then accepted or rejected twice in a row.
+    or denominator, and is then accepted or rejected twice in a row.  A
+    target whose residual r_k is zero is settled at once: its digits so
+    far are x exactly, in integers, and go to accept; if accept rejects
+    them, the subsystem is the wrong one and the target goes on to the
+    next prime.
     Primes are tried from the one numbered first.  A target t that prime
     number i finds inconsistent (in its first embedding) has its transposed
     system solved, from prime i on, when a functional callback is given:
@@ -482,6 +491,18 @@ def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=
         S[:, ri[keep], ci[keep]] = ent[:, keep]
         return S
 
+    def offer(t, cand):
+        # accept's answer from (column, value parts) pairs: undo the
+        # column scaling, x_c = y_c * scale_c / scale_t
+        den = lcm(*(q.denominator for _, v in cand for q in v))
+        nums = {c: tuple(q.numerator * (den // q.denominator) * dens[c] for q in v)
+                for c, v in cand}
+        if d is None:
+            nums = {c: a for c, (a,) in nums.items()}
+        elif not quad:
+            nums = {c: (a, 0) for c, (a,) in nums.items()}
+        return accept(t, den * dens[nun + t], nums)
+
     answers = [None] * nrhs
     inconsistent = set()
     pattern = None
@@ -530,6 +551,7 @@ def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=
         acc = [[[0] * rank for _ in range(nrhs)] for _ in parts]
         last = [None] * nrhs
         modulus = 1
+
         for step in count():
             if step:
                 if step == 1:
@@ -555,7 +577,21 @@ def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=
                     for t in active:
                         part[t][k] += modulus * row[t]
             modulus *= p
-            if step & (step + 1):
+            if step:
+                # a target whose residual r_step is zero has the digits so
+                # far as its exact integer solution
+                exact = ~np.any([part != 0 for part in r], axis=(0, 1))
+                for t in [t for t in active if exact[t]]:
+                    active.remove(t)
+                    values = [(c, [part[t][k] for part in acc]) for k, c in enumerate(pat)]
+                    cand = [(c, v) for c, v in values if any(v)]
+                    if cand == last[t]:
+                        continue  # offered and rejected already
+                    try:
+                        answers[t] = offer(t, cand)
+                    except EngineError:
+                        pass  # the wrong subsystem: on to the next prime
+            if active and step & (step + 1):
                 continue  # the digit count is not a power of two: lift on
             for t in list(active):
                 # (column, reconstructed parts) of the nonzero values
@@ -572,16 +608,8 @@ def _modular_solve(entries, dens, nun, nrows, d, accept, functional=None, first=
                         active.remove(t)  # the wrong subsystem: on to the next prime
                         continue
                     last[t] = cand
-                    # undo the column scaling: x_c = y_c * scale_c / scale_t
-                    den = lcm(*(q.denominator for _, v in cand for q in v))
-                    nums = {c: tuple(q.numerator * (den // q.denominator) * dens[c] for q in v)
-                            for c, v in cand}
-                    if d is None:
-                        nums = {c: a for c, (a,) in nums.items()}
-                    elif not quad:
-                        nums = {c: (a, 0) for c, (a,) in nums.items()}
                     try:
-                        answers[t] = accept(t, den * dens[nun + t], nums)
+                        answers[t] = offer(t, cand)
                         active.remove(t)
                     except EngineError:
                         pass  # a wrong reconstruction: lift further

@@ -30,6 +30,9 @@ these loops over the least common denominator (`_reduced`), but equality
 cross-multiplies, so a form over a larger one compares correctly.
 `Poly.to_json` prints straight from the form: one gcd of each numerator
 with the denominator gives the reduced fraction, with no scalar built.
+It builds a polynomial's JSON once and hands the same object to every
+later call, so every payload that records one polynomial shares one
+object, which the report writer encodes once.
 `homogeneous_parts` splits a polynomial by the degree field of its keys.
 """
 
@@ -205,13 +208,14 @@ class Poly:
     numerators num (key -> int, or key -> (A, B) over Q(sqrt d)) over the
     positive denominator den."""
 
-    __slots__ = ("ring", "den", "num", "_t")
+    __slots__ = ("ring", "den", "num", "_t", "_json")
 
     def __init__(self, ring, den, num):
         self.ring = ring
         self.den = den
         self.num = num
         self._t = None
+        self._json = None
 
     def _coeff(self, x):
         """The coefficient of numerator x."""
@@ -551,7 +555,11 @@ class Poly:
     def to_json(self):
         """The terms, leading first, each coefficient printed straight from
         its numerators over den as reduced fractions (one gcd per
-        numerator), in the strings of `scalars.scalar_to_json`."""
+        numerator), in the strings of `scalars.scalar_to_json`.  Built on
+        the first call; every call returns that one object, which callers
+        must not change."""
+        if self._json is not None:
+            return self._json
         d, den, num, unpack = self.ring.d, self.den, self.num, self.ring.unpack
 
         def frac(x):
@@ -572,6 +580,7 @@ class Poly:
         out = {"vars": list(self.ring.names), "field": field, "terms": terms}
         if any(w != 1 for w in self.ring.weights):
             out["weights"] = list(self.ring.weights)
+        self._json = out
         return out
 
     @staticmethod
@@ -579,6 +588,8 @@ class Poly:
         """The polynomial obj records, in the ring it declares; a ring given
         must be that ring, and no exponent may appear twice (ValueError
         otherwise)."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a polynomial is a JSON object, not {type(obj).__name__}")
         d = obj.get("field", {}).get("d")
         weights = obj.get("weights")
         if ring is None:
@@ -627,6 +638,16 @@ class Poly:
             else:
                 bits.append(f"({c})")
         return " + ".join(bits)
+
+
+def as_poly(obj, ring):
+    """The polynomial obj holds: obj itself when it is already a Poly,
+    which must lie in ring, else `Poly.from_json(obj, ring)`."""
+    if isinstance(obj, Poly):
+        if obj.ring is not ring and obj.ring != ring:
+            raise ValueError(f"polynomial lies in a ring other than {ring!r}")
+        return obj
+    return Poly.from_json(obj, ring)
 
 
 class Substitution:

@@ -7,7 +7,7 @@ products over integer numerators.
 
 from __future__ import annotations
 
-from .poly import Poly, dot
+from .poly import as_poly, dot
 
 
 class PolyMatrix:
@@ -131,9 +131,9 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(obj, ring):
-        return PolyMatrix(
-            ring, [[Poly.from_json(p, ring) for p in row] for row in obj["entries"]]
-        )
+        """The matrix obj records; each entry may be a polynomial already
+        parsed (`as_poly`)."""
+        return PolyMatrix(ring, [[as_poly(p, ring) for p in row] for row in obj["entries"]])
 
     def __repr__(self):
         return "PolyMatrix[\n" + "\n".join("  [" + ", ".join(map(str, row)) + "]" for row in self.e) + "\n]"

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coxsaito import catalog
+from coxsaito.certs import REPORT_VERSION
 from coxsaito.cli import main, required_tier
 from coxsaito.poly import PolyRing
 from coxsaito.workspace import Workspace
@@ -245,8 +246,38 @@ def _first_exp(doc):
     return _cofactor(doc)["terms"][0]["exp"]
 
 
+def _check_of(doc, kind):
+    return next(c for c in doc["checks"] if any(w["kind"] == kind for w in c["witnesses"]))
+
+
+def _entry(doc, kind, slot):
+    # the table entry that slot(item) indexes, for the first item of kind
+    check = _check_of(doc, kind)
+    return check["polys"][slot(_item(doc, kind))]
+
+
 def _det_factor(doc):
-    return _item(doc, "det_eq")["factors"][0]
+    return _entry(doc, "det_eq", lambda item: item["factors"][0])
+
+
+def _set_gen(doc, index):
+    # the first generator of the first witness
+    _item(doc, "witness")["gens"][0] = index
+
+
+def _entry_in_two_rings(doc):
+    # an item of one ring takes, as its second polynomial, an entry that an
+    # item of another ring of the same check uses
+    for check in doc["checks"]:
+        by_ring = {}
+        for item in check["witnesses"]:
+            if item["kind"] == "zero_combo":
+                by_ring.setdefault(tuple(check["polys"][item["terms"][0][0]]["vars"]), item)
+        if len(by_ring) > 1:
+            a, b = list(by_ring.values())[:2]
+            b["terms"][0][1] = a["terms"][0][1]
+            return
+    raise AssertionError("no check holds items of two rings")
 
 
 def _tampered_under_uppercase_verdict(doc):
@@ -283,13 +314,31 @@ _MUTATIONS = {
     "factor-field-square": lambda doc: _det_factor(doc).update(field={"d": 4}),
     "factor-field-zero": lambda doc: _det_factor(doc).update(field={"d": 0}),
     "factor-weights": lambda doc: _det_factor(doc).update(weights=[2, 3]),
-    "item-field-square": lambda doc: _item(doc, "det_eq")["matrix"]["entries"][0][0].update(field={"d": 4}),
+    "item-field-square": lambda doc: _entry(
+        doc, "det_eq", lambda item: item["matrix"]["entries"][0][0]).update(field={"d": 4}),
     # no checks, or a verdict other than pass, fail and error, whose payload
     # went unchecked: these verified with exit 0
     "checks-missing": lambda doc: doc.__delitem__("checks"),
     "checks-empty-object": lambda doc: doc.update(checks={}),
     "checks-empty-list": lambda doc: doc.update(checks=[]),
     "verdict-uppercase-tampered": _tampered_under_uppercase_verdict,
+    # this reader takes one report version: an edited one verified with exit 0
+    "version-0.1.0": lambda doc: doc.update(version="0.1.0"),
+    "version-9.9": lambda doc: doc.update(version="9.9"),
+    "version-missing": lambda doc: doc.__delitem__("version"),
+    # a polynomial slot holds an index into its check's table, and a
+    # witness's cofactors are written out in full
+    "index-out-of-range": lambda doc: _set_gen(doc, len(_check_of(doc, "witness")["polys"])),
+    "index-negative": lambda doc: _set_gen(doc, -1),
+    "index-bool": lambda doc: _set_gen(doc, True),
+    "index-str": lambda doc: _set_gen(doc, "0"),
+    "index-float": lambda doc: _set_gen(doc, 0.0),
+    "polys-not-list": lambda doc: _check_of(doc, "witness").update(
+        polys={str(i): p for i, p in enumerate(_check_of(doc, "witness")["polys"])}),
+    "entry-not-object": lambda doc: _check_of(doc, "witness")["polys"].__setitem__(
+        0, [_check_of(doc, "witness")["polys"][0]]),
+    "cofactor-index": lambda doc: _item(doc, "witness")["cofactors"].__setitem__(0, 0),
+    "entry-in-two-rings": _entry_in_two_rings,
 }
 
 
@@ -323,6 +372,44 @@ def test_verify_wrong_field_types_exit_2(mutation, a2_report, tmp_path, capsys):
     assert "malformed report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutation", ["version-0.1.0", "version-9.9", "version-missing"])
+def test_verify_names_an_unsupported_version(mutation, a2_report, tmp_path, capsys):
+    doc = copy.deepcopy(a2_report)
+    _MUTATIONS[mutation](doc)
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert "unsupported report version" in capsys.readouterr().err
+
+
+def test_verify_detects_a_tampered_shared_generator(a2_report, tmp_path, capsys):
+    # one coefficient of a generator that several witnesses share, written
+    # once in its check's table, is changed there; a witness with a nonzero
+    # cofactor on it, whose target is another entry, then fails
+    doc = copy.deepcopy(a2_report)
+    check, index = next(
+        (c, w["gens"][j])
+        for c in doc["checks"]
+        for w in c["witnesses"]
+        if w["kind"] == "witness"
+        for j, cof in enumerate(w["cofactors"])
+        if cof["terms"] and w["gens"][j] != w["target"]
+    )
+    assert sum(index in w["gens"] for w in check["witnesses"] if w["kind"] == "witness") > 1
+    coeff = check["polys"][index]["terms"][0]["coeff"]
+    num, den = coeff["a"]
+    coeff["a"] = [str(int(num) + int(den)), den]
+    bad = tmp_path / "shared.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    assert f"FAILED {check['check']}" in capsys.readouterr().out
+    # the cofactor tamper the benchmark applies is caught as before
+    doc = copy.deepcopy(a2_report)
+    _cofactor(doc)["terms"][0]["coeff"]["a"] = ["123", "1"]
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+
+
 @pytest.fixture(scope="module")
 def i25_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("i25") / "i25.json"
@@ -352,12 +439,12 @@ def test_verify_rejects_negative_exponent_forgery(tmp_path, capsys):
     # y^2 is not in (x), yet x^-1 y^2 * x == y^2 would verify the witness
     ring = PolyRing(("x", "y", "z"))
     x, y, _ = ring.gens()
-    item = {"kind": "witness", "target": (y**2).to_json(), "gens": [x.to_json()],
-            "cofactors": [(y**2).to_json()]}
+    item = {"kind": "witness", "target": 0, "gens": [1], "cofactors": [(y**2).to_json()]}
     item["cofactors"][0]["terms"][0]["exp"] = [-1, 2, 0]
     check = {"check": "grc-A", "type": "A3", "verdict": "pass", "constants": {},
-             "witnesses": [item], "wall_time": 0.0, "detail": ""}
-    doc = {"version": "0.1.0", "type": "A3", "seeds": {}, "checks": [check]}
+             "polys": [(y**2).to_json(), x.to_json()], "witnesses": [item], "wall_time": 0.0,
+             "detail": ""}
+    doc = {"version": REPORT_VERSION, "type": "A3", "seeds": {}, "checks": [check]}
     forged = tmp_path / "forged.json"
     forged.write_text(json.dumps(doc))
     assert main(["verify", str(forged)]) == 2

@@ -742,6 +742,26 @@ def test_membership_with_coefficients_past_every_prime(monkeypatch):
     assert isinstance(res, Witness) and res.verify()
 
 
+def test_lifting_stops_at_a_zero_residual(monkeypatch):
+    # the system of test_membership_with_coefficients_past_every_prime: its
+    # solution is integral in the scaled system, with numerators of about
+    # 6059 bits, so the residual is zero after about 243 steps, where the
+    # digits are handed on; reconstruction alone would lift to 511
+    calls = []
+    real = eng._solve_mod
+    monkeypatch.setattr(eng, "_solve_mod", lambda *args: calls.append(1) or real(*args))
+    xr = PolyRing(("x", "y", "z"))
+    x, y, z = xr.gens()
+    rng = random.Random(3)
+    terms = {
+        mon: Fraction(rng.getrandbits(700) + 1, rng.getrandbits(600) + 1)
+        for mon in xr.monomials(3)
+    }
+    res = graded_membership(xr.from_dict(terms), [x, y, z])
+    assert isinstance(res, Witness) and res.verify()
+    assert len(calls) < 300
+
+
 def test_functionals_do_not_depend_on_term_order():
     # the Hessian rank condition's targets on A3, for every pair (i, j),
     # each batch solved once as built and once with every polynomial's
