@@ -23,13 +23,12 @@ count, and `_assemble` takes c from the values of both at one point on no
 mirror; a nonzero c certifies the invariants as basic.  A product is
 assembled from its factor datums (`build_product`, which moves each
 factor's invariants to its own variables by substitution), memoized ones
-under `build_datum`.  Every datum is built and certified this way: a
-fixture (`datum_to_json`) is written, never read back.
+under `build_datum`.  Every datum is built and certified this way, in
+the process that uses it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +38,7 @@ from math import factorial, gcd, prod
 from .engine import solve_linear
 from .poly import Poly, PolyRing, Substitution, dot, product
 from .polymatrix import jacobian
-from .scalars import Quad, integer_parts, invert, scalar_to_json
+from .scalars import Quad, integer_parts, invert
 
 
 class UnsupportedTypeError(ValueError):
@@ -432,7 +431,7 @@ def parse_type(name):
         part = part.strip()
         m = _TYPE_RE.match(part)
         if not m:
-            raise UnsupportedTypeError(f"cannot parse Coxeter type {part!r}")
+            raise UnsupportedTypeError(f"cannot parse Coxeter type {name!r}")
         if m.group(3) is not None:
             k = int(m.group(3))
             if k not in _COS2:
@@ -665,30 +664,3 @@ def stabilizer_components(datum, point):
     for i in vanishing:
         comps.setdefault(find(i), []).append(i)
     return sorted(comps.values(), key=len)
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def datum_to_json(datum):
-    return {
-        "type": datum.name,
-        "rank": datum.rank,
-        "field": {} if datum.ring.d is None else {"d": datum.ring.d},
-        "degrees": datum.degrees,
-        "group_order": datum.group_order,
-        "gram": [[scalar_to_json(c) for c in row] for row in datum.gram],
-        "gram_dual": [[scalar_to_json(c) for c in row] for row in datum.gram_dual],
-        "simple_roots": [[scalar_to_json(c) for c in r] for r in datum.simple_roots],
-        "roots": [[scalar_to_json(c) for c in r] for r in datum.roots],
-        "delta": datum.delta.to_json(),
-        "invariants": [p.to_json() for p in datum.invariants],
-        "jac_const": scalar_to_json(datum.jac_const),
-    }
-
-
-def save_fixture(datum, path):
-    with open(path, "w") as fh:
-        json.dump(datum_to_json(datum), fh, indent=1, sort_keys=True)
-        fh.write("\n")

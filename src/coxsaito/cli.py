@@ -1,8 +1,11 @@
-"""Command line front end: build fixtures, run check suites, verify reports.
+"""Command line front end: run check suites, verify reports.
 
     coxsaito run --type A3 --suite grc-A,freediv --tier fast --out report.json
-    coxsaito fixture --type B3 --out fixtures/
     coxsaito verify report.json
+
+The report is the one output.  The Saito matrix in invariant coordinates,
+K_R, is written in it by the `discriminant-monic` check, as the identity
+det K_R = disc_const * disc.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 usage error,
 unsupported request or malformed report; 3 a check ended in an error (an
@@ -66,7 +69,8 @@ def cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     name = canonical_name(factors)
-    suites = args.suite.split(",") if args.suite else list(ALL_SUITES)
+    # each named suite runs once, in first-seen order
+    suites = list(dict.fromkeys(args.suite.split(","))) if args.suite else list(ALL_SUITES)
     for s in suites:
         if s not in ALL_SUITES:
             print(f"error: unknown suite {s!r}; choose from {', '.join(ALL_SUITES)}", file=sys.stderr)
@@ -106,26 +110,6 @@ def cmd_run(args):
     return 0
 
 
-def cmd_fixture(args):
-    try:
-        factors = parse_type(args.type)
-    except UnsupportedTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    name = canonical_name(factors)
-    out = Path(args.out or "fixtures")
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        print(f"error: cannot write fixtures under {out}: {existing} is not a directory",
-              file=sys.stderr)
-        return 2
-    ws = Workspace()
-    paths = ws.emit_fixtures(name, out)
-    for p in paths:
-        print(p)
-    return 0
-
-
 def cmd_verify(args):
     try:
         ok, failures = verify_report_file(args.report)
@@ -153,11 +137,6 @@ def build_parser():
     run.add_argument("--tier", choices=("fast", "long", "stretch"), default="fast")
     run.add_argument("--out", help="report path")
     run.set_defaults(fn=cmd_run)
-
-    fx = sub.add_parser("fixture", help="emit datum and Saito fixtures as JSON")
-    fx.add_argument("--type", required=True)
-    fx.add_argument("--out", help="output directory (default: fixtures)")
-    fx.set_defaults(fn=cmd_fixture)
 
     vf = sub.add_parser("verify", help="re-verify every witness in a report")
     vf.add_argument("report")

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from .algebra import (
     build_mul_table,
     check_boolean_split,
@@ -15,7 +12,7 @@ from .algebra import (
     check_quotient_rule,
     verify_generators,
 )
-from .catalog import build_datum, save_fixture
+from .catalog import build_datum
 from .certs import Certificate, CheckFailure, det_payload, failure_verdict, run_check, zero_combo_payload
 from .freediv import (
     adjoint_divisor,
@@ -106,7 +103,9 @@ def check_saito_shape(sd):
 
 def check_discriminant_monic(sd):
     """The discriminant is degree rank in the top invariant with constant
-    leading coefficient; rank-2 types match the closed normal form."""
+    leading coefficient; rank-2 types match the closed normal form.  The
+    Saito matrix K_R is recorded with its identity det K_R = disc_const *
+    disc (`build_saito`)."""
 
     def body():
         datum = sd.datum
@@ -143,6 +142,7 @@ def check_discriminant_monic(sd):
                 )
             )
             constants.update({"a": str(a), "b": str(b), "lambda": str(lam)})
+        payload.append(det_payload("saito-det", sd.K_R, sd.disc_const, [sd.disc]))
         return constants, payload
 
     return run_check("discriminant-monic", sd.datum.name, body)
@@ -270,38 +270,3 @@ class Workspace:
         if suite == "lift":
             return [check_lift(self.minor_table(name, DISCRIMINANT))]
         raise ValueError(f"unknown suite {suite!r}")
-
-    # -- fixtures ------------------------------------------------------------
-
-    def saito_to_json(self, name):
-        sd = self.saito(name)
-        out = {
-            "type": name,
-            "K_R": sd.K_R.to_json(),
-            "disc": sd.disc.to_json(),
-            "disc_const": str(sd.disc_const),
-            "pull_const": str(sd.pull_const),
-            "euler_const": str(sd.euler_const),
-        }
-        if sd.dihedral_shape:
-            out["dihedral"] = {k: str(v) for k, v in sd.dihedral_shape.items()}
-        if name == "B3":
-            fx = check_b3_fixture(self.minor_table(name, DISCRIMINANT))
-            out["published_matrix_check"] = fx.constants
-        return out
-
-    def emit_fixtures(self, name, out_dir):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        datum = self.datum(name)
-        paths = []
-        p1 = out_dir / f"{name}.datum.json"
-        save_fixture(datum, p1)
-        paths.append(p1)
-        if datum.irreducible:
-            p2 = out_dir / f"{name}.saito.json"
-            with open(p2, "w") as fh:
-                json.dump(self.saito_to_json(name), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            paths.append(p2)
-        return paths

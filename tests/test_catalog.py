@@ -8,7 +8,6 @@ from coxsaito.catalog import (
     UnsupportedTypeError,
     build_datum,
     canonical_name,
-    datum_to_json,
     parse_type,
     stabilizer_components,
 )
@@ -203,15 +202,6 @@ def test_product_factors_are_the_memoized_datums(monkeypatch):
 def test_product_mixing_fields_rejected():
     with pytest.raises(UnsupportedTypeError):
         build_datum("I2(5)xI2(8)")
-
-
-def test_fixture_json_shape():
-    d = build_datum("A2")
-    doc = datum_to_json(d)
-    assert doc["type"] == "A2"
-    assert doc["degrees"] == [2, 3]
-    assert len(doc["roots"]) == 3
-    assert "jac_const" in doc
 
 
 ORBIT_TYPES = [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coxsaito import catalog
 from coxsaito.certs import REPORT_VERSION
 from coxsaito.cli import main, required_tier
-from coxsaito.poly import PolyRing
+from coxsaito.poly import Poly, PolyRing
 from coxsaito.workspace import Workspace
 
 
@@ -67,7 +67,7 @@ def test_unsupported_type_is_usage_error(capsys):
     assert "catalog" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, method", [("run", "run_suite"), ("fixture", "emit_fixtures")])
+@pytest.mark.parametrize("command, method", [("run", "run_suite")])
 @pytest.mark.parametrize("name", ["I2(7)", "I2(2)", "A1xI2(9)", "I2(5)xI2(8)"])
 def test_unsupported_dihedral_order_is_usage_error(command, method, name, tmp_path, monkeypatch,
                                                    capsys):
@@ -116,15 +116,6 @@ def test_unwritable_report_path_is_usage_error(path, message, tmp_path, monkeypa
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("path", ["taken", "taken/sub"])
-def test_fixture_under_a_regular_file_is_usage_error(path, tmp_path, monkeypatch, capsys):
-    _refuse(monkeypatch, "emit_fixtures")
-    (tmp_path / "taken").write_text("keep")
-    assert main(["fixture", "--type", "A1", "--out", str(tmp_path / path)]) == 2
-    assert "is not a directory" in capsys.readouterr().err
-    assert (tmp_path / "taken").read_text() == "keep"
-
-
 def test_build_error_gives_error_verdicts(tmp_path, monkeypatch):
     # an empty in-memory catalog, as in a new process, so the datum is built
     monkeypatch.setattr(catalog, "_DATUM_CACHE", {})
@@ -150,8 +141,7 @@ def test_budget_steps_is_usage_error(capsys):
     assert "--budget-steps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["run", "--type", "A2", "--suite", "datum"], ["fixture", "--type", "A1"]],
-                         ids=["run", "fixture"])
+@pytest.mark.parametrize("argv", [["run", "--type", "A2", "--suite", "datum"]], ids=["run"])
 def test_cache_is_usage_error(argv, tmp_path, capsys):
     # every datum is built: there is no fixture directory to read
     with pytest.raises(SystemExit) as exc:
@@ -488,33 +478,61 @@ def test_verify_fuzzed_report_never_crashes(data, a2_report, tmp_path):
     assert main(["verify", str(bad)]) in (0, 1, 2)
 
 
-def test_fixture_emission_idempotent(tmp_path):
-    rc = main(["fixture", "--type", "I2(5)", "--out", str(tmp_path)])
-    assert rc == 0
-    datum_path = tmp_path / "I2(5).datum.json"
-    saito_path = tmp_path / "I2(5).saito.json"
-    first = datum_path.read_bytes()
-    first_s = saito_path.read_bytes()
-    rc = main(["fixture", "--type", "I2(5)", "--out", str(tmp_path)])
-    assert rc == 0
-    assert datum_path.read_bytes() == first
-    assert saito_path.read_bytes() == first_s
-    doc = json.loads(saito_path.read_text())
-    # the dihedral normal form constants are recorded, with b = 0 for odd h
-    assert doc["dihedral"]["b"] == "0"
-    assert doc["dihedral"]["h"] == "5"
+def test_fixture_command_is_gone(tmp_path, monkeypatch, capsys):
+    # the report is the one output
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "--type", "A1"])
+    assert exc.value.code == 2
+    assert "fixture" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def test_fixture_b3_records_published_comparison(tmp_path):
-    rc = main(["fixture", "--type", "B3", "--out", str(tmp_path)])
-    assert rc == 0
-    doc = json.loads((tmp_path / "B3.saito.json").read_text())
-    assert doc["published_matrix_check"]["det_ratio"] == "81"
+def test_repeated_suite_runs_once(tmp_path):
+    out = tmp_path / "a1.json"
+    assert main(["run", "--type", "A1", "--suite", "datum,datum", "--out", str(out)]) == 0
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["check"] == "datum"
+    assert check["constants"]["degrees"] == [2]
+    assert check["constants"]["order"] == 2
 
 
-def test_fixture_minimal_a1(tmp_path):
-    rc = main(["fixture", "--type", "A1", "--out", str(tmp_path)])
-    assert rc == 0
-    doc = json.loads((tmp_path / "A1.datum.json").read_text())
-    assert doc["degrees"] == [2]
-    assert doc["group_order"] == 2
+@pytest.mark.parametrize("name", ["A2x", "xA2", "A2xxB2"])
+def test_empty_product_factor_names_the_type(name, tmp_path, monkeypatch, capsys):
+    _refuse(monkeypatch, "run_suite")
+    assert main(["run", "--type", name, "--out", str(tmp_path / "out")]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_records_dihedral_constants(tmp_path):
+    out = tmp_path / "i25.json"
+    assert main(["run", "--type", "I2(5)", "--suite", "saito", "--out", str(out)]) == 0
+    shape = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "saito-shape")
+    # the dihedral normal form constants, with b = 0 for odd h
+    assert shape["constants"]["dihedral"]["b"] == "0"
+    assert shape["constants"]["dihedral"]["h"] == "5"
+
+
+SAITO_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)", "D4", "H3")
+
+
+@pytest.mark.parametrize("name", SAITO_TYPES)
+def test_report_records_the_saito_matrix(name, tmp_path, capsys):
+    out = tmp_path / "saito.json"
+    assert main(["run", "--type", name, "--suite", "saito", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    check = next(c for c in doc["checks"] if c["check"] == "discriminant-monic")
+    (item,) = [w for w in check["witnesses"] if w.get("label") == "saito-det"]
+    assert item["kind"] == "det_eq"
+    sd = Workspace().saito(name)
+    entries = item["matrix"]["entries"]
+    assert [[Poly.from_json(check["polys"][i], sd.p_ring) for i in row] for row in entries] == sd.K_R.e
+    # one coefficient of one K_R entry, changed in the table, breaks det K_R = c * disc
+    coeff = check["polys"][entries[0][0]]["terms"][0]["coeff"]
+    num, den = coeff["a"]
+    coeff["a"] = [str(int(num) + int(den)), den]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    assert "FAILED discriminant-monic" in capsys.readouterr().out
